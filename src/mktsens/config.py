@@ -7,7 +7,6 @@ name cannot silently fall back to a default.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -220,19 +219,3 @@ def load_config(path: str | Path) -> RunConfig:
         return RunConfig.from_mapping(doc)
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-
-
-def worker_count() -> int:
-    """Worker threads for per-circle analysis, from MKTSENS_THREADS (default 1)."""
-    raw = os.environ.get("MKTSENS_THREADS")
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"MKTSENS_THREADS must be a positive integer, got {raw!r}"
-        ) from None
-    if count < 1:
-        raise ConfigError(f"MKTSENS_THREADS must be a positive integer, got {raw!r}")
-    return count

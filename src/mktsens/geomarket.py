@@ -8,11 +8,12 @@ aggregates by chain, and the exclusion-set machinery then runs per circle.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .config import worker_count
+import numpy as np
+
 from .display import round_half_up
 from .errors import DataError, DegenerateMarketError
 from .lattice import ExclusionSet, MarginalSet, enumerate_subsets
@@ -95,6 +96,14 @@ class StoreUniverse:
         wanted = set(chain_ids)
         return tuple(s for s in self.stores if s.chain_id in wanted)
 
+    @cached_property
+    def _coordinates(self) -> tuple:
+        """(stores by id, latitude radians, its cosine, longitude degrees)."""
+        ordered = tuple(sorted(self.stores, key=lambda s: s.store_id))
+        lat = np.radians([s.latitude for s in ordered])
+        lon = np.array([s.longitude for s in ordered])
+        return ordered, lat, np.cos(lat), lon
+
 
 def haversine(a: tuple[float, float], b: tuple[float, float]) -> float:
     """Great-circle distance in kilometers between (lat, lon) degree pairs.
@@ -151,16 +160,21 @@ def circle_market(
         raise ValueError("radius must be nonnegative")
     anchor = universe.store(center) if isinstance(center, str) else center
     radius_km = miles_to_km(radius_miles)
-    members = tuple(
-        sorted(
-            (
-                s
-                for s in universe
-                if haversine(anchor.position, s.position) <= radius_km
-            ),
-            key=lambda s: s.store_id,
-        )
+    ordered, lat, cos_lat, lon = universe._coordinates
+    phi = math.radians(anchor.latitude)
+    dlam = np.radians(lon - anchor.longitude)
+    h = (
+        np.sin((lat - phi) / 2.0) ** 2
+        + math.cos(phi) * cos_lat * np.sin(dlam / 2.0) ** 2
     )
+    distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(h, 1.0)))
+    keep = distance <= radius_km
+    # numpy's sin/arcsin may differ from libm by a few ulps: let the scalar
+    # haversine decide every store this close to the boundary.
+    band = 1e-9 * max(radius_km, 1.0)
+    for i in np.flatnonzero(np.abs(distance - radius_km) <= band):
+        keep[i] = haversine(anchor.position, ordered[i].position) <= radius_km
+    members = tuple(ordered[i] for i in np.flatnonzero(keep))
     return CircleMarket(anchor, radius_miles, members)
 
 
@@ -272,9 +286,7 @@ def analyze_local(
     when both merging chains have at least one member store; single-party
     circles carry no competitive overlap and are skipped.  A merging chain
     whose in-circle revenue disappears under some exclusion set still
-    evaluates, as a zero-sales firm.  Set the MKTSENS_THREADS environment
-    variable to analyze circles in parallel; results keep center order
-    regardless.
+    evaluates, as a zero-sales firm.
     """
     ms = (
         marginal_formats
@@ -293,23 +305,12 @@ def analyze_local(
             f"no defendant stores found for chains {sorted(defendants)}"
         )
     subsets = enumerate_subsets(ms.n)
-    circles = []
-    for center in centers:
-        circle = circle_market(universe, center, radius_miles)
-        chains_present = {s.chain_id for s in circle.members}
-        if all(p in chains_present for p in parties):
-            circles.append(circle)
-
-    def run(circle: CircleMarket) -> LocalAnalysisResult:
-        return _analyze_circle(
-            circle, merger, ms, subsets, rule, include_constant_sspi
-        )
-
-    workers = worker_count()
-    if workers > 1 and len(circles) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return tuple(pool.map(run, circles))
-    return tuple(run(circle) for circle in circles)
+    circles = (circle_market(universe, c, radius_miles) for c in centers)
+    return tuple(
+        _analyze_circle(circle, merger, ms, subsets, rule, include_constant_sspi)
+        for circle in circles
+        if set(parties) <= {s.chain_id for s in circle.members}
+    )
 
 
 def count_presumptive(

@@ -19,6 +19,9 @@ import csv
 import io
 import json
 import os
+import shutil
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -62,14 +65,26 @@ from .shapley import (
 METRIC_NAMES = ("post_hhi", "delta_hhi", "merged_share")
 
 
-def _write_text(path: Path, text: str) -> Path:
-    """Atomic write: temp file in the same directory, then rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
-    return path
+@contextmanager
+def _staged(out_dir: Path):
+    """Yield ``write(name, text)``, staging files in a fresh directory inside
+    ``out_dir``; they move into place only once the whole block succeeds."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+    names: list[str] = []
+
+    def write(name: str, text: str) -> Path:
+        with open(staging / name, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        names.append(name)
+        return out_dir / name
+
+    try:
+        yield write
+        for name in names:
+            os.replace(staging / name, out_dir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _csv_text(rows: Sequence[Sequence[object]]) -> str:
@@ -284,12 +299,13 @@ def emit_hasse(
     style: DotStyle | None = None,
 ) -> Path:
     """Write the diagram in ``dot`` or ``json`` format, atomically."""
+    if fmt not in ("dot", "json"):
+        raise ConfigError(f"unknown hasse format {fmt!r}; expected dot or json")
     target = Path(path)
-    if fmt == "dot":
-        return _write_text(target, to_dot(diagram, style or DotStyle()))
-    if fmt == "json":
-        return _write_text(target, to_json(diagram))
-    raise ConfigError(f"unknown hasse format {fmt!r}; expected dot or json")
+    with _staged(target.parent) as write:
+        if fmt == "dot":
+            return write(target.name, to_dot(diagram, style or DotStyle()))
+        return write(target.name, to_json(diagram))
 
 
 def _shapley_rows(report: StateReport) -> tuple[list[list[str]], dict]:
@@ -375,27 +391,25 @@ def _share_rows(report: StateReport) -> tuple[list[list[str]], dict]:
 
 def write_state_report(report: StateReport, out_dir: str | Path) -> list[Path]:
     """Emit hasse.dot/json, shapley.csv/json, sspi.csv/json, shares.csv/json."""
-    out = Path(out_dir)
     hhi_labels = DotStyle(label_metrics=("post_hhi",))
-    written = [
-        emit_hasse(report.diagram, "dot", out / "hasse.dot", hhi_labels),
-        emit_hasse(report.diagram, "json", out / "hasse.json"),
-    ]
     shapley_rows, shapley_doc = _shapley_rows(report)
     sspi_rows, sspi_doc = _state_sspi_rows(report)
     share_rows, share_doc = _share_rows(report)
-    written.append(_write_text(out / "shapley.csv", _csv_text(shapley_rows)))
-    written.append(_write_text(out / "shapley.json", _json_text(shapley_doc)))
-    written.append(_write_text(out / "sspi.csv", _csv_text(sspi_rows)))
-    written.append(_write_text(out / "sspi.json", _json_text(sspi_doc)))
-    written.append(_write_text(out / "shares.csv", _csv_text(share_rows)))
-    written.append(_write_text(out / "shares.json", _json_text(share_doc)))
-    return written
+    with _staged(Path(out_dir)) as write:
+        return [
+            write("hasse.dot", to_dot(report.diagram, hhi_labels)),
+            write("hasse.json", to_json(report.diagram)),
+            write("shapley.csv", _csv_text(shapley_rows)),
+            write("shapley.json", _json_text(shapley_doc)),
+            write("sspi.csv", _csv_text(sspi_rows)),
+            write("sspi.json", _json_text(sspi_doc)),
+            write("shares.csv", _csv_text(share_rows)),
+            write("shares.json", _json_text(share_doc)),
+        ]
 
 
 def write_firm_report(report: FirmReport, out_dir: str | Path) -> list[Path]:
     """Emit the firm-level SSPI table as sspi.csv/json."""
-    out = Path(out_dir)
     decimals = report.config.sspi_decimals
     order = sorted(
         zip(report.marginal_firms, report.sspi_values),
@@ -417,16 +431,15 @@ def write_firm_report(report: FirmReport, out_dir: str | Path) -> list[Path]:
             "rounding": "half_up",
         },
     }
-    written = [
-        _write_text(out / "sspi.csv", _csv_text(rows)),
-        _write_text(out / "sspi.json", _json_text(doc)),
-    ]
-    return written
+    with _staged(Path(out_dir)) as write:
+        return [
+            write("sspi.csv", _csv_text(rows)),
+            write("sspi.json", _json_text(doc)),
+        ]
 
 
 def write_local_report(report: LocalReport, out_dir: str | Path) -> list[Path]:
     """Emit local_counts, local_markets, and sspi_structure as CSV + JSON."""
-    out = Path(out_dir)
     ms = report.marginal_set
     decimals = report.config.sspi_decimals
 
@@ -496,11 +509,12 @@ def write_local_report(report: LocalReport, out_dir: str | Path) -> list[Path]:
         ],
     }
 
-    return [
-        _write_text(out / "local_counts.csv", _csv_text(count_rows)),
-        _write_text(out / "local_counts.json", _json_text(counts_doc)),
-        _write_text(out / "local_markets.csv", _csv_text(market_rows)),
-        _write_text(out / "local_markets.json", _json_text(markets_doc)),
-        _write_text(out / "sspi_structure.csv", _csv_text(structure_rows)),
-        _write_text(out / "sspi_structure.json", _json_text(structure_doc)),
-    ]
+    with _staged(Path(out_dir)) as write:
+        return [
+            write("local_counts.csv", _csv_text(count_rows)),
+            write("local_counts.json", _json_text(counts_doc)),
+            write("local_markets.csv", _csv_text(market_rows)),
+            write("local_markets.json", _json_text(markets_doc)),
+            write("sspi_structure.csv", _csv_text(structure_rows)),
+            write("sspi_structure.json", _json_text(structure_doc)),
+        ]

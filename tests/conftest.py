@@ -22,7 +22,9 @@ from mktsens import (
     Store,
     StoreUniverse,
     exclude,
+    haversine,
     hhi,
+    miles_to_km,
 )
 
 # Eight-firm reference market: five core firms and marginal firms 1, 2, 3.
@@ -190,6 +192,17 @@ def local_config() -> RunConfig:
 @pytest.fixture
 def merger() -> MergerSpec:
     return MergerSpec(*STATE_MERGING)
+
+
+def scalar_circle_ids(universe, center: Store,
+                      radius_miles: float) -> tuple[str, ...]:
+    """Circle membership by one scalar haversine per store, in store-id
+    order: the selection that the vectorised circle_market replaced."""
+    radius_km = miles_to_km(radius_miles)
+    return tuple(sorted(
+        s.store_id for s in universe
+        if haversine(center.position, s.position) <= radius_km
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +25,9 @@ from mktsens import (
     miles_to_km,
     sspi_structure_table,
 )
-from tests.conftest import LOCAL_CLUSTER_1, local_stores
+from mktsens.geomarket import EARTH_RADIUS_KM, MILES_TO_KM
+from tests.conftest import LOCAL_CLUSTER_1, local_stores, scalar_circle_ids
+from tests.test_acceptance import brute_force_local
 
 
 def _store(sid="s1", chain="c1", fmt="supermarket", lat=45.0, lon=-120.0,
@@ -156,6 +162,147 @@ class TestCircleMarket:
         inner = set(circle_market(u, "s0", lo).member_ids)
         outer = set(circle_market(u, "s0", hi).member_ids)
         assert inner <= outer
+
+
+def _nudged(value: float, ulps: int) -> float:
+    """``value`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+class TestCircleBoundary:
+    """Membership at the radius must equal the scalar haversine decision."""
+
+    @pytest.mark.parametrize("radius_miles", [0.5, 1.0, 5.0, 10.0, 50.0])
+    def test_meridian_offsets_match_scalar(self, radius_miles):
+        # The arc along a meridian is analytic: radius_km / EARTH_RADIUS_KM
+        # radians of latitude.  Stores sit there exactly and 1-2 ulps off,
+        # north and south of centers spread over many latitudes.
+        radius_km = miles_to_km(radius_miles)
+        arc_deg = math.degrees(radius_km / EARTH_RADIUS_KM)
+        decisions = set()
+        for lat0 in (k * 0.3917 - 78.0 for k in range(400)):
+            stores = [_store("center", lat=lat0, lon=7.25)]
+            for sign in (1, -1):
+                for ulps in (-2, -1, 0, 1, 2):
+                    lat = _nudged(lat0 + sign * arc_deg, ulps)
+                    stores.append(_store(f"{sign:+d}{ulps:+d}", lat=lat,
+                                         lon=7.25))
+            u = StoreUniverse(tuple(stores))
+            circle = circle_market(u, "center", radius_miles)
+            expected = scalar_circle_ids(u, u.store("center"), radius_miles)
+            assert circle.member_ids == expected, lat0
+            decisions.update(s.store_id in expected for s in stores[1:])
+        assert decisions == {True, False}
+
+    def test_radius_between_vector_and_scalar_distance(self):
+        # numpy's vector sin/arcsin and libm's disagree in the last bit for a
+        # few points in ten thousand.  For each such store, put the radius on
+        # the smaller of its two distances, where a vector-only decision and
+        # the scalar one differ.
+        rng = np.random.default_rng(7)
+        lat0, lon0 = 41.3, -87.6
+        lats = lat0 + rng.uniform(-0.1, 0.1, 20000)
+        lons = lon0 + rng.uniform(-0.1, 0.1, 20000)
+        phi, lat = math.radians(lat0), np.radians(lats)
+        h = (np.sin((lat - phi) / 2.0) ** 2 + math.cos(phi) * np.cos(lat)
+             * np.sin(np.radians(lons - lon0) / 2.0) ** 2)
+        vector = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
+        center = _store("center", lat=lat0, lon=lon0)
+        u = StoreUniverse((center,) + tuple(
+            _store(f"e{i:05d}", lat=float(a), lon=float(b))
+            for i, (a, b) in enumerate(zip(lats, lons))
+        ))
+        for a, b, v in zip(lats, lons, vector):
+            d = haversine(center.position, (a, b))
+            radius_miles = min(d, v) / MILES_TO_KM
+            if d == v or miles_to_km(radius_miles) != min(d, v):
+                continue
+            circle = circle_market(u, center, radius_miles)
+            assert circle.member_ids == scalar_circle_ids(u, center,
+                                                          radius_miles)
+
+    def test_zero_radius_keeps_only_colocated_stores(self):
+        center = _store("m", lat=45.0, lon=-120.0)
+        u = StoreUniverse((
+            center,
+            _store("a", lat=45.0, lon=-120.0),
+            _store("b", lat=_nudged(45.0, 1), lon=-120.0),
+            _store("c", lat=45.0, lon=_nudged(-120.0, -1)),
+            _store("d", lat=_nudged(45.0, -1), lon=_nudged(-120.0, 1)),
+            _store("z", lat=45.0, lon=-120.0),
+        ))
+        circle = circle_market(u, "m", 0.0)
+        assert circle.member_ids == ("a", "m", "z")
+        assert circle.member_ids == scalar_circle_ids(u, center, 0.0)
+
+
+@st.composite
+def _near_radius_universe(draw):
+    """A center plus stores scattered within a hair of the circle's edge."""
+    lat0 = draw(st.floats(min_value=-75, max_value=75))
+    lon0 = draw(st.floats(min_value=-170, max_value=170))
+    radius_miles = draw(st.sampled_from([0.0, 0.25, 1.0, 5.0, 30.0]))
+    arc = miles_to_km(radius_miles) / EARTH_RADIUS_KM
+    phi0, lam0 = math.radians(lat0), math.radians(lon0)
+    stores = [_store("center", lat=lat0, lon=lon0)]
+    for i in range(draw(st.integers(min_value=1, max_value=25))):
+        bearing = draw(st.floats(min_value=0, max_value=2 * math.pi))
+        rel = draw(st.sampled_from([-1e-9, -1e-13, 0.0, 1e-13, 1e-9])
+                   | st.floats(min_value=-1e-6, max_value=1e-6))
+        d = arc * (1.0 + rel)
+        phi = math.asin(math.sin(phi0) * math.cos(d)
+                        + math.cos(phi0) * math.sin(d) * math.cos(bearing))
+        lam = lam0 + math.atan2(
+            math.sin(bearing) * math.sin(d) * math.cos(phi0),
+            math.cos(d) - math.sin(phi0) * math.sin(phi),
+        )
+        lat = _nudged(math.degrees(phi), draw(st.integers(-2, 2)))
+        stores.append(_store(f"s{i:03d}", lat=lat, lon=math.degrees(lam)))
+    return StoreUniverse(tuple(stores)), radius_miles
+
+
+class TestCircleMarketOracle:
+    @given(_near_radius_universe())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_selection(self, case):
+        u, radius_miles = case
+        circle = circle_market(u, "center", radius_miles)
+        assert circle.member_ids == scalar_circle_ids(
+            u, u.store("center"), radius_miles
+        )
+
+    def test_analyze_local_matches_brute_force(self, merger):
+        # 300 stores in a ~30 km square, so each 5-mile circle holds dozens.
+        rng = random.Random(1)
+        chains = (
+            [("acme", "supermarket"), ("bolt", "supercenter")]
+            + [(f"g{i}", "supermarket") for i in range(6)]
+            + [("clubby", "club"), ("naturo", "natural"), ("limitz", "limited")]
+        )
+        stores = []
+        for k in range(300):
+            # Every chain gets two stores before the rest are drawn.
+            chain, fmt = chains[k % 11] if k < 22 else rng.choice(chains)
+            stores.append(_store(
+                f"s{k:03d}", chain, fmt=fmt,
+                lat=45.0 + rng.uniform(0, 0.27),
+                lon=-120.0 + rng.uniform(0, 0.38),
+                rev=rng.uniform(1.0, 50.0),
+            ))
+        formats = ("club", "natural", "limited")
+        u = StoreUniverse(tuple(stores), defendant_chains=("acme", "bolt"))
+        results = analyze_local(u, merger, formats, radius_miles=5.0)
+        oracle = brute_force_local(stores, ("acme", "bolt"), formats, 5.0)
+        assert [r.center_id for r in results] == sorted(oracle)
+        assert 0 < sum(r.sensitive for r in results) < len(results)
+        for r in results:
+            flags, sensitive, power = oracle[r.center_id]
+            assert r.sensitive == sensitive
+            assert {o.subset.bits: o.flagged for o in r.outcomes} == flags
+            if sensitive:
+                assert r.sspi == power
 
 
 class TestChainMarket:
@@ -297,17 +444,6 @@ class TestAnalyzeLocal:
         u = StoreUniverse(stores, defendant_chains=("acme", "bolt"))
         with pytest.raises(DataError, match="a1"):
             analyze_local(u, merger, ("club",), radius_miles=5.0)
-
-    def test_threaded_run_matches_sequential(self, local_universe, merger,
-                                             monkeypatch):
-        ms = ("club", "natural", "limited")
-        sequential = analyze_local(local_universe, merger, ms, radius_miles=5.0)
-        monkeypatch.setenv("MKTSENS_THREADS", "4")
-        threaded = analyze_local(local_universe, merger, ms, radius_miles=5.0)
-        assert [r.center_id for r in threaded] == [r.center_id for r in sequential]
-        for a, b in zip(threaded, sequential):
-            assert a.outcomes == b.outcomes
-            assert a.sspi == b.sspi
 
 
 class TestCountsAndStructure:

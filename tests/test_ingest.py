@@ -7,7 +7,7 @@ import json
 import pytest
 
 from mktsens import ConfigError, DataError, PresumptionRule, RunConfig, load_stores
-from mktsens.config import load_config, worker_count
+from mktsens.config import load_config
 from tests.conftest import CSV_HEADER, state_stores, stores_csv_text
 
 GOOD_ROW = "s1,acme,Acme Markets,Supermarket,47.61,-122.33,12.5"
@@ -259,22 +259,3 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
 
-
-class TestWorkerCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("MKTSENS_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("MKTSENS_THREADS", "8")
-        assert worker_count() == 8
-
-    def test_blank_means_default(self, monkeypatch):
-        monkeypatch.setenv("MKTSENS_THREADS", "  ")
-        assert worker_count() == 1
-
-    @pytest.mark.parametrize("value", ["zero", "-1", "0", "2.5"])
-    def test_invalid_values_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("MKTSENS_THREADS", value)
-        with pytest.raises(ConfigError):
-            worker_count()

@@ -15,8 +15,10 @@ from mktsens import (
     RunConfig,
     StoreUniverse,
 )
+from mktsens import reports
 from mktsens.reports import (
     _display_total,
+    _staged,
     emit_hasse,
     run_firm_level,
     run_local,
@@ -300,6 +302,37 @@ class TestEmitHasse:
         report = run_state(state_config, state_universe)
         with pytest.raises(ConfigError, match="unknown hasse format"):
             emit_hasse(report.diagram, "svg", tmp_path / "x.svg")
+
+
+class TestStagedWrites:
+    def test_failed_write_keeps_old_files_and_leaves_no_staging(
+        self, local_config, local_universe, tmp_path, monkeypatch
+    ):
+        old = {name: f"old {name}\n".encode() for name in (
+            "local_counts.csv", "local_counts.json", "local_markets.csv",
+            "local_markets.json", "sspi_structure.csv", "sspi_structure.json",
+        )}
+        for name, data in old.items():
+            (tmp_path / name).write_bytes(data)
+        report = run_local(local_config, local_universe)
+
+        def broken(doc):
+            raise OSError("disk full")
+
+        # local_counts.csv is staged before the first JSON text fails.
+        monkeypatch.setattr(reports, "_json_text", broken)
+        with pytest.raises(OSError, match="disk full"):
+            write_local_report(report, tmp_path)
+        assert tree_bytes(tmp_path) == old
+
+    def test_interleaved_writers_do_not_share_temp_files(self, tmp_path):
+        with _staged(tmp_path) as first:
+            with _staged(tmp_path) as second:
+                first("a.txt", "first\n")
+                second("a.txt", "second\n")
+            assert (tmp_path / "a.txt").read_text() == "second\n"
+        assert (tmp_path / "a.txt").read_text() == "first\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
 
 class TestDisplayTotal:
