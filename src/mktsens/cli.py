@@ -8,8 +8,9 @@ and write their reports into an output directory:
   mktsens local ...
   mktsens hasse ... [--format dot|json]
 
-Exit codes: 0 success, 2 configuration or usage error, 3 data validation
-error, 4 capacity (enumeration limit) error.
+Exit codes: 0 success, 2 configuration or usage error (including an output
+directory that cannot be written), 3 data validation error, 4 capacity
+(enumeration limit) error.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from .errors import (
 from .ingest import load_stores
 from .lattice import DotStyle
 from .reports import (
-    emit_hasse,
     run_firm_level,
     run_local,
     run_state,
     write_firm_report,
+    write_hasse_report,
     write_local_report,
     write_state_report,
 )
@@ -93,14 +94,12 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "local":
             paths = write_local_report(run_local(config, universe), out)
         else:
-            diagram = run_state(config, universe).diagram
-            formats = (args.format,) if args.format else ("dot", "json")
-            paths = []
-            for fmt in formats:
-                style = DotStyle(label_metrics=("post_hhi",))
-                paths.append(
-                    emit_hasse(diagram, fmt, out / f"hasse.{fmt}", style)
-                )
+            paths = write_hasse_report(
+                run_state(config, universe).diagram,
+                out,
+                (args.format,) if args.format else ("dot", "json"),
+                DotStyle(label_metrics=("post_hhi",)),
+            )
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -110,6 +109,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, OutcomeEvaluationError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     for path in paths:
         print(f"wrote {path}")
     return 0

@@ -4,16 +4,33 @@ A :class:`Market` is a named set of firms with nonnegative sales.  On top of
 it this module provides shares, HHI on the 0..10000 scale, merger deltas,
 concentration ratios, logit diversion, upward pricing pressure, compensating
 marginal cost reductions, and the structural-presumption decision rule.
+:func:`merger_outcome_table` evaluates :func:`merger_outcomes` for every
+exclusion set of a lattice at once, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DataError, DegenerateMarketError
 
 HHI_SCALE = 10_000.0
+
+# Masks evaluated together by merger_outcome_table.  It bounds the (chains x
+# block) working arrays, and so peak memory on wide lattices.
+OUTCOME_BLOCK = 1024
+
+
+def _ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum, which merger_outcome_table reproduces
+    (the built-in ``sum`` compensates its rounding from Python 3.12)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -37,7 +54,7 @@ class Market:
         return tuple(self.sales)
 
     def total(self) -> float:
-        return sum(self.sales.values())
+        return _ordered_sum(self.sales.values())
 
     def require(self, firm: str) -> float:
         try:
@@ -236,26 +253,26 @@ def exclude(m: Market, labels: Iterable[str], protected: Iterable[str] = ()) -> 
 
 
 def presumption(
-    post_hhi_value: float,
-    d_hhi: float,
-    merged_share: float | None = None,
+    post_hhi_value: float | np.ndarray,
+    d_hhi: float | np.ndarray,
+    merged_share: float | np.ndarray | None = None,
     rule: PresumptionRule = PresumptionRule(),
-) -> bool:
+) -> bool | np.ndarray:
     """Structural presumption test.
 
     Triggers when post-merger HHI and the delta both strictly exceed their
     thresholds, or (only when the rule enables it and a share is supplied)
     when the merged share strictly exceeds its threshold alongside the delta.
+    Takes floats and returns a bool, or equal-length arrays and returns a
+    boolean array.
     """
-    if post_hhi_value > rule.post_hhi_threshold and d_hhi > rule.delta_hhi_threshold:
-        return True
+    delta_over = d_hhi > rule.delta_hhi_threshold
+    flagged = (post_hhi_value > rule.post_hhi_threshold) & delta_over
     if rule.use_share_criterion and merged_share is not None:
-        if (
-            merged_share > rule.merged_share_threshold
-            and d_hhi > rule.delta_hhi_threshold
-        ):
-            return True
-    return False
+        flagged = flagged | (
+            (merged_share > rule.merged_share_threshold) & delta_over
+        )
+    return flagged
 
 
 def merger_outcomes(m: Market, g: MergerSpec) -> tuple[float, float, float]:
@@ -267,7 +284,80 @@ def merger_outcomes(m: Market, g: MergerSpec) -> tuple[float, float, float]:
     s = shares(m)
     sa = s.get(g.acquirer, 0.0)
     sb = s.get(g.target, 0.0)
-    base = HHI_SCALE * sum(v * v for v in s.values())
+    base = HHI_SCALE * _ordered_sum(v * v for v in s.values())
     post = base - HHI_SCALE * (sa * sa + sb * sb) + HHI_SCALE * (sa + sb) ** 2
     delta = HHI_SCALE * 2.0 * sa * sb
     return post, delta, sa + sb
+
+
+def merger_outcome_table(
+    entries: Sequence[tuple[str, int, float]], n: int, g: MergerSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Post HHI, delta HHI and merged share for all 2^n exclusion masks.
+
+    ``entries`` are ``(chain_id, bit, revenue)`` in market order.  Mask ``m``
+    keeps every entry whose bit is not set in ``m``; ``bit = -1`` is never
+    excluded.  Cell ``m`` of each array equals, bit for bit, what
+    :func:`merger_outcomes` returns on the market that sums the kept entries
+    by chain in entry order.  To be exact the table repeats that path's
+    floating-point steps: it adds every entry's revenue times 0.0 or 1.0 in
+    entry order (adding 0.0 is exact), sums totals and squared shares left to
+    right in the order of each chain's first kept entry (that market's dict
+    order), and squares the merged share with Python's float power, which
+    differs from ``x * x`` in the last bit for some inputs.  A mask whose
+    market has no sales reads NaN in all three arrays, where
+    :func:`merger_outcomes` raises.
+    """
+    columns: dict[str, int] = {}
+    chain_of: list[int] = []
+    bit_of: list[int] = []
+    revenue: list[float] = []
+    first_seen: dict[tuple[int, int], int] = {}
+    for index, (chain, bit, value) in enumerate(entries):
+        if not -1 <= bit < n:
+            raise ValueError(f"entry bit {bit} out of range for width {n}")
+        column = columns.setdefault(chain, len(columns))
+        chain_of.append(column)
+        bit_of.append(bit)
+        revenue.append(float(value))
+        first_seen.setdefault((column, bit), index)
+    # One extra all-zero row stands in for a merging chain with no entries.
+    rows = len(columns) + 1
+    acquirer = columns.get(g.acquirer, rows - 1)
+    target = columns.get(g.target, rows - 1)
+    absent = len(revenue)
+    size = 1 << n
+    post = np.empty(size)
+    delta = np.empty(size)
+    share = np.empty(size)
+    shifts = np.arange(n)[:, None]
+    for start in range(0, size, OUTCOME_BLOCK):
+        masks = np.arange(start, min(start + OUTCOME_BLOCK, size))
+        # Row b says whether bit b's entries are kept; the last row serves
+        # bit -1 and is all ones.
+        kept = np.ones((n + 1, masks.size))
+        kept[:n] = (masks >> shifts) & 1 == 0
+        sales = np.zeros((rows, masks.size))
+        for column, bit, value in zip(chain_of, bit_of, revenue):
+            sales[column] += value * kept[bit]
+        first = np.full((rows, masks.size), absent)
+        for (column, bit), index in first_seen.items():
+            np.minimum(first[column], np.where(kept[bit] > 0, index, absent),
+                       out=first[column])
+        order = np.argsort(first, axis=0, kind="stable")
+        total = np.cumsum(np.take_along_axis(sales, order, axis=0), axis=0)[-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = sales / total
+        squares = np.take_along_axis(s * s, order, axis=0)
+        base = HHI_SCALE * np.cumsum(squares, axis=0)[-1]
+        sa = s[acquirer]
+        sb = s[target]
+        merged = sa + sb
+        merged_squared = np.array([v ** 2 for v in merged.tolist()])
+        block = slice(start, start + masks.size)
+        post[block] = (
+            base - HHI_SCALE * (sa * sa + sb * sb) + HHI_SCALE * merged_squared
+        )
+        delta[block] = HHI_SCALE * 2.0 * sa * sb
+        share[block] = merged
+    return post, delta, share

@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import RunConfig
 from .display import fmt_fixed, fmt_truncated, round_half_up_int
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, OutcomeEvaluationError
 from .geomarket import (
     LocalAnalysisResult,
     StoreUniverse,
@@ -51,14 +51,19 @@ from .lattice import (
     to_dot,
     to_json,
 )
-from .metrics import Market, exclude, merger_outcomes, presumption
+from .metrics import (
+    Market,
+    MergerSpec,
+    PresumptionRule,
+    merger_outcome_table,
+    presumption,
+)
 from .shapley import (
     CoalitionalGame,
     ShapleyResult,
     SimpleGame,
     shapley_exact,
     shapley_sampled,
-    simple_game_from_rule,
     sspi,
 )
 
@@ -107,16 +112,28 @@ def _display_total(cells: Sequence[str]) -> str:
     return f"{total:.{exponent}f}" if exponent > 0 else str(total)
 
 
-def _outcome_fn(base_market_fn, merger):
-    def f(subset: ExclusionSet) -> dict[str, float]:
-        post, delta, share = merger_outcomes(base_market_fn(subset), merger)
-        return {
-            "post_hhi": post,
-            "delta_hhi": delta,
-            "merged_share": share,
-        }
+def _outcome_columns(
+    entries: Sequence[tuple[str, int, float]], ms: MarginalSet, merger: MergerSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Post HHI, delta HHI and merged share per exclusion mask, refusing a
+    lattice in which some candidate market has no sales left."""
+    columns = merger_outcome_table(entries, ms.n, merger)
+    empty = np.flatnonzero(np.isnan(columns[2]))
+    if empty.size:
+        subset = min(ExclusionSet(ms.n, int(bits)) for bits in empty)
+        raise OutcomeEvaluationError(
+            f"candidate market excluding {subset_label(ms, subset)} has zero "
+            "total sales; its outcomes are undefined"
+        )
+    return columns
 
-    return f
+
+def _presumption_game(
+    n: int, columns: Sequence[np.ndarray], rule: PresumptionRule
+) -> SimpleGame:
+    wins = presumption(*columns, rule).astype(np.uint8)
+    wins.flags.writeable = False
+    return SimpleGame(n=n, wins=wins)
 
 
 def _presumption_rule(rule):
@@ -159,35 +176,36 @@ def run_state(
 
     Builds the annotated Hasse diagram of (post-HHI, delta-HHI, merged share)
     over the marginal formats, the Shapley attribution of post-merger HHI,
-    and the presumption-rule power indices.  ``sampled`` switches the Shapley
-    computation to the seeded Monte Carlo estimator from the configuration's
-    seed and permutation count.
+    and the presumption-rule power indices.  The outcomes of every subset
+    come from one :func:`merger_outcome_table` over the stores, each keyed
+    by its format's position in the marginal set.  ``sampled`` switches the
+    Shapley computation to the seeded Monte Carlo estimator from the
+    configuration's seed and permutation count.
     """
     market = chain_market(universe, (), "state")
     for party in config.merging_chains:
         market.require(party)
     ms = MarginalSet(config.marginal_formats)
-    f = _outcome_fn(
-        lambda subset: chain_market(universe, ms.labels_of(subset), "state"),
+    bit_of = {label: i for i, label in enumerate(ms.members)}
+    columns = _outcome_columns(
+        [(s.chain_id, bit_of.get(s.format, -1), s.revenue) for s in universe],
+        ms,
         config.merger,
     )
-    diagram = build_hasse(ms, f, _presumption_rule(config.rule))
+    values = [column.tolist() for column in columns]
 
-    post_index = diagram.metric_names.index("post_hhi")
-    size = 1 << ms.n
-    base = diagram.node_for(ExclusionSet(ms.n, 0)).outcomes[post_index]
-    table = np.zeros(size, dtype=np.float64)
-    for node in diagram.nodes:
-        table[node.subset.bits] = node.outcomes[post_index] - base
-    table[0] = 0.0
-    game = CoalitionalGame.from_table(table)
+    def f(subset: ExclusionSet) -> dict[str, float]:
+        return {name: col[subset.bits] for name, col in zip(METRIC_NAMES, values)}
+
+    diagram = build_hasse(ms, f, _presumption_rule(config.rule))
+    post = columns[0]
+    game = CoalitionalGame.from_table(post - post[0])
     if sampled:
         sv = shapley_sampled(game, config.permutations, config.seed)
     else:
         sv = shapley_exact(game)
 
-    flags = {node.subset.bits: node.flagged for node in diagram.nodes}
-    sspi_game = SimpleGame.from_flags(ms.n, flags)
+    sspi_game = _presumption_game(ms.n, columns, config.rule)
     return StateReport(
         config=config,
         market=market,
@@ -224,7 +242,8 @@ def run_firm_level(config: RunConfig, universe: StoreUniverse) -> FirmReport:
 
     The marginal set is the configured chain list; the merging chains stay in
     every candidate market.  Excluding a chain removes all its revenue and
-    renormalizes shares.
+    renormalizes shares.  The outcomes of every subset come from one
+    :func:`merger_outcome_table` over the chains of the statewide market.
     """
     if not config.marginal_firms:
         raise ConfigError("firm-level analysis requires marginal_firms")
@@ -236,13 +255,14 @@ def run_firm_level(config: RunConfig, universe: StoreUniverse) -> FirmReport:
             raise DataError(f"marginal firm {firm!r} has no stores in the universe")
     firms = config.marginal_firms
     ms = MarginalSet(firms)
-    f = _outcome_fn(
-        lambda subset: exclude(
-            market, ms.labels_of(subset), config.merging_chains
-        ),
+    bit_of = {firm: i for i, firm in enumerate(firms)}
+    columns = _outcome_columns(
+        [(chain, bit_of.get(chain, -1), revenue)
+         for chain, revenue in market.sales.items()],
+        ms,
         config.merger,
     )
-    game = simple_game_from_rule(f, _presumption_rule(config.rule), ms.n)
+    game = _presumption_game(ms.n, columns, config.rule)
     return FirmReport(
         config=config,
         market=market,
@@ -292,6 +312,16 @@ def run_local(config: RunConfig, universe: StoreUniverse) -> LocalReport:
     )
 
 
+def _hasse_text(
+    diagram: AnnotatedHasseDiagram, fmt: str, style: DotStyle | None
+) -> str:
+    if fmt not in ("dot", "json"):
+        raise ConfigError(f"unknown hasse format {fmt!r}; expected dot or json")
+    if fmt == "dot":
+        return to_dot(diagram, style or DotStyle())
+    return to_json(diagram)
+
+
 def emit_hasse(
     diagram: AnnotatedHasseDiagram,
     fmt: str,
@@ -299,13 +329,24 @@ def emit_hasse(
     style: DotStyle | None = None,
 ) -> Path:
     """Write the diagram in ``dot`` or ``json`` format, atomically."""
-    if fmt not in ("dot", "json"):
-        raise ConfigError(f"unknown hasse format {fmt!r}; expected dot or json")
+    text = _hasse_text(diagram, fmt, style)
     target = Path(path)
     with _staged(target.parent) as write:
-        if fmt == "dot":
-            return write(target.name, to_dot(diagram, style or DotStyle()))
-        return write(target.name, to_json(diagram))
+        return write(target.name, text)
+
+
+def write_hasse_report(
+    diagram: AnnotatedHasseDiagram,
+    out_dir: str | Path,
+    formats: Sequence[str],
+    style: DotStyle,
+) -> list[Path]:
+    """Emit ``hasse.<fmt>`` for each format; all move into place together."""
+    with _staged(Path(out_dir)) as write:
+        return [
+            write(f"hasse.{fmt}", _hasse_text(diagram, fmt, style))
+            for fmt in formats
+        ]
 
 
 def _shapley_rows(report: StateReport) -> tuple[list[list[str]], dict]:

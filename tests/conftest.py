@@ -12,19 +12,24 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mktsens import (
+    ExclusionSet,
     Market,
     MarginalSet,
     MergerSpec,
     RunConfig,
     Store,
     StoreUniverse,
+    chain_market,
     exclude,
     haversine,
     hhi,
+    merger_outcomes,
     miles_to_km,
+    presumption,
 )
 
 # Eight-firm reference market: five core firms and marginal firms 1, 2, 3.
@@ -203,6 +208,40 @@ def scalar_circle_ids(universe, center: Store,
         s.store_id for s in universe
         if haversine(center.position, s.position) <= radius_km
     ))
+
+
+def scalar_state_outcomes(universe, ms: MarginalSet, merger: MergerSpec):
+    """(post HHI, delta HHI, merged share) arrays by exclusion mask, from one
+    chain_market and one merger_outcomes call per subset: the state path
+    that merger_outcome_table replaced."""
+    return _scalar_outcomes(
+        lambda subset: chain_market(universe, ms.labels_of(subset), "state"),
+        ms.n, merger,
+    )
+
+
+def scalar_firm_outcomes(market: Market, ms: MarginalSet, config: RunConfig):
+    """The same arrays from one exclude and one merger_outcomes call per
+    subset: the firm path that merger_outcome_table replaced."""
+    return _scalar_outcomes(
+        lambda subset: exclude(market, ms.labels_of(subset),
+                               config.merging_chains),
+        ms.n, config.merger,
+    )
+
+
+def _scalar_outcomes(market_of, n: int, merger: MergerSpec):
+    rows = [merger_outcomes(market_of(ExclusionSet(n, bits)), merger)
+            for bits in range(1 << n)]
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+def scalar_flags(columns, rule) -> np.ndarray:
+    """The scalar presumption test applied cell by cell."""
+    return np.array([
+        presumption(post, delta, share, rule)
+        for post, delta, share in zip(*(c.tolist() for c in columns))
+    ])
 
 
 # ---------------------------------------------------------------------------

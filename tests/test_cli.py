@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from mktsens import reports
 from mktsens.cli import main
 from tests.conftest import base_config_doc, local_stores, state_stores, write_inputs
 
@@ -102,6 +103,23 @@ class TestHasseCommand:
         text = (out / "hasse.dot").read_text(encoding="utf-8")
         assert '"empty" -> "club" [label="+230"]' in text
 
+    def test_failed_json_keeps_both_old_files(self, tmp_path, capsys,
+                                              monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        old = {"hasse.dot": b"old dot\n", "hasse.json": b"old json\n"}
+        for name, data in old.items():
+            (out / name).write_bytes(data)
+
+        def broken(diagram):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(reports, "to_json", broken)
+        code, _ = run_cli(tmp_path, "hasse", state_stores(), base_config_doc())
+        assert code == 2
+        assert "output error: disk full" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+
     def test_rejects_unknown_format(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli(tmp_path, "hasse", state_stores(), base_config_doc(),
@@ -155,6 +173,18 @@ class TestFailureModes:
         code, _ = run_cli(tmp_path, "state", state_stores(), doc)
         assert code == 4
         assert "capacity error" in capsys.readouterr().err
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "notadir").write_text("a file\n", encoding="utf-8")
+        doc = base_config_doc(
+            marginal_firms=["grandway", "citygrocer", "dailymart"]
+        )
+        code, _ = run_cli(tmp_path, "firm", state_stores(), doc,
+                          out="notadir/x")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ")
+        assert "Traceback" not in err
 
     def test_missing_required_argument(self):
         with pytest.raises(SystemExit) as err:

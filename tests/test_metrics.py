@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -329,6 +330,20 @@ class TestPresumption:
         assert presumption(1000.0, 456.0, merged_share=0.30, rule=rule) is False
         assert presumption(1000.0, 99.0, merged_share=0.9, rule=rule) is False
         assert presumption(1000.0, 456.0, merged_share=None, rule=rule) is False
+
+    def test_arrays_match_scalars(self):
+        post = np.array([2152.0, 1800.0, 1000.0, 1000.0, 1800.0 + 1e-9])
+        delta = np.array([456.0, 456.0, 456.0, 99.0, 100.0 + 1e-9])
+        share = np.array([0.2, 0.2, 0.31, 0.9, 0.1])
+        for rule in (PresumptionRule(),
+                     PresumptionRule(use_share_criterion=True)):
+            flags = presumption(post, delta, share, rule)
+            assert flags.dtype == np.bool_
+            assert flags.tolist() == [
+                presumption(p, d, s, rule)
+                for p, d, s in zip(post.tolist(), delta.tolist(),
+                                   share.tolist())
+            ]
 
     @given(
         st.floats(min_value=0, max_value=4000),
