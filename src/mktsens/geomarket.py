@@ -240,7 +240,6 @@ def _analyze_circle(
     ms: MarginalSet,
     subsets: Sequence[ExclusionSet],
     rule: PresumptionRule,
-    include_constant_sspi: bool,
 ) -> LocalAnalysisResult:
     outcomes = []
     flags: dict[int, bool] = {}
@@ -260,7 +259,7 @@ def _analyze_circle(
         flags[subset.bits] = flag
     game = SimpleGame.from_flags(ms.n, flags)
     sensitive = not game.constant
-    values = sspi(game) if (sensitive or include_constant_sspi) else None
+    values = sspi(game) if sensitive else None
     return LocalAnalysisResult(
         circle.center,
         circle.radius_miles,
@@ -277,7 +276,6 @@ def analyze_local(
     marginal_formats: MarginalSet | Sequence[str],
     rule: PresumptionRule = PresumptionRule(),
     radius_miles: float = 5.0,
-    include_constant_sspi: bool = False,
 ) -> tuple[LocalAnalysisResult, ...]:
     """Run the exclusion-set analysis in a circle around every defendant store.
 
@@ -307,7 +305,7 @@ def analyze_local(
     subsets = enumerate_subsets(ms.n)
     circles = (circle_market(universe, c, radius_miles) for c in centers)
     return tuple(
-        _analyze_circle(circle, merger, ms, subsets, rule, include_constant_sspi)
+        _analyze_circle(circle, merger, ms, subsets, rule)
         for circle in circles
         if set(parties) <= {s.chain_id for s in circle.members}
     )

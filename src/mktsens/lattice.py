@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .display import floor_int, round_half_up
 from .errors import CapacityError, DataError, OutcomeEvaluationError
 
 EXACT_ENUMERATION_MAX = 24
 
+T = TypeVar("T")
 OutcomeFn = Callable[["ExclusionSet"], Mapping[str, float]]
 RuleFn = Callable[[Mapping[str, float]], bool]
 
@@ -128,18 +129,22 @@ class ExclusionSet:
         return self.sort_key <= other.sort_key
 
 
-def enumerate_subsets(n: int) -> list[ExclusionSet]:
-    """All 2^n subsets in canonical order.
-
-    Within each cardinality layer masks are generated in increasing numeric
-    order via Gosper's hack, so no sort pass is needed.
-    """
+def _check_width(n: int) -> None:
     if n < 0:
         raise ValueError("subset width must be nonnegative")
     if n > EXACT_ENUMERATION_MAX:
         raise CapacityError(
             f"cannot enumerate 2^{n} subsets; limit is n = {EXACT_ENUMERATION_MAX}"
         )
+
+
+def enumerate_subsets(n: int) -> list[ExclusionSet]:
+    """All 2^n subsets in canonical order.
+
+    Within each cardinality layer masks are generated in increasing numeric
+    order via Gosper's hack, so no sort pass is needed.
+    """
+    _check_width(n)
     out = [ExclusionSet(n, 0)]
     for k in range(1, n + 1):
         mask = (1 << k) - 1
@@ -151,6 +156,34 @@ def enumerate_subsets(n: int) -> list[ExclusionSet]:
             ripple = mask + low
             mask = ripple | ((mask ^ ripple) >> (low.bit_length() + 1))
     return out
+
+
+def evaluate_subsets(
+    n: int,
+    fn: Callable[[ExclusionSet], T],
+    what: str,
+    labels: Sequence[str] | None = None,
+) -> list[T]:
+    """``fn`` of every subset of ``n`` labels, as a list indexed by bitmask.
+
+    This is the one loop that calls caller code over a lattice: ``fn`` runs
+    exactly once per subset, in bitmask order.  A failure is re-raised as
+    :class:`OutcomeEvaluationError` naming ``what`` and the subset by its
+    ``labels`` (player indices by default), e.g. ``{a, b}``.
+    """
+    _check_width(n)
+    names = labels if labels is not None else [str(i) for i in range(n)]
+    values = []
+    for mask in range(1 << n):
+        subset = ExclusionSet(n, mask)
+        try:
+            values.append(fn(subset))
+        except Exception as exc:
+            members = ", ".join(names[i] for i in subset.indices)
+            raise OutcomeEvaluationError(
+                f"{what} failed on subset {{{members}}}: {exc}"
+            ) from exc
+    return values
 
 
 def covers(a: ExclusionSet, b: ExclusionSet) -> bool:
@@ -230,47 +263,36 @@ def build_hasse(
 ) -> AnnotatedHasseDiagram:
     """Evaluate ``f`` over the full lattice and assemble the diagram.
 
-    ``f`` is called exactly once per subset; its first return value fixes the
-    metric names and every later evaluation must produce the same key set.
+    ``f`` is called exactly once per subset; its value on the empty set fixes
+    the metric names and every other subset must produce the same key set.
     ``rule``, when given, marks nodes whose outcome vector triggers it.
     """
     subsets = enumerate_subsets(ms.n)
-    metric_names: tuple[str, ...] | None = None
-    outcomes: dict[int, tuple[float, ...]] = {}
-    flags: dict[int, bool] = {}
+    raw = evaluate_subsets(ms.n, f, "outcome function", ms.members)
+    metric_names = tuple(raw[0].keys())
+    if not metric_names:
+        raise OutcomeEvaluationError(
+            "outcome function returned an empty metric vector"
+        )
     for subset in subsets:
-        try:
-            raw = f(subset)
-        except Exception as exc:
-            raise OutcomeEvaluationError(
-                f"outcome function failed on subset "
-                f"{subset_label(ms, subset)}: {exc}"
-            ) from exc
-        if metric_names is None:
-            metric_names = tuple(raw.keys())
-            if not metric_names:
-                raise OutcomeEvaluationError(
-                    "outcome function returned an empty metric vector"
-                )
-        elif set(raw.keys()) != set(metric_names):
+        if set(raw[subset.bits].keys()) != set(metric_names):
             raise OutcomeEvaluationError(
                 f"outcome function returned inconsistent metrics on subset "
-                f"{subset_label(ms, subset)}: expected "
-                f"{sorted(metric_names)}, got {sorted(raw.keys())}"
+                f"{subset_label(ms, subset)}: expected {sorted(metric_names)}, "
+                f"got {sorted(raw[subset.bits].keys())}"
             )
-        vector = tuple(float(raw[name]) for name in metric_names)
-        outcomes[subset.bits] = vector
-        if rule is not None:
-            try:
-                flags[subset.bits] = bool(rule(dict(zip(metric_names, vector))))
-            except Exception as exc:
-                raise OutcomeEvaluationError(
-                    f"decision rule failed on subset "
-                    f"{subset_label(ms, subset)}: {exc}"
-                ) from exc
-    assert metric_names is not None
+    outcomes = [tuple(float(r[name]) for name in metric_names) for r in raw]
+    if rule is None:
+        flags = [False] * len(outcomes)
+    else:
+        flags = evaluate_subsets(
+            ms.n,
+            lambda s: bool(rule(dict(zip(metric_names, outcomes[s.bits])))),
+            "decision rule",
+            ms.members,
+        )
     nodes = tuple(
-        HasseNode(s, outcomes[s.bits], flags.get(s.bits, False)) for s in subsets
+        HasseNode(s, outcomes[s.bits], flags[s.bits]) for s in subsets
     )
     edges = []
     for subset in subsets:

@@ -312,39 +312,21 @@ def run_local(config: RunConfig, universe: StoreUniverse) -> LocalReport:
     )
 
 
-def _hasse_text(
-    diagram: AnnotatedHasseDiagram, fmt: str, style: DotStyle | None
-) -> str:
-    if fmt not in ("dot", "json"):
-        raise ConfigError(f"unknown hasse format {fmt!r}; expected dot or json")
-    if fmt == "dot":
-        return to_dot(diagram, style or DotStyle())
-    return to_json(diagram)
-
-
-def emit_hasse(
-    diagram: AnnotatedHasseDiagram,
-    fmt: str,
-    path: str | Path,
-    style: DotStyle | None = None,
-) -> Path:
-    """Write the diagram in ``dot`` or ``json`` format, atomically."""
-    text = _hasse_text(diagram, fmt, style)
-    target = Path(path)
-    with _staged(target.parent) as write:
-        return write(target.name, text)
-
-
 def write_hasse_report(
     diagram: AnnotatedHasseDiagram,
     out_dir: str | Path,
     formats: Sequence[str],
     style: DotStyle,
 ) -> list[Path]:
-    """Emit ``hasse.<fmt>`` for each format; all move into place together."""
+    """Emit ``hasse.<fmt>`` for each format (``dot`` or ``json``); all move
+    into place together."""
+    for fmt in formats:
+        if fmt not in ("dot", "json"):
+            raise ConfigError(f"unknown hasse format {fmt!r}; expected dot or json")
     with _staged(Path(out_dir)) as write:
         return [
-            write(f"hasse.{fmt}", _hasse_text(diagram, fmt, style))
+            write(f"hasse.{fmt}",
+                  to_dot(diagram, style) if fmt == "dot" else to_json(diagram))
             for fmt in formats
         ]
 

@@ -1,11 +1,13 @@
 """Exact and Monte Carlo Shapley attribution, plus power indices.
 
-A coalitional game assigns a worth v(S) to every subset of n players with
-v(empty) = 0.  Exact Shapley values use the factorial-weighted subset sum over
-a fully materialized table (n <= 24).  The sampled estimator averages marginal
-contributions over random player permutations and reports a standard error
-per player.  Simple (win/lose) games get integer-exact Shapley-Shubik power
-indices for n <= 20 via rational arithmetic.
+A coalitional game is a table of the worth v(S) of every subset of n
+players, indexed by bitmask, with v(empty) = 0; a user function fills it for
+n <= 24 through :func:`mktsens.lattice.evaluate_subsets`.  Exact Shapley
+values use the factorial-weighted subset sum over that table.  The sampled
+estimator averages marginal contributions over random player permutations
+and reports a standard error per player.  Simple (win/lose) games get exact
+Shapley-Shubik power indices for every n <= 24: pivot counts and factorial
+weights stay integers, and only the final ratio is rounded.
 """
 
 from __future__ import annotations
@@ -13,43 +15,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, OutcomeEvaluationError
-from .lattice import EXACT_ENUMERATION_MAX, ExclusionSet
-
-SSPI_EXACT_MAX = 20
+from .errors import CapacityError
+from .lattice import EXACT_ENUMERATION_MAX, ExclusionSet, evaluate_subsets
 
 OutcomeScalarFn = Callable[[ExclusionSet], float]
 OutcomeVectorFn = Callable[[ExclusionSet], Mapping[str, float]]
 RuleFn = Callable[[Mapping[str, float]], bool]
 
 
-def _mask_label(n: int, mask: int) -> str:
-    members = [str(i) for i in range(n) if mask >> i & 1]
-    return "{" + ", ".join(members) + "}"
-
-
 @dataclass(frozen=True, eq=False)
 class CoalitionalGame:
-    """Characteristic function over n players, table- or evaluator-backed."""
+    """Characteristic function over n players as a 2^n table indexed by mask."""
 
     n: int
-    table: np.ndarray | None = None
-    evaluator: Callable[[int], float] | None = None
+    table: np.ndarray
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("player count must be nonnegative")
-        if (self.table is None) == (self.evaluator is None):
-            raise ValueError("exactly one of table or evaluator must be given")
-        if self.table is not None:
-            if self.table.shape != (1 << self.n,):
-                raise ValueError("table size must be 2^n")
-            if self.table[0] != 0.0:
-                raise ValueError("v(empty) must be exactly zero")
+        if self.table.shape != (1 << self.n,):
+            raise ValueError("table size must be 2^n")
+        if self.table[0] != 0.0:
+            raise ValueError("v(empty) must be exactly zero")
 
     @classmethod
     def from_table(cls, values: Sequence[float]) -> "CoalitionalGame":
@@ -62,79 +53,25 @@ class CoalitionalGame:
     def value_of_mask(self, mask: int) -> float:
         if not 0 <= mask < (1 << self.n):
             raise ValueError(f"mask {mask} out of range for {self.n} players")
-        if self.table is not None:
-            return float(self.table[mask])
-        if mask == 0:
-            return 0.0
-        assert self.evaluator is not None
-        try:
-            return float(self.evaluator(mask))
-        except Exception as exc:
-            raise OutcomeEvaluationError(
-                f"characteristic evaluation failed on subset "
-                f"{_mask_label(self.n, mask)}: {exc}"
-            ) from exc
+        return float(self.table[mask])
 
     def value(self, subset: ExclusionSet) -> float:
         if subset.n != self.n:
             raise ValueError("subset width does not match the game")
         return self.value_of_mask(subset.bits)
 
-    def materialized(self) -> np.ndarray:
-        """Full 2^n value table; raises past the exact-enumeration limit."""
-        if self.table is not None:
-            return self.table
-        if self.n > EXACT_ENUMERATION_MAX:
-            raise CapacityError(
-                f"cannot materialize 2^{self.n} coalition values; "
-                f"limit is n = {EXACT_ENUMERATION_MAX} (use shapley_sampled)"
-            )
-        table = np.empty(1 << self.n, dtype=np.float64)
-        for mask in range(1 << self.n):
-            table[mask] = self.value_of_mask(mask)
-        table.flags.writeable = False
-        return table
 
-
-def characteristic_from_outcome(
-    f: OutcomeScalarFn,
-    n: int,
-    materialize: bool | None = None,
-) -> CoalitionalGame:
+def characteristic_from_outcome(f: OutcomeScalarFn, n: int) -> CoalitionalGame:
     """Game with v(S) = f(S) - f(empty), pinned to v(empty) = 0 exactly.
 
-    ``materialize`` defaults to True when exact enumeration is feasible
-    (n <= 24); pass False to keep ``f`` as an on-demand evaluator for
-    sampling-only use at larger n.
+    ``f`` runs once per subset; n is capped at 24 (CapacityError beyond).
     """
-    if n < 0:
-        raise ValueError("player count must be nonnegative")
-
-    def outcome(mask: int) -> float:
-        subset = ExclusionSet(n, mask)
-        try:
-            return float(f(subset))
-        except Exception as exc:
-            raise OutcomeEvaluationError(
-                f"outcome function failed on subset {_mask_label(n, mask)}: {exc}"
-            ) from exc
-
-    base = outcome(0)
-    if materialize is None:
-        materialize = n <= EXACT_ENUMERATION_MAX
-    if materialize:
-        if n > EXACT_ENUMERATION_MAX:
-            raise CapacityError(
-                f"cannot materialize 2^{n} coalition values; "
-                f"limit is n = {EXACT_ENUMERATION_MAX}"
-            )
-        table = np.empty(1 << n, dtype=np.float64)
-        table[0] = 0.0
-        for mask in range(1, 1 << n):
-            table[mask] = outcome(mask) - base
-        table.flags.writeable = False
-        return CoalitionalGame(n=n, table=table)
-    return CoalitionalGame(n=n, evaluator=lambda mask: outcome(mask) - base)
+    outcomes = evaluate_subsets(n, lambda s: float(f(s)), "outcome function")
+    table = np.array(outcomes, dtype=np.float64)
+    table -= table[0]
+    table[0] = 0.0
+    table.flags.writeable = False
+    return CoalitionalGame(n=n, table=table)
 
 
 @dataclass(frozen=True)
@@ -159,12 +96,18 @@ class ShapleyResult:
         return sum(self.values) - self.grand_value
 
 
-def _popcounts(size: int, n: int) -> np.ndarray:
-    masks = np.arange(size, dtype=np.int64)
-    pop = np.zeros(size, dtype=np.int64)
+def _marginal_gains(
+    table: np.ndarray, n: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per player i, yield (|S|, v(S + i) - v(S)) for every S without i,
+    as two arrays in bitmask order."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    pop = np.zeros(1 << n, dtype=np.int64)
     for i in range(n):
         pop += (masks >> i) & 1
-    return pop
+    for i in range(n):
+        without = masks[(masks & (1 << i)) == 0]
+        yield pop[without], table[without | (1 << i)] - table[without]
 
 
 def _result(values: Sequence[float], grand: float, mode: str,
@@ -181,23 +124,16 @@ def _result(values: Sequence[float], grand: float, mode: str,
 def shapley_exact(game: CoalitionalGame) -> ShapleyResult:
     """Exact Shapley values by factorial-weighted subset summation."""
     n = game.n
-    table = game.materialized()
-    size = 1 << n
-    masks = np.arange(size, dtype=np.int64)
-    pop = _popcounts(size, n)
     fact = [math.factorial(k) for k in range(n + 1)]
     weights = np.array(
         [float(Fraction(fact[k] * fact[n - 1 - k], fact[n])) for k in range(n)],
         dtype=np.float64,
     )
-    values = []
-    for i in range(n):
-        bit = 1 << i
-        without = masks[(masks & bit) == 0]
-        gains = table[without | bit] - table[without]
-        values.append(float(np.dot(weights[pop[without]], gains)))
-    grand = float(table[size - 1])
-    return _result(values, grand, "exact")
+    values = [
+        float(np.dot(weights[sizes], gains))
+        for sizes, gains in _marginal_gains(game.table, n)
+    ]
+    return _result(values, float(game.table[-1]), "exact")
 
 
 def shapley_sampled(
@@ -219,32 +155,15 @@ def shapley_sampled(
     rng = np.random.default_rng(seed)
     base = np.tile(np.arange(n, dtype=np.int64), (permutations, 1))
     perms = rng.permuted(base, axis=1)
+    powers = np.int64(1) << np.arange(n, dtype=np.int64)
+    prefixes = np.cumsum(powers[perms], axis=1)
+    worths = game.table[prefixes]
+    marginals = np.empty_like(worths)
+    marginals[:, 0] = worths[:, 0]
+    marginals[:, 1:] = np.diff(worths, axis=1)
     samples = np.empty((permutations, n), dtype=np.float64)
-    full_mask = (1 << n) - 1
-    if game.table is not None:
-        powers = np.int64(1) << np.arange(n, dtype=np.int64)
-        prefixes = np.cumsum(powers[perms], axis=1)
-        worths = game.table[prefixes]
-        marginals = np.empty_like(worths)
-        marginals[:, 0] = worths[:, 0]
-        marginals[:, 1:] = np.diff(worths, axis=1)
-        np.put_along_axis(samples, perms, marginals, axis=1)
-        grand = float(game.table[full_mask])
-    else:
-        memo: dict[int, float] = {0: 0.0}
-        for p in range(permutations):
-            mask = 0
-            prev = 0.0
-            for j in range(n):
-                player = int(perms[p, j])
-                mask |= 1 << player
-                worth = memo.get(mask)
-                if worth is None:
-                    worth = game.value_of_mask(mask)
-                    memo[mask] = worth
-                samples[p, player] = worth - prev
-                prev = worth
-        grand = memo[full_mask]
+    np.put_along_axis(samples, perms, marginals, axis=1)
+    grand = float(game.table[-1])
     means = samples.mean(axis=0)
     if permutations > 1:
         errors = samples.std(axis=0, ddof=1) / math.sqrt(permutations)
@@ -305,53 +224,32 @@ class SimpleGame:
 
 def simple_game_from_rule(f: OutcomeVectorFn, rule: RuleFn, n: int) -> SimpleGame:
     """Evaluate an outcome function and a decision rule over every subset."""
-    if n > EXACT_ENUMERATION_MAX:
-        raise CapacityError(
-            f"cannot enumerate 2^{n} subsets; limit is n = {EXACT_ENUMERATION_MAX}"
-        )
-    wins = np.zeros(1 << n, dtype=np.uint8)
-    for mask in range(1 << n):
-        subset = ExclusionSet(n, mask)
-        try:
-            wins[mask] = 1 if rule(dict(f(subset))) else 0
-        except Exception as exc:
-            raise OutcomeEvaluationError(
-                f"rule evaluation failed on subset {_mask_label(n, mask)}: {exc}"
-            ) from exc
+    wins = np.array(
+        evaluate_subsets(n, lambda s: 1 if rule(dict(f(s))) else 0,
+                         "rule evaluation"),
+        dtype=np.uint8,
+    )
     wins.flags.writeable = False
     return SimpleGame(n=n, wins=wins)
 
 
 def sspi(game: SimpleGame) -> tuple[float, ...]:
-    """Shapley-Shubik power index per player.
+    """Shapley-Shubik power index per player, exact for every n <= 24.
 
-    For n <= 20 the pivot counts are accumulated in integers and divided by
-    n! as exact rationals, so indices like 2/3 come out as the correctly
-    rounded float with no accumulation error; larger games fall back to the
-    float path.  Degenerate games (empty coalition winning, or no winning
-    coalition at all) still return the Shapley values of the 0/1 game, which
-    then sum to v(N) - v(empty) rather than 1.
+    Each player's pivots are counted per coalition size k, weighted by
+    k!(n-1-k)! in integers and divided by n! as an exact fraction, so an
+    index like 1/21 comes out as the correctly rounded float.  Degenerate games (empty coalition
+    winning, or no winning coalition at all) still return the Shapley
+    values of the 0/1 game, which then sum to v(N) - v(empty) rather than 1.
     """
     n = game.n
-    if n == 0:
-        return ()
-    if n > SSPI_EXACT_MAX:
-        table = game.wins.astype(np.float64)
-        table -= table[0]
-        return shapley_exact(CoalitionalGame.from_table(table)).values
-    size = 1 << n
-    masks = np.arange(size, dtype=np.int64)
-    pop = _popcounts(size, n)
     fact = [math.factorial(k) for k in range(n + 1)]
-    layer_weights = np.array(
-        [fact[k] * fact[n - 1 - k] for k in range(n)], dtype=np.int64
-    )
-    wins = game.wins.astype(np.int64)
     out = []
-    for i in range(n):
-        bit = 1 << i
-        without = masks[(masks & bit) == 0]
-        pivots = wins[without | bit] - wins[without]
-        numerator = int(np.dot(layer_weights[pop[without]], pivots))
+    for sizes, pivots in _marginal_gains(game.wins.astype(np.int64), n):
+        # Float counts are exact: each is at most C(n-1, k) < 2^53.
+        counts = np.bincount(sizes, weights=pivots, minlength=n)
+        numerator = sum(
+            int(c) * fact[k] * fact[n - 1 - k] for k, c in enumerate(counts)
+        )
         out.append(float(Fraction(numerator, fact[n])))
     return tuple(out)

@@ -375,15 +375,6 @@ class TestAnalyzeLocal:
         assert by_center["b01"].sspi == (1.0, 0.0, 0.0)
         assert not by_center["b02"].sensitive
 
-    def test_constant_sspi_opt_in(self, local_universe, merger):
-        ms = MarginalSet(("club", "natural", "limited"))
-        results = analyze_local(
-            local_universe, merger, ms, radius_miles=5.0,
-            include_constant_sspi=True,
-        )
-        by_center = {r.center_id: r for r in results}
-        assert by_center["a02"].sspi == (0.0, 0.0, 0.0)
-
     def test_outcome_lookup(self, local_universe, merger):
         from mktsens import ExclusionSet
 

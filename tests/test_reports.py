@@ -11,6 +11,7 @@ import pytest
 from mktsens import (
     ConfigError,
     DataError,
+    DotStyle,
     ExclusionSet,
     RunConfig,
     StoreUniverse,
@@ -19,11 +20,11 @@ from mktsens import reports
 from mktsens.reports import (
     _display_total,
     _staged,
-    emit_hasse,
     run_firm_level,
     run_local,
     run_state,
     write_firm_report,
+    write_hasse_report,
     write_local_report,
     write_state_report,
 )
@@ -301,7 +302,7 @@ class TestEmitHasse:
     def test_unknown_format(self, state_config, state_universe, tmp_path):
         report = run_state(state_config, state_universe)
         with pytest.raises(ConfigError, match="unknown hasse format"):
-            emit_hasse(report.diagram, "svg", tmp_path / "x.svg")
+            write_hasse_report(report.diagram, tmp_path, ("svg",), DotStyle())
 
 
 class TestStagedWrites:

@@ -60,10 +60,9 @@ def shapley_by_permutations(table: list[float], n: int) -> list[float]:
 
 class TestCoalitionalGame:
     def test_exactly_one_backing(self):
-        with pytest.raises(ValueError):
+        # The table is the only backing, so it is a required field.
+        with pytest.raises(TypeError):
             CoalitionalGame(n=2)
-        with pytest.raises(ValueError):
-            CoalitionalGame(n=1, table=np.zeros(2), evaluator=lambda m: 0.0)
 
     def test_from_table_validation(self):
         with pytest.raises(ValueError):
@@ -81,24 +80,9 @@ class TestCoalitionalGame:
         with pytest.raises(ValueError):
             game.value(ExclusionSet(3, 1))
 
-    def test_evaluator_backing_and_materialization(self):
-        game = CoalitionalGame(n=3, evaluator=lambda m: float(m))
-        assert game.value_of_mask(0) == 0.0  # never calls the evaluator
-        table = game.materialized()
-        assert list(table) == list(range(8))
-
     def test_materialization_capacity(self):
-        game = CoalitionalGame(n=25, evaluator=lambda m: 0.0)
         with pytest.raises(CapacityError):
-            game.materialized()
-
-    def test_evaluator_failure_names_the_subset(self):
-        def bad(mask):
-            raise RuntimeError("nope")
-
-        game = CoalitionalGame(n=2, evaluator=bad)
-        with pytest.raises(OutcomeEvaluationError, match=r"\{0\}"):
-            game.value_of_mask(1)
+            characteristic_from_outcome(lambda s: 0.0, 25)
 
 
 class TestCharacteristicFromOutcome:
@@ -112,20 +96,34 @@ class TestCharacteristicFromOutcome:
         assert full == TEXTBOOK_HHI[("1", "2", "3")] - TEXTBOOK_HHI[()]
         assert round(full) == 643
 
-    def test_deferred_evaluation(self):
+    def test_constant_outcome_gives_the_zero_game(self):
+        game = characteristic_from_outcome(lambda s: 7.5, 4)
+        assert not game.table.any()
+
+    def test_outcome_function_called_once_per_subset(self):
         calls = []
 
         def f(subset):
             calls.append(subset.bits)
             return float(subset.size)
 
-        game = characteristic_from_outcome(f, 10, materialize=False)
-        assert calls == [0]  # only the base value is computed eagerly
+        game = characteristic_from_outcome(f, 4)
+        assert sorted(calls) == list(range(16))
         assert game.value_of_mask(0b11) == 2.0
 
-    def test_constant_outcome_gives_the_zero_game(self):
-        game = characteristic_from_outcome(lambda s: 7.5, 4)
-        assert not game.materialized().any()
+    def test_failure_names_the_subset(self):
+        def f(subset):
+            if subset.bits == 0b101:
+                raise RuntimeError("nope")
+            return 0.0
+
+        with pytest.raises(OutcomeEvaluationError,
+                           match=r"outcome function failed on subset \{0, 2\}: nope"):
+            characteristic_from_outcome(f, 3)
+
+    def test_negative_width_rejected(self):
+        with pytest.raises(ValueError):
+            characteristic_from_outcome(lambda s: 0.0, -1)
 
 
 class TestShapleyExact:
@@ -216,22 +214,6 @@ class TestShapleySampled:
         for est, se, want in zip(res.values, res.std_errors, exact.values):
             assert abs(est - want) <= 4.0 * se + 1e-9
 
-    def test_evaluator_and_table_paths_agree(self):
-        market = Market(TEXTBOOK_SALES)
-        ms = MarginalSet(TEXTBOOK_MARGINAL)
-
-        def f(subset):
-            return hhi(exclude(market, ms.labels_of(subset)))
-
-        by_table = shapley_sampled(
-            characteristic_from_outcome(f, ms.n, materialize=True), 200, seed=4
-        )
-        by_eval = shapley_sampled(
-            characteristic_from_outcome(f, ms.n, materialize=False), 200, seed=4
-        )
-        assert by_table.values == by_eval.values
-        assert by_table.std_errors == by_eval.std_errors
-
     def test_permutation_count_validation(self):
         with pytest.raises(ValueError):
             shapley_sampled(textbook_game(), 0, seed=0)
@@ -288,6 +270,20 @@ class TestSimpleGameFromRule:
         with pytest.raises(OutcomeEvaluationError, match=r"\{0\}|\{\}"):
             simple_game_from_rule(f, rule, 2)
 
+    def test_outcome_failure_names_the_subset(self):
+        def f(subset):
+            if subset.bits == 0b110:
+                raise RuntimeError("no market")
+            return {"x": 0.0}
+
+        with pytest.raises(OutcomeEvaluationError,
+                           match=r"rule evaluation failed on subset \{1, 2\}"):
+            simple_game_from_rule(f, lambda o: o["x"] > 0.0, 3)
+
+    def test_capacity(self):
+        with pytest.raises(CapacityError):
+            simple_game_from_rule(lambda s: {"x": 0.0}, lambda o: False, 25)
+
 
 class TestSspi:
     def test_textbook_power_indices_are_exact(self):
@@ -342,22 +338,55 @@ class TestSspi:
         assert sspi(SimpleGame.from_flags(0, {0: False})) == ()
 
     def test_large_game_float_fallback(self):
-        # 21 players exceeds the integer-exact cap; use a dictator so the
-        # answer is unambiguous.
+        # A 21-player dictator: the indices are exactly (1, 0, ..., 0).
         n = 21
         wins = np.zeros(1 << n, dtype=np.uint8)
         wins[np.arange(1 << n) & 1 == 1] = 1
         values = sspi(SimpleGame(n=n, wins=wins))
-        assert values[0] == pytest.approx(1.0, abs=1e-9)
-        assert sum(values[1:]) == pytest.approx(0.0, abs=1e-9)
+        assert values == (1.0,) + (0.0,) * (n - 1)
 
     def test_degenerate_at_origin_fallback_is_shift_invariant(self):
         # All-winning 21-player game: the 0/1 table is constant, so every
-        # player's power is zero even on the float path.
+        # player's power is exactly zero.
         n = 21
         wins = np.ones(1 << n, dtype=np.uint8)
         values = sspi(SimpleGame(n=n, wins=wins))
-        assert all(v == 0.0 for v in values)
+        assert values == (0.0,) * n
+
+    def test_symmetric_majority_is_exact_beyond_twenty_players(self):
+        # 21 symmetric players, 11 to win: each index is exactly 1/21.
+        n = 21
+        masks = np.arange(1 << n, dtype=np.int64)
+        size = np.zeros(1 << n, dtype=np.int64)
+        for i in range(n):
+            size += (masks >> i) & 1
+        values = sspi(SimpleGame(n=n, wins=(size >= 11).astype(np.uint8)))
+        assert values == (1 / 21,) * n
+        assert math.fsum(values) == 1.0
+
+
+def sspi_by_permutations(wins: list[int], n: int) -> list[Fraction]:
+    """Independent oracle: average 0/1 marginal contribution over all n!
+    orders, in exact rationals."""
+    totals = [0] * n
+    for perm in itertools.permutations(range(n)):
+        mask = 0
+        for player in perm:
+            grown = mask | 1 << player
+            totals[player] += wins[grown] - wins[mask]
+            mask = grown
+    return [Fraction(t, math.factorial(n)) for t in totals]
+
+
+@given(st.integers(min_value=1, max_value=6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sspi_matches_permutation_oracle(n, data):
+    size = 1 << n
+    # wins[0] is drawn too, so degenerate-at-origin games are covered.
+    wins = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    game = SimpleGame(n=n, wins=np.array(wins, dtype=np.uint8))
+    oracle = sspi_by_permutations(wins, n)
+    assert sspi(game) == tuple(float(v) for v in oracle)
 
 
 @given(st.integers(min_value=1, max_value=6), st.data())
