@@ -3,9 +3,11 @@
 A marginal set of n labels (e.g. retail formats whose market membership is
 contested) induces the Boolean lattice of its 2^n subsets ordered by
 inclusion.  Each subset is an "exclusion set": the labels removed from the
-candidate market.  This module enumerates that lattice, evaluates an outcome
-function once per subset, wires up the covering relation, and renders the
-result to Graphviz DOT or a JSON document.
+candidate market.  This module enumerates that lattice and evaluates an
+outcome function once per subset.  A diagram is a (nodes × metrics) outcome
+table with a flag per node plus an array of edge endpoints; for the full
+lattice the edges are the bit flips that add one label.  DOT and JSON are
+rendered straight from those arrays.
 
 Canonical order everywhere is (cardinality ascending, then bitmask ascending),
 so identical inputs always produce byte-identical artifacts.
@@ -15,7 +17,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+
+import numpy as np
 
 from .display import floor_int, round_half_up
 from .errors import CapacityError, DataError, OutcomeEvaluationError
@@ -195,6 +200,8 @@ def covers(a: ExclusionSet, b: ExclusionSet) -> bool:
 
 @dataclass(frozen=True)
 class HasseNode:
+    """Read-only view of one node of an :class:`AnnotatedHasseDiagram`."""
+
     subset: ExclusionSet
     outcomes: tuple[float, ...]
     flagged: bool = False
@@ -202,6 +209,8 @@ class HasseNode:
 
 @dataclass(frozen=True)
 class HasseEdge:
+    """Read-only view of one edge of an :class:`AnnotatedHasseDiagram`."""
+
     from_subset: ExclusionSet
     to_subset: ExclusionSet
     deltas: tuple[float, ...]
@@ -217,43 +226,171 @@ class DotStyle:
     label_metrics: tuple[str, ...] | None = None
 
 
-@dataclass(frozen=True)
+def _canonical_keys(masks: np.ndarray, n: int) -> np.ndarray:
+    """Keys that sort bitmasks of width ``n`` into canonical order."""
+    sizes = np.zeros_like(masks)
+    for i in range(n):
+        sizes += masks >> i & 1
+    return sizes << n | masks
+
+
+def _frozen_array(
+    values: np.typing.ArrayLike, dtype, shape: tuple[int | None, ...], what: str
+) -> np.ndarray:
+    """A read-only copy of ``values``; None in ``shape`` matches any length."""
+    array = np.array(values, dtype=dtype)
+    if array.ndim != len(shape) or any(
+        want is not None and got != want for got, want in zip(array.shape, shape)
+    ):
+        raise ValueError(f"{what} has shape {array.shape}, expected {shape}")
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class AnnotatedHasseDiagram:
-    """An exclusion-set lattice with per-node outcome vectors."""
+    """An exclusion-set lattice with per-node outcome vectors, held as arrays.
+
+    ``masks`` lists the node subsets as bitmasks in canonical order;
+    ``table`` holds one float64 row of outcomes (in ``metric_names`` order)
+    per node and ``flags`` marks the nodes that trigger the decision rule.
+    ``edge_masks`` holds one (lower, upper) bitmask pair per edge, and an
+    edge's deltas are always the upper row minus the lower row.  ``nodes``
+    and ``edges`` are object views built on first use.
+    """
 
     marginal_set: MarginalSet
     metric_names: tuple[str, ...]
-    nodes: tuple[HasseNode, ...]
-    edges: tuple[HasseEdge, ...]
-    _by_bits: dict[int, HasseNode] = field(
-        init=False, repr=False, compare=False, hash=False
-    )
+    masks: np.ndarray
+    table: np.ndarray
+    flags: np.ndarray
+    edge_masks: np.ndarray
+    _keys: np.ndarray = field(init=False, repr=False)
+    _edge_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_by_bits", {node.subset.bits: node for node in self.nodes}
+        n = self.marginal_set.n
+        masks = _frozen_array(self.masks, np.int64, (None,), "node masks")
+        count = len(masks)
+        table = _frozen_array(
+            self.table, np.float64, (count, len(self.metric_names)),
+            "outcome table",
+        )
+        flags = _frozen_array(self.flags, bool, (count,), "flags")
+        edge_masks = _frozen_array(self.edge_masks, np.int64, (None, 2),
+                                   "edge masks")
+        for what, bits in (("node", masks), ("edge", edge_masks)):
+            if bits.size and not (bits.min() >= 0 and bits.max() < 1 << n):
+                raise ValueError(f"{what} bitmask out of range for width {n}")
+        keys = _canonical_keys(masks, n)
+        if np.any(np.diff(keys) <= 0):
+            raise ValueError("diagram nodes must be distinct and in canonical order")
+        for name, value in (("masks", masks), ("table", table), ("flags", flags),
+                            ("edge_masks", edge_masks), ("_keys", keys)):
+            object.__setattr__(self, name, value)
+        edge_rows = self._rows_of(edge_masks)
+        missing = np.flatnonzero((edge_rows < 0).any(axis=1))
+        if missing.size:
+            lower, upper = (ExclusionSet(n, int(bits))
+                            for bits in edge_masks[missing[0]])
+            raise ValueError(
+                f"edge {subset_label(self.marginal_set, lower)} -> "
+                f"{subset_label(self.marginal_set, upper)} "
+                "has an endpoint that is not a node"
+            )
+        object.__setattr__(self, "_edge_rows", edge_rows)
+
+    def _rows_of(self, bits: np.ndarray) -> np.ndarray:
+        """Table row of each in-range bitmask in ``bits``; -1 if not a node."""
+        wanted = _canonical_keys(bits, self.marginal_set.n)
+        rows = np.searchsorted(self._keys, wanted)
+        found = rows < len(self._keys)
+        found[found] = self._keys[rows[found]] == wanted[found]
+        return np.where(found, rows, -1)
+
+    def _row(self, subset: ExclusionSet) -> int:
+        if subset.n != self.marginal_set.n:
+            raise ValueError("subset width does not match the diagram")
+        row = int(self._rows_of(np.array([subset.bits], dtype=np.int64))[0])
+        if row < 0:
+            raise KeyError(f"subset {subset_label(self.marginal_set, subset)} "
+                           "is not a node of this diagram")
+        return row
+
+    def edge_deltas(self) -> np.ndarray:
+        """(edges × metrics) outcomes of each upper node minus its lower."""
+        upper, lower = self._edge_rows[:, 1], self._edge_rows[:, 0]
+        # Like Python float subtraction: inf - inf is NaN, silently.
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self.table[upper] - self.table[lower]
+
+    @cached_property
+    def nodes(self) -> tuple[HasseNode, ...]:
+        n = self.marginal_set.n
+        return tuple(
+            HasseNode(ExclusionSet(n, bits), tuple(outcomes), flagged)
+            for bits, outcomes, flagged in zip(
+                self.masks.tolist(), self.table.tolist(), self.flags.tolist()
+            )
+        )
+
+    @cached_property
+    def edges(self) -> tuple[HasseEdge, ...]:
+        n = self.marginal_set.n
+        return tuple(
+            HasseEdge(ExclusionSet(n, lower), ExclusionSet(n, upper),
+                      tuple(deltas))
+            for (lower, upper), deltas in zip(
+                self.edge_masks.tolist(), self.edge_deltas().tolist()
+            )
         )
 
     def node_for(self, subset: ExclusionSet) -> HasseNode:
-        try:
-            return self._by_bits[subset.bits]
-        except KeyError:
-            raise KeyError(f"subset {subset_label(self.marginal_set, subset)} "
-                           "is not a node of this diagram") from None
+        row = self._row(subset)
+        return HasseNode(subset, tuple(self.table[row].tolist()),
+                         bool(self.flags[row]))
 
     def outcome(self, subset: ExclusionSet, metric: str) -> float:
-        node = self.node_for(subset)
+        row = self._row(subset)
         try:
             pos = self.metric_names.index(metric)
         except ValueError:
             raise KeyError(f"unknown metric {metric!r}") from None
-        return node.outcomes[pos]
+        return float(self.table[row, pos])
 
 
 def subset_label(ms: MarginalSet, subset: ExclusionSet) -> str:
     """Human-readable name for a subset, e.g. ``{club, natural}``."""
     labels = ms.labels_of(subset)
     return "{" + ", ".join(labels) + "}" if labels else "{}"
+
+
+def hasse_from_table(
+    ms: MarginalSet,
+    metric_names: Sequence[str],
+    table: np.typing.ArrayLike,
+    flags: np.typing.ArrayLike,
+) -> AnnotatedHasseDiagram:
+    """The diagram of the full lattice of ``ms`` from arrays indexed by mask.
+
+    ``table`` is (2^n × metrics) and ``flags`` has 2^n entries.  The edges
+    come from bit flips: each node in canonical order, then each bit it
+    lacks in increasing order, which is already canonical edge order.
+    """
+    n = ms.n
+    table = np.asarray(table, dtype=np.float64)
+    flags = np.asarray(flags, dtype=bool)
+    if len(table) != 1 << n or len(flags) != 1 << n:
+        raise ValueError(f"outcome table and flags need 2^{n} rows")
+    masks = np.arange(1 << n, dtype=np.int64)
+    masks = masks[np.argsort(_canonical_keys(masks, n))]
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    lower = np.broadcast_to(masks[:, None], (len(masks), n))
+    lacking = lower & bits == 0
+    edge_masks = np.stack((lower[lacking], (lower | bits)[lacking]), axis=1)
+    return AnnotatedHasseDiagram(
+        ms, tuple(metric_names), masks, table[masks], flags[masks], edge_masks
+    )
 
 
 def build_hasse(
@@ -267,21 +404,20 @@ def build_hasse(
     the metric names and every other subset must produce the same key set.
     ``rule``, when given, marks nodes whose outcome vector triggers it.
     """
-    subsets = enumerate_subsets(ms.n)
     raw = evaluate_subsets(ms.n, f, "outcome function", ms.members)
     metric_names = tuple(raw[0].keys())
     if not metric_names:
         raise OutcomeEvaluationError(
             "outcome function returned an empty metric vector"
         )
-    for subset in subsets:
+    for subset in enumerate_subsets(ms.n):
         if set(raw[subset.bits].keys()) != set(metric_names):
             raise OutcomeEvaluationError(
                 f"outcome function returned inconsistent metrics on subset "
                 f"{subset_label(ms, subset)}: expected {sorted(metric_names)}, "
                 f"got {sorted(raw[subset.bits].keys())}"
             )
-    outcomes = [tuple(float(r[name]) for name in metric_names) for r in raw]
+    outcomes = [[float(r[name]) for name in metric_names] for r in raw]
     if rule is None:
         flags = [False] * len(outcomes)
     else:
@@ -291,20 +427,7 @@ def build_hasse(
             "decision rule",
             ms.members,
         )
-    nodes = tuple(
-        HasseNode(s, outcomes[s.bits], flags[s.bits]) for s in subsets
-    )
-    edges = []
-    for subset in subsets:
-        for i in range(ms.n):
-            if not subset.contains(i):
-                child = subset.with_index(i)
-                deltas = tuple(
-                    c - p for c, p in zip(outcomes[child.bits], outcomes[subset.bits])
-                )
-                edges.append(HasseEdge(subset, child, deltas))
-    edges.sort(key=lambda e: e.from_subset.sort_key + e.to_subset.sort_key)
-    return AnnotatedHasseDiagram(ms, metric_names, nodes, tuple(edges))
+    return hasse_from_table(ms, metric_names, outcomes, flags)
 
 
 def restrict(
@@ -314,60 +437,33 @@ def restrict(
 
     Two kept subsets are joined iff one contains the other and no third kept
     subset sits strictly between them, so chains through dropped nodes
-    collapse to single edges.
+    collapse to single edges.  The cover search compares every pair of kept
+    supersets of each kept node, so it is quadratic to cubic in the nodes
+    kept.
     """
-    kept_bits: set[int] = set()
+    rows = []
     for subset in keep:
-        if subset.n != diagram.marginal_set.n:
-            raise ValueError("subset width does not match the diagram")
-        if subset.bits not in diagram._by_bits:
-            raise ValueError(
-                f"subset {subset_label(diagram.marginal_set, subset)} "
-                "is not a node of the diagram"
-            )
-        kept_bits.add(subset.bits)
-    nodes = tuple(n for n in diagram.nodes if n.subset.bits in kept_bits)
-    ordered = [n.subset for n in nodes]
-    edges = []
-    for upper in ordered:
-        below = [s for s in ordered if s.bits != upper.bits and s.issubset(upper)]
-        for lower in below:
-            is_cover = not any(
-                mid.bits != lower.bits
-                and mid.bits != upper.bits
-                and lower.issubset(mid)
-                and mid.issubset(upper)
-                for mid in below
-            )
-            if is_cover:
-                deltas = tuple(
-                    c - p
-                    for c, p in zip(
-                        diagram._by_bits[upper.bits].outcomes,
-                        diagram._by_bits[lower.bits].outcomes,
-                    )
-                )
-                edges.append(HasseEdge(lower, upper, deltas))
-    edges.sort(key=lambda e: e.from_subset.sort_key + e.to_subset.sort_key)
+        try:
+            rows.append(diagram._row(subset))
+        except KeyError as exc:
+            raise ValueError(*exc.args) from None
+    rows = np.unique(np.array(rows, dtype=np.int64))
+    masks = diagram.masks[rows]
+    pairs = [np.empty((0, 2), dtype=np.int64)]
+    for i, lower in enumerate(masks.tolist()):
+        # Strict supersets come later in canonical order.
+        above = masks[i + 1:][masks[i + 1:] & lower == lower]
+        inside = above[:, None] & ~above[None, :] == 0
+        uppers = above[np.count_nonzero(inside, axis=0) == 1]
+        pairs.append(np.stack((np.full_like(uppers, lower), uppers), axis=1))
     return AnnotatedHasseDiagram(
-        diagram.marginal_set, diagram.metric_names, nodes, tuple(edges)
+        diagram.marginal_set, diagram.metric_names, masks, diagram.table[rows],
+        diagram.flags[rows], np.concatenate(pairs),
     )
 
 
 def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _node_id(ms: MarginalSet, subset: ExclusionSet) -> str:
-    labels = ms.labels_of(subset)
-    name = "empty" if not labels else "_".join(labels)
-    return f'"{_dot_escape(name)}"'
-
-
-def _fmt_value(value: float, style: DotStyle) -> str:
-    if style.floor_labels:
-        return str(floor_int(value))
-    return f"{round_half_up(value, style.decimals):.{style.decimals}f}"
 
 
 def _metric_positions(
@@ -389,43 +485,76 @@ def to_dot(diagram: AnnotatedHasseDiagram, style: DotStyle = DotStyle()) -> str:
     labels show the change in each displayed metric, computed on the displayed
     (floored or rounded) node values so the arithmetic visibly adds up.
     """
-    ms = diagram.marginal_set
     positions = _metric_positions(diagram, style)
+    if style.floor_labels:
+        node_spec, edge_spec = "d", "+d"
+    else:
+        node_spec, edge_spec = f".{style.decimals}f", f"+.{style.decimals}f"
+    members = diagram.marginal_set.members
+    labels = [tuple(label for i, label in enumerate(members) if bits >> i & 1)
+              for bits in diagram.masks.tolist()]
+    ids = [f'"{_dot_escape("_".join(names) if names else "empty")}"'
+           for names in labels]
+    fill = f', fillcolor="{_dot_escape(style.alert_fill)}"'
     lines = ["digraph hasse {", "  rankdir=BT;",
              '  node [shape=box, style=filled, fillcolor=white];']
-    by_size: dict[int, list[HasseNode]] = {}
-    for node in sorted(diagram.nodes, key=lambda n: n.subset.sort_key):
-        by_size.setdefault(node.subset.size, []).append(node)
-    for size in sorted(by_size):
-        layer = by_size[size]
-        for node in layer:
-            values = ", ".join(_fmt_value(node.outcomes[p], style) for p in positions)
-            name = _dot_escape(subset_label(ms, node.subset))
-            attrs = [f'label="{name}\\n{_dot_escape(values)}"']
-            if node.flagged:
-                attrs.append(f'fillcolor="{_dot_escape(style.alert_fill)}"')
-            lines.append(f'  {_node_id(ms, node.subset)} [{", ".join(attrs)}];')
-        ids = "; ".join(_node_id(ms, n.subset) for n in layer)
-        lines.append(f"  {{ rank=same; {ids}; }}")
-    for edge in diagram.edges:
-        parts = []
-        for p in positions:
-            parent = diagram._by_bits[edge.from_subset.bits].outcomes[p]
-            child = diagram._by_bits[edge.to_subset.bits].outcomes[p]
-            if style.floor_labels:
-                shown = floor_int(child) - floor_int(parent)
-                parts.append(f"{shown:+d}")
-            else:
-                shown = round_half_up(child, style.decimals) - round_half_up(
-                    parent, style.decimals
-                )
-                parts.append(f"{shown:+.{style.decimals}f}")
-        lines.append(
-            f'  {_node_id(ms, edge.from_subset)} -> {_node_id(ms, edge.to_subset)} '
-            f'[label="{_dot_escape(", ".join(parts))}"];'
-        )
+    shown = []
+    layer: list[str] = []
+    rows = zip(ids, labels, diagram.table[:, positions].tolist(),
+               diagram.flags.tolist())
+    for row, (node_id, names, values, flagged) in enumerate(rows):
+        display = [floor_int(v) if style.floor_labels
+                   else round_half_up(v, style.decimals) for v in values]
+        shown.append(display)
+        name = _dot_escape("{" + ", ".join(names) + "}")
+        text = _dot_escape(", ".join(format(v, node_spec) for v in display))
+        lines.append(f'  {node_id} [label="{name}\\n{text}"'
+                     f'{fill if flagged else ""}];')
+        layer.append(node_id)
+        if row + 1 == len(labels) or len(labels[row + 1]) != len(names):
+            lines.append(f"  {{ rank=same; {'; '.join(layer)}; }}")
+            layer = []
+    lower, upper = diagram._edge_rows.T.tolist()
+    # Signed numbers need no DOT escaping.
+    parts = [[format(column[t] - column[f], edge_spec)
+              for f, t in zip(lower, upper)] for column in zip(*shown)]
+    edge_labels = map(", ".join, zip(*parts)) if parts else [""] * len(lower)
+    lines.extend(map('  {} -> {} [label="{}"];'.format,
+                     map(ids.__getitem__, lower), map(ids.__getitem__, upper),
+                     edge_labels))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# One node and one edge entry as json.dumps(doc, indent=2) lays them out.
+_JSON_NODE = ('{{\n      "subset": {},\n      "outcomes": {},'
+              '\n      "flagged": {}\n    }}').format
+_JSON_EDGE = ('{{\n      "from": {},\n      "to": {},'
+              '\n      "deltas": {}\n    }}').format
+
+
+def _json_list(items: Sequence[str], depth: int) -> str:
+    """A JSON array of encoded ``items`` opened at indent level ``depth``."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_rows(values: np.ndarray) -> list[str]:
+    """Each row of a float array as a JSON array at indent level 3, with
+    json's float text: ``repr`` when finite, else NaN or (-)Infinity."""
+    rows, width = values.shape
+    if not width:
+        return ["[]"] * rows
+    flat = values.ravel()
+    texts = list(map(repr, flat.tolist()))
+    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+        texts[i] = _NONFINITE_JSON[texts[i]]
+    row = _json_list(["{}"] * width, 3)
+    return list(map(row.format, *(texts[k::width] for k in range(width))))
 
 
 def to_json(diagram: AnnotatedHasseDiagram) -> str:
@@ -434,32 +563,32 @@ def to_json(diagram: AnnotatedHasseDiagram) -> str:
     Schema: {"marginal_set": [labels], "metrics": [names],
     "nodes": [{"subset": [indices], "outcomes": [...], "flagged": bool}],
     "edges": [{"from": [indices], "to": [indices], "deltas": [...]}]}.
+    The text is the same as ``json.dumps(doc, indent=2)`` plus a newline.
     """
-    doc = {
-        "marginal_set": list(diagram.marginal_set.members),
-        "metrics": list(diagram.metric_names),
-        "nodes": [
-            {
-                "subset": list(node.subset.indices),
-                "outcomes": list(node.outcomes),
-                "flagged": node.flagged,
-            }
-            for node in diagram.nodes
-        ],
-        "edges": [
-            {
-                "from": list(edge.from_subset.indices),
-                "to": list(edge.to_subset.indices),
-                "deltas": list(edge.deltas),
-            }
-            for edge in diagram.edges
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    n = diagram.marginal_set.n
+    subsets = [_json_list([str(i) for i in range(n) if bits >> i & 1], 3)
+               for bits in diagram.masks.tolist()]
+    nodes = list(map(_JSON_NODE, subsets, _json_rows(diagram.table),
+                     map(("false", "true").__getitem__, diagram.flags.tolist())))
+    lower, upper = diagram._edge_rows.T.tolist()
+    edges = list(map(_JSON_EDGE, map(subsets.__getitem__, lower),
+                     map(subsets.__getitem__, upper),
+                     _json_rows(diagram.edge_deltas())))
+    header = (
+        _json_list(list(map(json.dumps, diagram.marginal_set.members)), 1),
+        _json_list(list(map(json.dumps, diagram.metric_names)), 1),
+    )
+    return (f'{{\n  "marginal_set": {header[0]},\n  "metrics": {header[1]},'
+            f'\n  "nodes": {_json_list(nodes, 1)},'
+            f'\n  "edges": {_json_list(edges, 1)}\n}}\n')
 
 
 def diagram_from_json(text: str) -> AnnotatedHasseDiagram:
-    """Inverse of :func:`to_json`; validates structure as it reads."""
+    """Inverse of :func:`to_json`; validates structure as it reads.
+
+    Nodes may come in any order but must be distinct; every edge must join
+    two nodes, and its deltas must equal the difference of their outcomes.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -467,28 +596,58 @@ def diagram_from_json(text: str) -> AnnotatedHasseDiagram:
     try:
         ms = MarginalSet(doc["marginal_set"])
         metric_names = tuple(str(m) for m in doc["metrics"])
-        nodes = tuple(
-            HasseNode(
-                ExclusionSet.from_indices(ms.n, entry["subset"]),
-                tuple(float(v) for v in entry["outcomes"]),
-                bool(entry["flagged"]),
-            )
+        nodes = [
+            (ExclusionSet.from_indices(ms.n, entry["subset"]),
+             [float(v) for v in entry["outcomes"]],
+             bool(entry["flagged"]))
             for entry in doc["nodes"]
-        )
-        edges = tuple(
-            HasseEdge(
-                ExclusionSet.from_indices(ms.n, entry["from"]),
-                ExclusionSet.from_indices(ms.n, entry["to"]),
-                tuple(float(v) for v in entry["deltas"]),
-            )
+        ]
+        edges = [
+            (ExclusionSet.from_indices(ms.n, entry["from"]),
+             ExclusionSet.from_indices(ms.n, entry["to"]),
+             [float(v) for v in entry["deltas"]])
             for entry in doc["edges"]
-        )
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"diagram JSON is malformed: {exc}") from exc
-    for node in nodes:
-        if len(node.outcomes) != len(metric_names):
-            raise DataError("diagram JSON node outcome width does not match metrics")
-    for edge in edges:
-        if len(edge.deltas) != len(metric_names):
-            raise DataError("diagram JSON edge delta width does not match metrics")
-    return AnnotatedHasseDiagram(ms, metric_names, nodes, edges)
+    width = len(metric_names)
+    if any(len(outcomes) != width for _, outcomes, _ in nodes):
+        raise DataError("diagram JSON node outcome width does not match metrics")
+    if any(len(deltas) != width for _, _, deltas in edges):
+        raise DataError("diagram JSON edge delta width does not match metrics")
+    seen: set[int] = set()
+    for subset, _, _ in nodes:
+        if subset.bits in seen:
+            raise DataError(
+                f"diagram JSON lists node {subset_label(ms, subset)} twice"
+            )
+        seen.add(subset.bits)
+    nodes.sort(key=lambda node: node[0].sort_key)
+    try:
+        diagram = AnnotatedHasseDiagram(
+            ms,
+            metric_names,
+            np.array([subset.bits for subset, _, _ in nodes], dtype=np.int64),
+            np.array([outcomes for _, outcomes, _ in nodes],
+                     dtype=np.float64).reshape(len(nodes), width),
+            np.array([flagged for _, _, flagged in nodes], dtype=bool),
+            np.array([(lower.bits, upper.bits) for lower, upper, _ in edges],
+                     dtype=np.int64).reshape(len(edges), 2),
+        )
+    except ValueError as exc:
+        raise DataError(f"diagram JSON is inconsistent: {exc}") from exc
+    stated = np.array([deltas for _, _, deltas in edges],
+                      dtype=np.float64).reshape(len(edges), width)
+    derived = diagram.edge_deltas()
+    # 0.0 and -0.0 compare equal but print differently, so signs count too.
+    same = ((stated == derived) & (np.signbit(stated) == np.signbit(derived))
+            | np.isnan(stated) & np.isnan(derived))
+    wrong = np.flatnonzero(~same.all(axis=1))
+    if wrong.size:
+        lower, upper, deltas = edges[wrong[0]]
+        raise DataError(
+            f"diagram JSON edge {subset_label(ms, lower)} -> "
+            f"{subset_label(ms, upper)} has deltas {deltas}, but its nodes "
+            f"differ by {derived[wrong[0]].tolist()}"
+        )
+    return diagram

@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,8 +45,8 @@ from .lattice import (
     DotStyle,
     ExclusionSet,
     MarginalSet,
-    build_hasse,
     enumerate_subsets,
+    hasse_from_table,
     subset_label,
     to_dot,
     to_json,
@@ -54,7 +54,6 @@ from .lattice import (
 from .metrics import (
     Market,
     MergerSpec,
-    PresumptionRule,
     merger_outcome_table,
     presumption,
 )
@@ -128,24 +127,10 @@ def _outcome_columns(
     return columns
 
 
-def _presumption_game(
-    n: int, columns: Sequence[np.ndarray], rule: PresumptionRule
-) -> SimpleGame:
-    wins = presumption(*columns, rule).astype(np.uint8)
+def _presumption_game(n: int, flags: np.ndarray) -> SimpleGame:
+    wins = flags.astype(np.uint8)
     wins.flags.writeable = False
     return SimpleGame(n=n, wins=wins)
-
-
-def _presumption_rule(rule):
-    def decide(metrics: Mapping[str, float]) -> bool:
-        return presumption(
-            metrics["post_hhi"],
-            metrics["delta_hhi"],
-            metrics["merged_share"],
-            rule,
-        )
-
-    return decide
 
 
 @dataclass(frozen=True)
@@ -178,7 +163,9 @@ def run_state(
     over the marginal formats, the Shapley attribution of post-merger HHI,
     and the presumption-rule power indices.  The outcomes of every subset
     come from one :func:`merger_outcome_table` over the stores, each keyed
-    by its format's position in the marginal set.  ``sampled`` switches the
+    by its format's position in the marginal set, and one array of
+    presumption flags marks both the diagram's nodes and the SSPI game's
+    winning coalitions.  ``sampled`` switches the
     Shapley computation to the seeded Monte Carlo estimator from the
     configuration's seed and permutation count.
     """
@@ -192,12 +179,8 @@ def run_state(
         ms,
         config.merger,
     )
-    values = [column.tolist() for column in columns]
-
-    def f(subset: ExclusionSet) -> dict[str, float]:
-        return {name: col[subset.bits] for name, col in zip(METRIC_NAMES, values)}
-
-    diagram = build_hasse(ms, f, _presumption_rule(config.rule))
+    flags = presumption(*columns, config.rule)
+    diagram = hasse_from_table(ms, METRIC_NAMES, np.column_stack(columns), flags)
     post = columns[0]
     game = CoalitionalGame.from_table(post - post[0])
     if sampled:
@@ -205,7 +188,7 @@ def run_state(
     else:
         sv = shapley_exact(game)
 
-    sspi_game = _presumption_game(ms.n, columns, config.rule)
+    sspi_game = _presumption_game(ms.n, flags)
     return StateReport(
         config=config,
         market=market,
@@ -262,7 +245,7 @@ def run_firm_level(config: RunConfig, universe: StoreUniverse) -> FirmReport:
         ms,
         config.merger,
     )
-    game = _presumption_game(ms.n, columns, config.rule)
+    game = _presumption_game(ms.n, presumption(*columns, config.rule))
     return FirmReport(
         config=config,
         market=market,

@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from mktsens import (
+    DotStyle,
     ExclusionSet,
+    HasseEdge,
+    HasseNode,
     Market,
     MarginalSet,
     MergerSpec,
@@ -24,13 +28,16 @@ from mktsens import (
     Store,
     StoreUniverse,
     chain_market,
+    enumerate_subsets,
     exclude,
     haversine,
     hhi,
     merger_outcomes,
     miles_to_km,
     presumption,
+    subset_label,
 )
+from mktsens.display import floor_int, round_half_up
 
 # Eight-firm reference market: five core firms and marginal firms 1, 2, 3.
 TEXTBOOK_SALES = {
@@ -242,6 +249,129 @@ def scalar_flags(columns, rule) -> np.ndarray:
         presumption(post, delta, share, rule)
         for post, delta, share in zip(*(c.tolist() for c in columns))
     ])
+
+
+# ---------------------------------------------------------------------------
+# Object-based Hasse diagrams: one HasseNode per node and one HasseEdge per
+# edge, with the emitters that walked them.  The table-backed diagram and its
+# emitters replaced these; they stay as the byte-for-byte oracle.
+# ---------------------------------------------------------------------------
+
+
+def scalar_hasse(ms: MarginalSet, outcomes: Sequence[Sequence[float]],
+                 flags: Sequence[bool], keep: set[int] | None = None):
+    """(nodes, edges) from outcome rows and flags indexed by mask: the full
+    lattice by build_hasse's bit loop, or, when ``keep`` names the kept
+    masks, restrict's pairwise cover search over them."""
+    subsets = enumerate_subsets(ms.n)
+    nodes = [HasseNode(s, tuple(outcomes[s.bits]), bool(flags[s.bits]))
+             for s in subsets if keep is None or s.bits in keep]
+
+    def edge(lower, upper):
+        deltas = tuple(c - p for c, p in zip(outcomes[upper.bits],
+                                             outcomes[lower.bits]))
+        return HasseEdge(lower, upper, deltas)
+
+    edges = []
+    if keep is None:
+        for subset in subsets:
+            for i in range(ms.n):
+                if not subset.contains(i):
+                    edges.append(edge(subset, subset.with_index(i)))
+    else:
+        ordered = [node.subset for node in nodes]
+        for upper in ordered:
+            below = [s for s in ordered
+                     if s.bits != upper.bits and s.issubset(upper)]
+            for lower in below:
+                if not any(mid.bits != lower.bits and mid.bits != upper.bits
+                           and lower.issubset(mid) and mid.issubset(upper)
+                           for mid in below):
+                    edges.append(edge(lower, upper))
+    edges.sort(key=lambda e: e.from_subset.sort_key + e.to_subset.sort_key)
+    return nodes, edges
+
+
+def _dot_escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _dot_id(ms: MarginalSet, subset: ExclusionSet) -> str:
+    labels = ms.labels_of(subset)
+    return f'"{_dot_escape("_".join(labels) if labels else "empty")}"'
+
+
+def scalar_hasse_dot(ms, metric_names, nodes, edges,
+                     style: DotStyle = DotStyle()) -> str:
+    """Graphviz DOT of object nodes and edges, one node at a time."""
+    positions = []
+    for name in style.label_metrics or metric_names:
+        if name not in metric_names:
+            raise ValueError(f"unknown metric {name!r} in label_metrics")
+        positions.append(metric_names.index(name))
+
+    def fmt(value):
+        if style.floor_labels:
+            return str(floor_int(value))
+        return f"{round_half_up(value, style.decimals):.{style.decimals}f}"
+
+    by_bits = {node.subset.bits: node for node in nodes}
+    lines = ["digraph hasse {", "  rankdir=BT;",
+             '  node [shape=box, style=filled, fillcolor=white];']
+    by_size: dict[int, list[HasseNode]] = {}
+    for node in sorted(nodes, key=lambda n: n.subset.sort_key):
+        by_size.setdefault(node.subset.size, []).append(node)
+    for size in sorted(by_size):
+        layer = by_size[size]
+        for node in layer:
+            values = ", ".join(fmt(node.outcomes[p]) for p in positions)
+            name = _dot_escape(subset_label(ms, node.subset))
+            attrs = [f'label="{name}\\n{_dot_escape(values)}"']
+            if node.flagged:
+                attrs.append(f'fillcolor="{_dot_escape(style.alert_fill)}"')
+            lines.append(f'  {_dot_id(ms, node.subset)} [{", ".join(attrs)}];')
+        ids = "; ".join(_dot_id(ms, n.subset) for n in layer)
+        lines.append(f"  {{ rank=same; {ids}; }}")
+    for edge in edges:
+        parts = []
+        for p in positions:
+            parent = by_bits[edge.from_subset.bits].outcomes[p]
+            child = by_bits[edge.to_subset.bits].outcomes[p]
+            if style.floor_labels:
+                shown = floor_int(child) - floor_int(parent)
+                parts.append(f"{shown:+d}")
+            else:
+                shown = round_half_up(child, style.decimals) - round_half_up(
+                    parent, style.decimals
+                )
+                parts.append(f"{shown:+.{style.decimals}f}")
+        lines.append(
+            f'  {_dot_id(ms, edge.from_subset)} -> {_dot_id(ms, edge.to_subset)} '
+            f'[label="{_dot_escape(", ".join(parts))}"];'
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def scalar_hasse_json(ms, metric_names, nodes, edges) -> str:
+    """The diagram document built as dicts and passed to json.dumps."""
+    doc = {
+        "marginal_set": list(ms.members),
+        "metrics": list(metric_names),
+        "nodes": [
+            {"subset": list(node.subset.indices),
+             "outcomes": list(node.outcomes),
+             "flagged": node.flagged}
+            for node in nodes
+        ],
+        "edges": [
+            {"from": list(edge.from_subset.indices),
+             "to": list(edge.to_subset.indices),
+             "deltas": list(edge.deltas)}
+            for edge in edges
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,14 @@ class TestHasseCommand:
         text = (out / "hasse.dot").read_text(encoding="utf-8")
         assert '"empty" -> "club" [label="+230"]' in text
 
+    def test_same_diagram_files_as_the_state_command(self, tmp_path):
+        _, state = run_cli(tmp_path, "state", state_stores(), base_config_doc(),
+                           out="state")
+        _, hasse = run_cli(tmp_path, "hasse", state_stores(), base_config_doc(),
+                           out="hasse")
+        for name in ("hasse.dot", "hasse.json"):
+            assert (state / name).read_bytes() == (hasse / name).read_bytes()
+
     def test_failed_json_keeps_both_old_files(self, tmp_path, capsys,
                                               monkeypatch):
         out = tmp_path / "out"

@@ -361,6 +361,51 @@ class TestJsonRoundTrip:
             diagram_from_json(json.dumps(doc))
 
 
+    def test_duplicate_node_rejected(self):
+        import json
+
+        doc = json.loads(to_json(_textbook_diagram()))
+        doc["nodes"].append(doc["nodes"][3])
+        with pytest.raises(DataError, match=r"\{3\} twice"):
+            diagram_from_json(json.dumps(doc))
+
+    def test_edge_to_a_missing_node_rejected(self):
+        import json
+
+        ms = MarginalSet(("a", "b"))
+        doc = json.loads(to_json(build_hasse(ms, lambda s: {"x": 1.0 * s.bits})))
+        doc["nodes"].pop()
+        with pytest.raises(DataError, match=r"\{a, b\} has an endpoint"):
+            diagram_from_json(json.dumps(doc))
+
+    def test_delta_that_disagrees_with_its_nodes_rejected(self):
+        import json
+
+        doc = json.loads(to_json(_textbook_diagram()))
+        doc["edges"][5]["deltas"][0] += 1e-9
+        with pytest.raises(DataError, match=r"edge \{2\} -> \{1, 2\}"):
+            diagram_from_json(json.dumps(doc))
+        doc = json.loads(to_json(_textbook_diagram()))
+        doc["edges"][0]["deltas"][0] = math.nan
+        with pytest.raises(DataError):
+            diagram_from_json(json.dumps(doc))
+
+    def test_non_finite_outcomes_round_trip(self):
+        ms = MarginalSet(("a", "b"))
+        values = [math.inf, math.inf, -0.0, math.nan]
+        text = to_json(build_hasse(ms, lambda s: {"x": values[s.bits]}))
+        assert '"deltas": [\n        NaN\n' in text
+        assert to_json(diagram_from_json(text)) == text
+
+    def test_nodes_are_read_in_canonical_order(self):
+        import json
+
+        text = to_json(_textbook_diagram())
+        doc = json.loads(text)
+        doc["nodes"].reverse()
+        assert to_json(diagram_from_json(json.dumps(doc))) == text
+
+
 class TestSubsetLabel:
     def test_labels(self):
         ms = MarginalSet(("club", "natural"))

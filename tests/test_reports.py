@@ -10,13 +10,14 @@ import pytest
 
 from mktsens import (
     ConfigError,
+    presumption,
     DataError,
     DotStyle,
     ExclusionSet,
     RunConfig,
     StoreUniverse,
 )
-from mktsens import reports
+from mktsens import lattice, reports, shapley
 from mktsens.reports import (
     _display_total,
     _staged,
@@ -106,6 +107,29 @@ class TestRunState:
             assert abs(est - exact) <= 4.0 * se + 1e-9
         again = run_state(config, state_universe, sampled=True)
         assert again.shapley.values == sv.values
+
+    def test_pipeline_builds_no_objects_per_node_or_subset(
+        self, state_config, state_universe, tmp_path, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("not on the state pipeline")
+
+        for module, name in ((lattice, "HasseNode"), (lattice, "HasseEdge"),
+                             (lattice, "build_hasse"),
+                             (lattice, "evaluate_subsets"),
+                             (shapley, "evaluate_subsets")):
+            monkeypatch.setattr(module, name, refuse)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return presumption(*args)
+
+        monkeypatch.setattr(reports, "presumption", counted)
+        report = run_state(state_config, state_universe)
+        write_state_report(report, tmp_path / "out")
+        assert len(calls) == 1
+        assert report.diagram.flags[-1] and report.sspi_game.wins[-1] == 1
 
 
 class TestWriteStateReport:
