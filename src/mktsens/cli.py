@@ -33,6 +33,7 @@ from .reports import (
     run_firm_level,
     run_local,
     run_state,
+    state_diagram,
     write_firm_report,
     write_hasse_report,
     write_local_report,
@@ -95,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
             paths = write_local_report(run_local(config, universe), out)
         else:
             paths = write_hasse_report(
-                run_state(config, universe).diagram,
+                state_diagram(config, universe),
                 out,
                 (args.format,) if args.format else ("dot", "json"),
                 DotStyle(label_metrics=("post_hhi",)),

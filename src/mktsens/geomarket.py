@@ -1,8 +1,10 @@
 """Local circle markets around merging parties' stores.
 
 Each defendant store anchors a circular candidate market; stores within the
-radius (great-circle distance, inclusive boundary) form the market, revenue
-aggregates by chain, and the exclusion-set machinery then runs per circle.
+radius (great-circle distance, inclusive boundary) form the market and
+revenue aggregates by chain.  One :func:`merger_outcome_table` call then
+evaluates every exclusion set of every circle, as it does for the state and
+firm lattices.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .display import round_half_up
-from .errors import DataError, DegenerateMarketError
+from .errors import DataError
 from .lattice import ExclusionSet, MarginalSet, enumerate_subsets
 from .metrics import (
     Market,
     MergerSpec,
     PresumptionRule,
-    merger_outcomes,
+    merger_outcome_table,
     presumption,
 )
 from .shapley import SimpleGame, sspi
@@ -204,70 +206,38 @@ class LocalOutcome:
     flagged: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalAnalysisResult:
-    """Full sensitivity record of one circle market."""
+    """Full sensitivity record of one circle market.
+
+    ``table`` holds (post HHI, delta HHI, merged share) and ``flags`` the
+    presumption flag of each exclusion set, in read-only rows indexed by
+    bitmask; ``outcomes`` are views of those rows in canonical order.
+    """
 
     center: Store
     radius_miles: float
     member_count: int
-    outcomes: tuple[LocalOutcome, ...]
+    table: np.ndarray
+    flags: np.ndarray
     sensitive: bool
     sspi: tuple[float, ...] | None
-    _by_bits: dict[int, LocalOutcome] = field(
-        init=False, repr=False, compare=False, hash=False
-    )
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_by_bits", {o.subset.bits: o for o in self.outcomes}
-        )
 
     @property
     def center_id(self) -> str:
         return self.center.store_id
 
+    @cached_property
+    def outcomes(self) -> tuple[LocalOutcome, ...]:
+        n = len(self.flags).bit_length() - 1
+        return tuple(self.outcome_for(subset) for subset in enumerate_subsets(n))
+
     def outcome_for(self, subset: ExclusionSet) -> LocalOutcome:
-        try:
-            return self._by_bits[subset.bits]
-        except KeyError:
-            raise KeyError("subset is not part of this analysis") from None
-
-
-def _analyze_circle(
-    circle: CircleMarket,
-    merger: MergerSpec,
-    ms: MarginalSet,
-    subsets: Sequence[ExclusionSet],
-    rule: PresumptionRule,
-) -> LocalAnalysisResult:
-    outcomes = []
-    flags: dict[int, bool] = {}
-    for subset in subsets:
-        market = chain_market(
-            circle.members, ms.labels_of(subset), circle.center_id
-        )
-        try:
-            post, delta, share = merger_outcomes(market, merger)
-        except DegenerateMarketError as exc:
-            raise DataError(
-                f"circle around store {circle.center_id!r} has no revenue "
-                f"left after excluding {sorted(ms.labels_of(subset))}"
-            ) from exc
-        flag = presumption(post, delta, share, rule)
-        outcomes.append(LocalOutcome(subset, post, delta, share, flag))
-        flags[subset.bits] = flag
-    game = SimpleGame.from_flags(ms.n, flags)
-    sensitive = not game.constant
-    values = sspi(game) if sensitive else None
-    return LocalAnalysisResult(
-        circle.center,
-        circle.radius_miles,
-        len(circle.members),
-        tuple(outcomes),
-        sensitive,
-        values,
-    )
+        if len(self.flags) != 1 << subset.n:
+            raise KeyError("subset is not part of this analysis")
+        post, delta, share = self.table[subset.bits].tolist()
+        return LocalOutcome(subset, post, delta, share,
+                            bool(self.flags[subset.bits]))
 
 
 def analyze_local(
@@ -284,7 +254,9 @@ def analyze_local(
     when both merging chains have at least one member store; single-party
     circles carry no competitive overlap and are skipped.  A merging chain
     whose in-circle revenue disappears under some exclusion set still
-    evaluates, as a zero-sales firm.
+    evaluates, as a zero-sales firm.  One :func:`merger_outcome_table` call
+    evaluates every exclusion set of every analyzed circle, and one
+    :func:`presumption` call flags them.
     """
     ms = (
         marginal_formats
@@ -302,20 +274,42 @@ def analyze_local(
         raise DataError(
             f"no defendant stores found for chains {sorted(defendants)}"
         )
-    subsets = enumerate_subsets(ms.n)
-    circles = (circle_market(universe, c, radius_miles) for c in centers)
-    return tuple(
-        _analyze_circle(circle, merger, ms, subsets, rule)
-        for circle in circles
+    circles = [
+        circle
+        for circle in (circle_market(universe, c, radius_miles) for c in centers)
         if set(parties) <= {s.chain_id for s in circle.members}
+    ]
+    bit_of = {label: i for i, label in enumerate(ms.members)}
+    # One entry per store, shared by every circle that holds it.
+    entry_of = {s.store_id: (s.chain_id, bit_of.get(s.format, -1), s.revenue)
+                for s in universe}
+    columns = merger_outcome_table(
+        [[entry_of[s.store_id] for s in circle.members] for circle in circles],
+        ms.n,
+        merger,
     )
-
-
-def count_presumptive(
-    results: Sequence[LocalAnalysisResult], subset: ExclusionSet
-) -> int:
-    """Number of analyzed circles flagged under one exclusion set."""
-    return sum(1 for r in results if r.outcome_for(subset).flagged)
+    empty = np.isnan(columns[2])
+    if empty.any():
+        row = int(np.flatnonzero(empty.any(axis=1))[0])
+        subset = min(ExclusionSet(ms.n, int(bits))
+                     for bits in np.flatnonzero(empty[row]))
+        raise DataError(
+            f"circle around store {circles[row].center_id!r} has no revenue "
+            f"left after excluding {sorted(ms.labels_of(subset))}"
+        )
+    table = np.stack(columns, axis=-1)
+    flags = presumption(*columns, rule)
+    for array in (table, flags):
+        array.flags.writeable = False
+    results = []
+    for circle, outcomes, flagged in zip(circles, table, flags):
+        game = SimpleGame(ms.n, flagged.view(np.uint8))
+        sensitive = not game.constant
+        results.append(LocalAnalysisResult(
+            circle.center, circle.radius_miles, len(circle.members), outcomes,
+            flagged, sensitive, sspi(game) if sensitive else None,
+        ))
+    return tuple(results)
 
 
 def sspi_structure_table(

@@ -5,7 +5,8 @@ it this module provides shares, HHI on the 0..10000 scale, merger deltas,
 concentration ratios, logit diversion, upward pricing pressure, compensating
 marginal cost reductions, and the structural-presumption decision rule.
 :func:`merger_outcome_table` evaluates :func:`merger_outcomes` for every
-exclusion set of a lattice at once, bit for bit.
+exclusion set of a lattice, over any number of markets at once, bit for bit;
+the state, firm and local pipelines all use it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .errors import DataError, DegenerateMarketError
 
 HHI_SCALE = 10_000.0
 
-# Masks evaluated together by merger_outcome_table.  It bounds the (chains x
-# block) working arrays, and so peak memory on wide lattices.
+# Cells (markets x masks) evaluated together by merger_outcome_table.  It
+# bounds the (markets x chains x masks) working arrays, and so peak memory.
 OUTCOME_BLOCK = 1024
 
 
@@ -290,74 +291,121 @@ def merger_outcomes(m: Market, g: MergerSpec) -> tuple[float, float, float]:
     return post, delta, sa + sb
 
 
-def merger_outcome_table(
-    entries: Sequence[tuple[str, int, float]], n: int, g: MergerSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Post HHI, delta HHI and merged share for all 2^n exclusion masks.
+def _by_position(per_market: list[Sequence], fill) -> np.ndarray:
+    """(longest × markets) array whose row k holds item k of each market's
+    sequence, or ``fill`` where that sequence is shorter."""
+    out = np.full((max(map(len, per_market)), len(per_market)), fill)
+    for market, items in enumerate(per_market):
+        out[:len(items), market] = items
+    return out
 
-    ``entries`` are ``(chain_id, bit, revenue)`` in market order.  Mask ``m``
-    keeps every entry whose bit is not set in ``m``; ``bit = -1`` is never
-    excluded.  Cell ``m`` of each array equals, bit for bit, what
-    :func:`merger_outcomes` returns on the market that sums the kept entries
-    by chain in entry order.  To be exact the table repeats that path's
-    floating-point steps: it adds every entry's revenue times 0.0 or 1.0 in
-    entry order (adding 0.0 is exact), sums totals and squared shares left to
-    right in the order of each chain's first kept entry (that market's dict
-    order), and squares the merged share with Python's float power, which
-    differs from ``x * x`` in the last bit for some inputs.  A mask whose
-    market has no sales reads NaN in all three arrays, where
-    :func:`merger_outcomes` raises.
+
+def merger_outcome_table(
+    markets: Sequence[Sequence[tuple[str, int, float]]], n: int, g: MergerSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Post HHI, delta HHI and merged share of each market under all 2^n
+    exclusion masks, as three (markets × 2^n) arrays.
+
+    Each market lists ``(chain_id, bit, revenue)`` entries in market order.
+    Mask ``m`` keeps every entry whose bit is not set in ``m``; ``bit = -1``
+    is never excluded.  Cell ``[i, m]`` equals, bit for bit, what
+    :func:`merger_outcomes` returns on the market that sums market ``i``'s
+    kept entries by chain in entry order.  To be exact the table repeats that
+    path's floating-point steps: it adds every entry's revenue times 0.0 or
+    1.0 in entry order (adding 0.0 is exact), sums totals and squared shares
+    left to right in the order of each chain's first kept entry (that
+    market's dict order), and squares the merged share with Python's float
+    power, which differs from ``x * x`` in the last bit for some inputs.  A
+    mask whose market has no sales reads NaN in all three arrays, where
+    :func:`merger_outcomes` raises.  Markets are evaluated side by side, one
+    entry position at a time.
     """
-    columns: dict[str, int] = {}
-    chain_of: list[int] = []
-    bit_of: list[int] = []
-    revenue: list[float] = []
-    first_seen: dict[tuple[int, int], int] = {}
-    for index, (chain, bit, value) in enumerate(entries):
-        if not -1 <= bit < n:
-            raise ValueError(f"entry bit {bit} out of range for width {n}")
-        column = columns.setdefault(chain, len(columns))
-        chain_of.append(column)
-        bit_of.append(bit)
-        revenue.append(float(value))
-        first_seen.setdefault((column, bit), index)
-    # One extra all-zero row stands in for a merging chain with no entries.
-    rows = len(columns) + 1
-    acquirer = columns.get(g.acquirer, rows - 1)
-    target = columns.get(g.target, rows - 1)
-    absent = len(revenue)
-    size = 1 << n
-    post = np.empty(size)
-    delta = np.empty(size)
-    share = np.empty(size)
+    count, size = len(markets), 1 << n
+    post, delta, share = (np.empty((count, size)) for _ in range(3))
+    if not count:
+        return post, delta, share
+    chains, bits, revenues, firsts, parties, width = [], [], [], [], [], 0
+    for market in markets:
+        chain, bit, revenue = zip(*market) if market else ((), (), ())
+        if bit and not -1 <= min(bit) <= max(bit) < n:
+            bad = next(b for b in bit if not -1 <= b < n)
+            raise ValueError(f"entry bit {bad} out of range for width {n}")
+        columns = {c: i for i, c in enumerate(dict.fromkeys(chain))}
+        chains.append(list(map(columns.__getitem__, chain)))
+        bits.append(bit)
+        revenues.append(list(map(float, revenue)))
+        # Walking the entries backwards leaves each (column, bit) pair with
+        # the index of its first entry.
+        firsts.append(dict(zip(zip(chains[-1][::-1], bit[::-1]),
+                               range(len(bit) - 1, -1, -1))))
+        # A merging chain with no entries reads the all-zero row past the
+        # market's chains.
+        parties.append((columns.get(g.acquirer, len(columns)),
+                        columns.get(g.target, len(columns))))
+        width = max(width, len(columns))
+    rows = width + 1
+    absent = max(map(len, markets))
+    every = np.arange(count)
+    # Index of the first entry of each (chain row, market) with bit b, in
+    # column b (bit -1 is the last column), or ``absent``; then, per bit,
+    # the cells that hold one.
+    first_of = np.full((rows, count, n + 1), absent)
+    for market, pairs in enumerate(firsts):
+        first_of[[c for c, _ in pairs], market,
+                 [b for _, b in pairs]] = list(pairs.values())
+    holders = []
+    for bit in range(-1, n):
+        held = np.nonzero(first_of[..., bit] < absent)
+        if held[0].size:
+            holders.append((held, first_of[..., bit][held][:, None], bit))
+    acquirer, target = np.array(parties).T
+    # Step k adds entry k of every market at its (chain row, market) cell.
+    if count == 1:
+        # Python scalars keep each step of a lone market basic indexing.
+        adds = [((row, 0), value, bit)
+                for row, value, bit in zip(chains[0], revenues[0], bits[0])]
+    else:
+        # A shorter market adds 0.0 to its last row, which no chain uses.
+        adds = [((row, every), value, bit) for row, value, bit in zip(
+            _by_position(chains, rows - 1),
+            _by_position(revenues, 0.0)[:, :, None],
+            _by_position(bits, -1),
+        )]
     shifts = np.arange(n)[:, None]
-    for start in range(0, size, OUTCOME_BLOCK):
-        masks = np.arange(start, min(start + OUTCOME_BLOCK, size))
+    step = max(1, OUTCOME_BLOCK // count)
+    for start in range(0, size, step):
+        masks = np.arange(start, min(start + step, size))
         # Row b says whether bit b's entries are kept; the last row serves
         # bit -1 and is all ones.
         kept = np.ones((n + 1, masks.size))
         kept[:n] = (masks >> shifts) & 1 == 0
-        sales = np.zeros((rows, masks.size))
-        for column, bit, value in zip(chain_of, bit_of, revenue):
-            sales[column] += value * kept[bit]
-        first = np.full((rows, masks.size), absent)
-        for (column, bit), index in first_seen.items():
-            np.minimum(first[column], np.where(kept[bit] > 0, index, absent),
-                       out=first[column])
-        order = np.argsort(first, axis=0, kind="stable")
-        total = np.cumsum(np.take_along_axis(sales, order, axis=0), axis=0)[-1]
+        sales = np.zeros((rows, count, masks.size))
+        for row, value, bit in adds:
+            sales[row] += value * kept[bit]
+        first = np.full(sales.shape, absent)
+        for held, index, bit in holders:
+            first[held] = np.minimum(first[held],
+                                     np.where(kept[bit] > 0, index, absent))
+        # Every (market, mask) pair is one column of chain rows.
+        grid = (rows, count * masks.size)
+        order = np.argsort(first.reshape(grid), axis=0, kind="stable")
+        total = np.cumsum(np.take_along_axis(sales.reshape(grid), order,
+                                             axis=0), axis=0)[-1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = sales / total
+            s = sales.reshape(grid) / total
         squares = np.take_along_axis(s * s, order, axis=0)
-        base = HHI_SCALE * np.cumsum(squares, axis=0)[-1]
-        sa = s[acquirer]
-        sb = s[target]
+        base = HHI_SCALE * np.cumsum(squares, axis=0)[-1].reshape(count, -1)
+        s = s.reshape(sales.shape)
+        sa = s[acquirer, every]
+        sb = s[target, every]
         merged = sa + sb
-        merged_squared = np.array([v ** 2 for v in merged.tolist()])
+        merged_squared = np.array(
+            [v ** 2 for v in merged.ravel().tolist()]
+        ).reshape(merged.shape)
         block = slice(start, start + masks.size)
-        post[block] = (
+        post[:, block] = (
             base - HHI_SCALE * (sa * sa + sb * sb) + HHI_SCALE * merged_squared
         )
-        delta[block] = HHI_SCALE * 2.0 * sa * sb
-        share[block] = merged
+        delta[:, block] = HHI_SCALE * 2.0 * sa * sb
+        share[:, block] = merged
     return post, delta, share

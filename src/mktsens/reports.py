@@ -37,7 +37,6 @@ from .geomarket import (
     StoreUniverse,
     analyze_local,
     chain_market,
-    count_presumptive,
     sspi_structure_table,
 )
 from .lattice import (
@@ -112,11 +111,17 @@ def _display_total(cells: Sequence[str]) -> str:
 
 
 def _outcome_columns(
-    entries: Sequence[tuple[str, int, float]], ms: MarginalSet, merger: MergerSpec
+    entries: Sequence[tuple[str, str, float]], ms: MarginalSet, merger: MergerSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Post HHI, delta HHI and merged share per exclusion mask, refusing a
-    lattice in which some candidate market has no sales left."""
-    columns = merger_outcome_table(entries, ms.n, merger)
+    """Post HHI, delta HHI and merged share per exclusion mask of the market
+    of ``(chain_id, label, revenue)`` entries, where an entry is excluded
+    with its label; refuses a lattice in which some candidate market has no
+    sales left."""
+    bit_of = {label: i for i, label in enumerate(ms.members)}
+    columns = tuple(c[0] for c in merger_outcome_table(
+        [[(chain, bit_of.get(label, -1), value) for chain, label, value in entries]],
+        ms.n, merger,
+    ))
     empty = np.flatnonzero(np.isnan(columns[2]))
     if empty.size:
         subset = min(ExclusionSet(ms.n, int(bits)) for bits in empty)
@@ -154,6 +159,28 @@ class StateReport:
         return self.sspi_game.degenerate_at_origin
 
 
+def _state_lattice(
+    config: RunConfig, universe: StoreUniverse
+) -> tuple[Market, tuple[np.ndarray, ...], np.ndarray, AnnotatedHasseDiagram]:
+    """The statewide chain market, its outcome columns and presumption flags
+    by exclusion mask, and the annotated Hasse diagram built from them."""
+    market = chain_market(universe, (), "state")
+    for party in config.merging_chains:
+        market.require(party)
+    ms = MarginalSet(config.marginal_formats)
+    columns = _outcome_columns(
+        [(s.chain_id, s.format, s.revenue) for s in universe], ms, config.merger
+    )
+    flags = presumption(*columns, config.rule)
+    diagram = hasse_from_table(ms, METRIC_NAMES, np.column_stack(columns), flags)
+    return market, columns, flags, diagram
+
+
+def state_diagram(config: RunConfig, universe: StoreUniverse) -> AnnotatedHasseDiagram:
+    """The diagram of :func:`run_state`, without its Shapley and SSPI."""
+    return _state_lattice(config, universe)[3]
+
+
 def run_state(
     config: RunConfig, universe: StoreUniverse, sampled: bool = False
 ) -> StateReport:
@@ -163,32 +190,19 @@ def run_state(
     over the marginal formats, the Shapley attribution of post-merger HHI,
     and the presumption-rule power indices.  The outcomes of every subset
     come from one :func:`merger_outcome_table` over the stores, each keyed
-    by its format's position in the marginal set, and one array of
-    presumption flags marks both the diagram's nodes and the SSPI game's
-    winning coalitions.  ``sampled`` switches the
-    Shapley computation to the seeded Monte Carlo estimator from the
-    configuration's seed and permutation count.
+    by its format, and one array of presumption flags marks both the
+    diagram's nodes and the SSPI game's winning coalitions.  ``sampled``
+    switches the Shapley computation to the seeded Monte Carlo estimator
+    from the configuration's seed and permutation count.
     """
-    market = chain_market(universe, (), "state")
-    for party in config.merging_chains:
-        market.require(party)
-    ms = MarginalSet(config.marginal_formats)
-    bit_of = {label: i for i, label in enumerate(ms.members)}
-    columns = _outcome_columns(
-        [(s.chain_id, bit_of.get(s.format, -1), s.revenue) for s in universe],
-        ms,
-        config.merger,
-    )
-    flags = presumption(*columns, config.rule)
-    diagram = hasse_from_table(ms, METRIC_NAMES, np.column_stack(columns), flags)
-    post = columns[0]
+    market, (post, _, _), flags, diagram = _state_lattice(config, universe)
     game = CoalitionalGame.from_table(post - post[0])
     if sampled:
         sv = shapley_sampled(game, config.permutations, config.seed)
     else:
         sv = shapley_exact(game)
 
-    sspi_game = _presumption_game(ms.n, flags)
+    sspi_game = _presumption_game(diagram.marginal_set.n, flags)
     return StateReport(
         config=config,
         market=market,
@@ -238,10 +252,8 @@ def run_firm_level(config: RunConfig, universe: StoreUniverse) -> FirmReport:
             raise DataError(f"marginal firm {firm!r} has no stores in the universe")
     firms = config.marginal_firms
     ms = MarginalSet(firms)
-    bit_of = {firm: i for i, firm in enumerate(firms)}
     columns = _outcome_columns(
-        [(chain, bit_of.get(chain, -1), revenue)
-         for chain, revenue in market.sales.items()],
+        [(chain, chain, revenue) for chain, revenue in market.sales.items()],
         ms,
         config.merger,
     )
@@ -281,10 +293,10 @@ def run_local(config: RunConfig, universe: StoreUniverse) -> LocalReport:
         config.rule,
         config.radius_miles,
     )
-    counts = tuple(
-        (subset, count_presumptive(results, subset))
-        for subset in enumerate_subsets(ms.n)
-    )
+    flags = np.reshape([r.flags for r in results], (len(results), 1 << ms.n))
+    column = flags.sum(axis=0).tolist()
+    counts = tuple((subset, column[subset.bits])
+                   for subset in enumerate_subsets(ms.n))
     structure = sspi_structure_table(results, config.sspi_decimals)
     return LocalReport(
         config=config,
@@ -467,6 +479,9 @@ def write_local_report(report: LocalReport, out_dir: str | Path) -> list[Path]:
         + [f"sspi_{label}" for label in ms.members]
     ]
     market_entries = []
+    subsets = enumerate_subsets(ms.n)
+    masks = [subset.bits for subset in subsets]
+    indices = [list(subset.indices) for subset in subsets]
     for result in report.results:
         cells = (
             [fmt_fixed(v, decimals) for v in result.sspi]
@@ -485,13 +500,16 @@ def write_local_report(report: LocalReport, out_dir: str | Path) -> list[Path]:
                 "sspi": list(result.sspi) if result.sspi is not None else None,
                 "outcomes": [
                     {
-                        "subset": list(o.subset.indices),
-                        "post_hhi": o.post_hhi,
-                        "delta_hhi": o.delta_hhi,
-                        "merged_share": o.merged_share,
-                        "flagged": o.flagged,
+                        "subset": subset,
+                        "post_hhi": post,
+                        "delta_hhi": delta,
+                        "merged_share": share,
+                        "flagged": flagged,
                     }
-                    for o in result.outcomes
+                    for subset, (post, delta, share), flagged in zip(
+                        indices, result.table[masks].tolist(),
+                        result.flags[masks].tolist()
+                    )
                 ],
             }
         )

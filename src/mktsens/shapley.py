@@ -191,20 +191,8 @@ class SimpleGame:
             )
         if self.wins.shape != (1 << self.n,):
             raise ValueError("wins table size must be 2^n")
-        if not np.isin(self.wins, (0, 1)).all():
+        if not ((self.wins == 0) | (self.wins == 1)).all():
             raise ValueError("wins table entries must be 0 or 1")
-
-    @classmethod
-    def from_flags(cls, n: int, flags: Mapping[int, bool]) -> "SimpleGame":
-        """Build from a mask -> flag mapping covering all 2^n subsets."""
-        size = 1 << n
-        if len(flags) != size or not all(0 <= m < size for m in flags):
-            raise ValueError("flags must cover every mask exactly once")
-        wins = np.zeros(size, dtype=np.uint8)
-        for mask, flag in flags.items():
-            wins[mask] = 1 if flag else 0
-        wins.flags.writeable = False
-        return cls(n=n, wins=wins)
 
     @property
     def degenerate_at_origin(self) -> bool:

@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from mktsens import (
+    DataError,
+    DegenerateMarketError,
     DotStyle,
     ExclusionSet,
     HasseEdge,
@@ -25,6 +27,7 @@ from mktsens import (
     MarginalSet,
     MergerSpec,
     RunConfig,
+    SimpleGame,
     Store,
     StoreUniverse,
     chain_market,
@@ -35,6 +38,7 @@ from mktsens import (
     merger_outcomes,
     miles_to_km,
     presumption,
+    sspi,
     subset_label,
 )
 from mktsens.display import floor_int, round_half_up
@@ -241,6 +245,48 @@ def _scalar_outcomes(market_of, n: int, merger: MergerSpec):
     rows = [merger_outcomes(market_of(ExclusionSet(n, bits)), merger)
             for bits in range(1 << n)]
     return tuple(np.array(column) for column in zip(*rows))
+
+
+def scalar_local_outcomes(universe, merger: MergerSpec, ms: MarginalSet,
+                          rule, radius_miles: float) -> list[dict]:
+    """One record per analysed circle, in center order, from one
+    chain_market, one merger_outcomes and one scalar presumption call per
+    circle and exclusion set: the local path that analyze_local's single
+    merger_outcome_table call replaced.  Members come from
+    scalar_circle_ids.  Arrays are indexed by bitmask."""
+    parties = {merger.acquirer, merger.target}
+    defendants = universe.defendant_chains or tuple(parties)
+    records = []
+    for center in sorted(universe.of_chains(defendants),
+                         key=lambda s: s.store_id):
+        members = [universe.store(i) for i in
+                   scalar_circle_ids(universe, center, radius_miles)]
+        if not parties <= {s.chain_id for s in members}:
+            continue
+        rows = []
+        for subset in enumerate_subsets(ms.n):
+            market = chain_market(members, ms.labels_of(subset),
+                                  center.store_id)
+            try:
+                outcomes = merger_outcomes(market, merger)
+            except DegenerateMarketError as exc:
+                raise DataError(
+                    f"circle around store {center.store_id!r} has no revenue "
+                    f"left after excluding {sorted(ms.labels_of(subset))}"
+                ) from exc
+            rows.append((subset.bits, *outcomes,
+                         presumption(*outcomes, rule)))
+        rows.sort()
+        _, post, delta, share, flags = (np.array(c) for c in zip(*rows))
+        game = SimpleGame(ms.n, flags.astype(np.uint8))
+        sensitive = not game.constant
+        records.append({
+            "center_id": center.store_id, "member_count": len(members),
+            "post_hhi": post, "delta_hhi": delta, "merged_share": share,
+            "flags": flags, "sensitive": sensitive,
+            "sspi": sspi(game) if sensitive else None,
+        })
+    return records
 
 
 def scalar_flags(columns, rule) -> np.ndarray:

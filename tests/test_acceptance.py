@@ -112,14 +112,12 @@ def test_criterion_1_reference_lattice(report):
 
 def test_criterion_2_attribution_tables(report):
     sv = shapley_exact(textbook_game())
-    wins = {
-        bits: TEXTBOOK_HHI[labels] > 1800.0
-        for bits, labels in enumerate(
-            [(), ("1",), ("2",), ("1", "2"), ("3",), ("1", "3"),
-             ("2", "3"), ("1", "2", "3")]
-        )
-    }
-    power = sspi(SimpleGame.from_flags(3, wins))
+    wins = np.array([
+        TEXTBOOK_HHI[labels] > 1800.0
+        for labels in [(), ("1",), ("2",), ("1", "2"), ("3",), ("1", "3"),
+                       ("2", "3"), ("1", "2", "3")]
+    ], dtype=np.uint8)
+    power = sspi(SimpleGame(3, wins))
 
     with report(2, "attribution rounds to (282, 228, 134), power to (2/3, 1/6, 1/6)"):
         rounded = [round_half_up_int(v) for v in sv.values]

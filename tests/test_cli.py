@@ -111,6 +111,17 @@ class TestHasseCommand:
         for name in ("hasse.dot", "hasse.json"):
             assert (state / name).read_bytes() == (hasse / name).read_bytes()
 
+    def test_computes_no_attribution(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("hasse needs no Shapley values or SSPI")
+
+        for name in ("shapley_exact", "shapley_sampled", "sspi"):
+            monkeypatch.setattr(reports, name, refuse)
+        code, out = run_cli(tmp_path, "hasse", state_stores(), base_config_doc())
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["hasse.dot",
+                                                         "hasse.json"]
+
     def test_failed_json_keeps_both_old_files(self, tmp_path, capsys,
                                               monkeypatch):
         out = tmp_path / "out"

@@ -20,14 +20,23 @@ from mktsens import (
     analyze_local,
     chain_market,
     circle_market,
-    count_presumptive,
     haversine,
     miles_to_km,
+    run_local,
     sspi_structure_table,
 )
+from mktsens.cli import main
 from mktsens.geomarket import EARTH_RADIUS_KM, MILES_TO_KM
-from tests.conftest import LOCAL_CLUSTER_1, local_stores, scalar_circle_ids
+from tests.conftest import (
+    LOCAL_CLUSTER_1,
+    base_config_doc,
+    local_stores,
+    scalar_circle_ids,
+    scalar_local_outcomes,
+    write_inputs,
+)
 from tests.test_acceptance import brute_force_local
+from tests.test_outcome_table import revenues, rules
 
 
 def _store(sid="s1", chain="c1", fmt="supermarket", lat=45.0, lon=-120.0,
@@ -433,20 +442,130 @@ class TestAnalyzeLocal:
             _store("c1", "clubby", fmt="club", rev=10.0),
         )
         u = StoreUniverse(stores, defendant_chains=("acme", "bolt"))
-        with pytest.raises(DataError, match="a1"):
+        with pytest.raises(DataError) as error:
             analyze_local(u, merger, ("club",), radius_miles=5.0)
+        assert str(error.value) == (
+            "circle around store 'a1' has no revenue left after excluding "
+            "['club']"
+        )
+
+    def test_first_empty_circle_and_exclusion_set_are_named(self, merger,
+                                                            tmp_path, capsys):
+        # Three far-apart circles.  In center order a1, a2, a3, b1, ... the
+        # first has revenue under every exclusion set; the second runs dry
+        # once club and natural are both excluded, the third once club alone
+        # is.  The error names the second circle and its smallest empty set.
+        stores = []
+        for k, rows in enumerate((
+            (("acme", "supermarket", 4.0), ("clubby", "club", 6.0)),
+            (("acme", "supermarket", 0.0), ("clubby", "club", 6.0),
+             ("naturo", "natural", 2.0), ("limitz", "limited", 0.0)),
+            (("acme", "supermarket", 0.0), ("clubby", "club", 6.0)),
+        ), start=1):
+            lat = 40.0 + 2.0 * k
+            stores.append(_store(f"b{k}", "bolt", lat=lat, rev=0.0))
+            for j, (chain, fmt, rev) in enumerate(rows):
+                sid = f"a{k}" if chain == "acme" else f"x{k}{j}"
+                stores.append(_store(sid, chain, fmt=fmt, lat=lat, rev=rev))
+        u = StoreUniverse(tuple(stores), defendant_chains=("acme", "bolt"))
+        message = ("circle around store 'a2' has no revenue left after "
+                   "excluding ['club', 'natural']")
+        ms = MarginalSet(("natural", "club", "limited"))
+        with pytest.raises(DataError) as error:
+            analyze_local(u, merger, ms, radius_miles=5.0)
+        assert str(error.value) == message
+        with pytest.raises(DataError) as scalar:
+            scalar_local_outcomes(u, merger, ms, PresumptionRule(), 5.0)
+        assert str(scalar.value) == message
+
+        stores_path, config_path = write_inputs(
+            tmp_path, stores,
+            base_config_doc(marginal_formats=list(ms.members)),
+        )
+        code = main(["local", "--stores", str(stores_path), "--config",
+                     str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert f"data error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+FORMATS = ("supermarket", "club", "natural", "limited", "organic")
+CHAINS = ("acme", "bolt", "cato", "dune", "elmo")
+
+
+@st.composite
+def local_universes(draw):
+    """Stores on a north-south line whose circles differ in size, over 0-4
+    marginal formats, listed in an order that differs from store-id order.
+
+    The lowest store id is a cato store in a marginal format, so in every
+    circle that holds it cato is first seen in a marginal format.  One acme
+    store sells in the always-in format near a bolt store.  Bolt's stores
+    may all sell in marginal formats, so it can lose all its in-circle
+    revenue under some exclusion set; revenues include zero.
+    """
+    n = draw(st.integers(0, 4))
+    formats = FORMATS[:n + 1]
+    # Steps of 0.01 degrees of latitude, about 0.69 miles.
+    steps = st.integers(0, 40)
+    near = draw(steps)
+    rows = [("cato", draw(st.sampled_from(formats[1:] or formats)),
+             draw(steps), draw(revenues)),
+            ("acme", "supermarket", near, draw(st.floats(1.0, 1e6))),
+            ("bolt", draw(st.sampled_from(formats)), near + draw(st.integers(0, 2)),
+             draw(revenues))]
+    rows += draw(st.lists(
+        st.tuples(st.sampled_from(CHAINS), st.sampled_from(formats), steps,
+                  revenues),
+        max_size=30,
+    ))
+    stores = [_store(f"s{k:03d}", chain, fmt=fmt, lat=45.0 + 0.01 * step,
+                     rev=rev)
+              for k, (chain, fmt, step, rev) in enumerate(rows)]
+    listed = draw(st.permutations(stores))
+    return (StoreUniverse(tuple(listed), defendant_chains=("acme", "bolt")),
+            MarginalSet(formats[1:]))
+
+
+class TestAnalyzeLocalOracle:
+    @given(local_universes(), rules,
+           st.sampled_from([0.5, 1.0, 2.0, 5.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_subset_loop(self, drawn, rule, radius_miles):
+        u, ms = drawn
+        merger = MergerSpec("acme", "bolt")
+        try:
+            expected = scalar_local_outcomes(u, merger, ms, rule,
+                                             radius_miles)
+        except DataError as exc:
+            with pytest.raises(DataError) as error:
+                analyze_local(u, merger, ms, rule, radius_miles)
+            assert str(error.value) == str(exc)
+            return
+        results = analyze_local(u, merger, ms, rule, radius_miles)
+        assert [r.center_id for r in results] == [
+            e["center_id"] for e in expected
+        ]
+        for result, want in zip(results, expected):
+            assert result.member_count == want["member_count"]
+            for column, name in enumerate(
+                ("post_hhi", "delta_hhi", "merged_share")
+            ):
+                assert np.array_equal(result.table[:, column], want[name])
+            assert np.array_equal(result.flags, want["flags"])
+            assert result.sensitive == want["sensitive"]
+            assert result.sspi == want["sspi"]
 
 
 class TestCountsAndStructure:
-    def test_presumptive_counts(self, local_universe, merger):
-        ms = MarginalSet(("club", "natural", "limited"))
-        results = analyze_local(local_universe, merger, ms, radius_miles=5.0)
-        assert count_presumptive(results, ms.subset_of(())) == 0
-        assert count_presumptive(results, ms.subset_of(("club",))) == 2
-        assert count_presumptive(results, ms.subset_of(("natural",))) == 0
-        assert count_presumptive(
-            results, ms.subset_of(("club", "natural", "limited"))
-        ) == 2
+    def test_presumptive_counts(self, local_universe, local_config):
+        report = run_local(local_config, local_universe)
+        ms = report.marginal_set
+        counts = {subset.bits: count for subset, count in report.counts}
+        assert counts[ms.subset_of(()).bits] == 0
+        assert counts[ms.subset_of(("club",)).bits] == 2
+        assert counts[ms.subset_of(("natural",)).bits] == 0
+        assert counts[ms.subset_of(("club", "natural", "limited")).bits] == 2
 
     def test_structure_table(self, local_universe, merger):
         ms = MarginalSet(("club", "natural", "limited"))
@@ -460,7 +579,8 @@ class TestCountsAndStructure:
         def result(sid, sspi_vec):
             return LocalAnalysisResult(
                 center=_store(sid), radius_miles=5.0, member_count=1,
-                outcomes=(), sensitive=True, sspi=sspi_vec,
+                table=np.zeros((1, 3)), flags=np.zeros(1, dtype=bool),
+                sensitive=True, sspi=sspi_vec,
             )
 
         rows = sspi_structure_table((

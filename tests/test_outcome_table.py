@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mktsens import (
+    DegenerateMarketError,
+    Market,
     MarginalSet,
     MergerSpec,
     OutcomeEvaluationError,
@@ -25,6 +27,7 @@ from mktsens import (
     StoreUniverse,
     chain_market,
     merger_outcome_table,
+    merger_outcomes,
     run_firm_level,
     run_state,
 )
@@ -76,9 +79,9 @@ def assert_firm_matches_scalar(universe, config):
     expected = scalar_firm_outcomes(market, ms, config)
     entries = [(chain, ms.members.index(chain) if chain in ms.members else -1,
                 revenue) for chain, revenue in market.sales.items()]
-    for got, want in zip(merger_outcome_table(entries, ms.n, config.merger),
+    for got, want in zip(merger_outcome_table([entries], ms.n, config.merger),
                          expected):
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, [want])
     report = run_firm_level(config, universe)
     assert np.array_equal(report.sspi_game.wins,
                           scalar_flags(expected, config.rule))
@@ -173,6 +176,51 @@ class TestFirmLatticeOracle:
         assert_firm_matches_scalar(make_universe(rows), config)
 
 
+def scalar_market_outcomes(entries, bits: int) -> tuple[float, float, float]:
+    """merger_outcomes on the kept entries summed by chain in entry order,
+    or NaN in all three places where no sales are left."""
+    sales: dict[str, float] = {}
+    for chain, bit, value in entries:
+        if bit == -1 or not bits >> bit & 1:
+            sales[chain] = sales.get(chain, 0.0) + value
+    try:
+        return merger_outcomes(Market(sales), MERGER)
+    except DegenerateMarketError:
+        return (np.nan,) * 3
+
+
+@st.composite
+def market_lists(draw):
+    """1-6 markets of 0-12 entries over 0-3 bits; a market may lack either
+    merging chain or hold no sales at all."""
+    n = draw(st.integers(0, 3))
+    entry = st.tuples(st.sampled_from(STATE_MERGING + RIVALS),
+                      st.integers(-1, n - 1), revenues)
+    return draw(st.lists(st.lists(entry, max_size=12), min_size=1,
+                         max_size=6)), n
+
+
+class TestMarketAxis:
+    @given(market_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_every_cell_matches_its_market_alone(self, drawn):
+        markets, n = drawn
+        together = merger_outcome_table(markets, n, MERGER)
+        assert all(column.shape == (len(markets), 1 << n)
+                   for column in together)
+        for i, entries in enumerate(markets):
+            alone = merger_outcome_table([entries], n, MERGER)
+            want = np.array([scalar_market_outcomes(entries, bits)
+                             for bits in range(1 << n)]).T
+            for got, single, expected in zip(together, alone, want):
+                assert np.array_equal(got[i], expected, equal_nan=True)
+                assert np.array_equal(single[0], expected, equal_nan=True)
+
+    def test_no_markets(self):
+        for column in merger_outcome_table([], 2, MERGER):
+            assert column.shape == (0, 4)
+
+
 def exact_outcomes(sales: dict[str, int]) -> tuple[Fraction, Fraction]:
     """Rational (post HHI, delta HHI) of a market of integer sales."""
     total = sum(sales.values())
@@ -244,13 +292,13 @@ class TestEmptyCandidateMarkets:
     def test_table_reads_nan_where_the_market_is_empty(self):
         entries = [(c, {"club": 0, "natural": 1}[f], r)
                    for c, f, r in ALL_MARGINAL]
-        post, delta, share = merger_outcome_table(entries, 2, MERGER)
+        post, delta, share = merger_outcome_table([entries], 2, MERGER)
         for column in (post, delta, share):
-            assert np.isnan(column[3]) and not np.isnan(column[:3]).any()
+            assert np.isnan(column[0, 3]) and not np.isnan(column[0, :3]).any()
 
     def test_entry_bit_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            merger_outcome_table([("acme", 2, 1.0)], 2, MERGER)
+            merger_outcome_table([[("acme", 2, 1.0)]], 2, MERGER)
 
     def test_state_names_the_empty_subset(self):
         config = RunConfig(merging_chains=STATE_MERGING)

@@ -224,28 +224,37 @@ class TestShapleySampled:
         assert res.grand_value == 0.0
 
 
+def _game(n: int, flags) -> SimpleGame:
+    """The simple game whose winning coalitions are the flagged masks."""
+    return SimpleGame(n, np.array([flags[m] for m in range(1 << n)],
+                                  dtype=np.uint8))
+
+
 class TestSimpleGame:
-    def test_from_flags_round_trip(self):
-        flags = {0: False, 1: True, 2: False, 3: True}
-        game = SimpleGame.from_flags(2, flags)
-        assert game.win(ExclusionSet(2, 1)) is True
-        assert game.win(ExclusionSet(2, 2)) is False
-        assert not game.degenerate_at_origin
-        assert not game.constant
-
-    def test_from_flags_must_cover_every_mask(self):
-        with pytest.raises(ValueError):
-            SimpleGame.from_flags(2, {0: False, 1: True})
-
     def test_wins_must_be_binary(self):
-        with pytest.raises(ValueError):
-            SimpleGame(n=1, wins=np.array([0, 2], dtype=np.uint8))
+        for bad in (np.array([0, 2], dtype=np.uint8), np.array([0.0, 0.5]),
+                    np.array([1.0, np.nan]), np.array([0, -1], dtype=np.int64)):
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                SimpleGame(n=1, wins=bad)
+
+    def test_wins_table_needs_one_entry_per_mask(self):
+        with pytest.raises(ValueError, match="2\\^n"):
+            SimpleGame(n=2, wins=np.array([0, 1], dtype=np.uint8))
+
+    def test_zero_one_tables_of_any_dtype_are_accepted(self):
+        for good in (np.array([True, False]), np.array([1.0, 0.0]),
+                     np.array([1, 1], dtype=np.int64)):
+            assert SimpleGame(n=1, wins=good).win(ExclusionSet(1, 0))
 
     def test_degenerate_and_constant_markers(self):
-        allwin = SimpleGame.from_flags(1, {0: True, 1: True})
+        allwin = _game(1, {0: True, 1: True})
         assert allwin.degenerate_at_origin and allwin.constant
-        nowin = SimpleGame.from_flags(1, {0: False, 1: False})
+        nowin = _game(1, {0: False, 1: False})
         assert not nowin.degenerate_at_origin and nowin.constant
+        mixed = _game(2, {0: False, 1: True, 2: False, 3: True})
+        assert mixed.win(ExclusionSet(2, 1)) is True
+        assert mixed.win(ExclusionSet(2, 2)) is False
+        assert not mixed.degenerate_at_origin and not mixed.constant
 
 
 class TestSimpleGameFromRule:
@@ -298,7 +307,7 @@ class TestSspi:
 
     def test_dictator(self):
         flags = {mask: bool(mask & 0b10) for mask in range(8)}
-        values = sspi(SimpleGame.from_flags(3, flags))
+        values = sspi(_game(3, flags))
         assert values == (0.0, 1.0, 0.0)
 
     def test_weighted_majority_matches_pivot_counting(self):
@@ -309,7 +318,7 @@ class TestSspi:
             mask: sum(w for i, w in enumerate(weights) if mask >> i & 1) >= quota
             for mask in range(1 << n)
         }
-        game = SimpleGame.from_flags(n, flags)
+        game = _game(n, flags)
         pivots = [0] * n
         for perm in itertools.permutations(range(n)):
             running = 0
@@ -325,17 +334,17 @@ class TestSspi:
 
     def test_indices_sum_to_one_for_proper_games(self):
         flags = {mask: mask.bit_count() >= 2 for mask in range(8)}
-        values = sspi(SimpleGame.from_flags(3, flags))
+        values = sspi(_game(3, flags))
         assert sum(values) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_game_has_zero_power_everywhere(self):
-        always = SimpleGame.from_flags(2, {m: True for m in range(4)})
+        always = _game(2, {m: True for m in range(4)})
         assert sspi(always) == (0.0, 0.0)
-        never = SimpleGame.from_flags(2, {m: False for m in range(4)})
+        never = _game(2, {m: False for m in range(4)})
         assert sspi(never) == (0.0, 0.0)
 
     def test_empty_game(self):
-        assert sspi(SimpleGame.from_flags(0, {0: False})) == ()
+        assert sspi(_game(0, {0: False})) == ()
 
     def test_large_game_float_fallback(self):
         # A 21-player dictator: the indices are exactly (1, 0, ..., 0).
