@@ -18,7 +18,7 @@ import numpy as np
 
 from .display import round_half_up
 from .errors import DataError
-from .lattice import ExclusionSet, MarginalSet, enumerate_subsets
+from .lattice import ExclusionSet, MarginalSet, canonical_masks
 from .metrics import (
     Market,
     MergerSpec,
@@ -49,6 +49,8 @@ class Store:
             raise DataError(f"store {self.store_id!r}: latitude out of range")
         if not -180.0 <= self.longitude <= 180.0:
             raise DataError(f"store {self.store_id!r}: longitude out of range")
+        if not math.isfinite(self.revenue):
+            raise DataError(f"store {self.store_id!r}: revenue is not finite")
         if self.revenue < 0:
             raise DataError(f"store {self.store_id!r}: negative revenue")
 
@@ -195,24 +197,13 @@ def chain_market(
     return Market(sales, label)
 
 
-@dataclass(frozen=True)
-class LocalOutcome:
-    """Screening outcome of one exclusion set within one circle."""
-
-    subset: ExclusionSet
-    post_hhi: float
-    delta_hhi: float
-    merged_share: float
-    flagged: bool
-
-
 @dataclass(frozen=True, eq=False)
 class LocalAnalysisResult:
     """Full sensitivity record of one circle market.
 
     ``table`` holds (post HHI, delta HHI, merged share) and ``flags`` the
     presumption flag of each exclusion set, in read-only rows indexed by
-    bitmask; ``outcomes`` are views of those rows in canonical order.
+    bitmask.
     """
 
     center: Store
@@ -226,18 +217,6 @@ class LocalAnalysisResult:
     @property
     def center_id(self) -> str:
         return self.center.store_id
-
-    @cached_property
-    def outcomes(self) -> tuple[LocalOutcome, ...]:
-        n = len(self.flags).bit_length() - 1
-        return tuple(self.outcome_for(subset) for subset in enumerate_subsets(n))
-
-    def outcome_for(self, subset: ExclusionSet) -> LocalOutcome:
-        if len(self.flags) != 1 << subset.n:
-            raise KeyError("subset is not part of this analysis")
-        post, delta, share = self.table[subset.bits].tolist()
-        return LocalOutcome(subset, post, delta, share,
-                            bool(self.flags[subset.bits]))
 
 
 def analyze_local(
@@ -291,8 +270,8 @@ def analyze_local(
     empty = np.isnan(columns[2])
     if empty.any():
         row = int(np.flatnonzero(empty.any(axis=1))[0])
-        subset = min(ExclusionSet(ms.n, int(bits))
-                     for bits in np.flatnonzero(empty[row]))
+        masks = canonical_masks(ms.n)
+        subset = ExclusionSet(ms.n, int(masks[empty[row, masks]][0]))
         raise DataError(
             f"circle around store {circles[row].center_id!r} has no revenue "
             f"left after excluding {sorted(ms.labels_of(subset))}"

@@ -11,13 +11,13 @@ rendered straight from those arrays.
 
 Canonical order everywhere is (cardinality ascending, then bitmask ascending),
 so identical inputs always produce byte-identical artifacts.
+:func:`canonical_masks` is the one place that puts masks into that order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -143,24 +143,29 @@ def _check_width(n: int) -> None:
         )
 
 
-def enumerate_subsets(n: int) -> list[ExclusionSet]:
-    """All 2^n subsets in canonical order.
+def _popcounts(masks: np.ndarray, n: int) -> np.ndarray:
+    """The number of set bits of each bitmask of width ``n``."""
+    sizes = np.zeros_like(masks)
+    for i in range(n):
+        sizes += masks >> i & 1
+    return sizes
 
-    Within each cardinality layer masks are generated in increasing numeric
-    order via Gosper's hack, so no sort pass is needed.
-    """
+
+def _canonical_keys(masks: np.ndarray, n: int) -> np.ndarray:
+    """Keys that sort bitmasks of width ``n`` into canonical order."""
+    return _popcounts(masks, n) << n | masks
+
+
+def canonical_masks(n: int) -> np.ndarray:
+    """All 2^n bitmasks of width ``n`` in canonical order, as int64."""
     _check_width(n)
-    out = [ExclusionSet(n, 0)]
-    for k in range(1, n + 1):
-        mask = (1 << k) - 1
-        limit = 1 << n
-        while mask < limit:
-            out.append(ExclusionSet(n, mask))
-            # Gosper's hack: next-larger mask with the same popcount.
-            low = mask & -mask
-            ripple = mask + low
-            mask = ripple | ((mask ^ ripple) >> (low.bit_length() + 1))
-    return out
+    masks = np.arange(1 << n, dtype=np.int64)
+    return masks[np.argsort(_canonical_keys(masks, n))]
+
+
+def enumerate_subsets(n: int) -> list[ExclusionSet]:
+    """All 2^n subsets in canonical order."""
+    return [ExclusionSet(n, bits) for bits in canonical_masks(n).tolist()]
 
 
 def evaluate_subsets(
@@ -199,24 +204,6 @@ def covers(a: ExclusionSet, b: ExclusionSet) -> bool:
 
 
 @dataclass(frozen=True)
-class HasseNode:
-    """Read-only view of one node of an :class:`AnnotatedHasseDiagram`."""
-
-    subset: ExclusionSet
-    outcomes: tuple[float, ...]
-    flagged: bool = False
-
-
-@dataclass(frozen=True)
-class HasseEdge:
-    """Read-only view of one edge of an :class:`AnnotatedHasseDiagram`."""
-
-    from_subset: ExclusionSet
-    to_subset: ExclusionSet
-    deltas: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class DotStyle:
     """Rendering knobs for :func:`to_dot`."""
 
@@ -224,14 +211,6 @@ class DotStyle:
     decimals: int = 1
     alert_fill: str = "lightcoral"
     label_metrics: tuple[str, ...] | None = None
-
-
-def _canonical_keys(masks: np.ndarray, n: int) -> np.ndarray:
-    """Keys that sort bitmasks of width ``n`` into canonical order."""
-    sizes = np.zeros_like(masks)
-    for i in range(n):
-        sizes += masks >> i & 1
-    return sizes << n | masks
 
 
 def _frozen_array(
@@ -255,8 +234,8 @@ class AnnotatedHasseDiagram:
     ``table`` holds one float64 row of outcomes (in ``metric_names`` order)
     per node and ``flags`` marks the nodes that trigger the decision rule.
     ``edge_masks`` holds one (lower, upper) bitmask pair per edge, and an
-    edge's deltas are always the upper row minus the lower row.  ``nodes``
-    and ``edges`` are object views built on first use.
+    edge's deltas are always the upper row minus the lower row
+    (:meth:`edge_deltas`).
     """
 
     marginal_set: MarginalSet
@@ -324,32 +303,6 @@ class AnnotatedHasseDiagram:
         with np.errstate(invalid="ignore", over="ignore"):
             return self.table[upper] - self.table[lower]
 
-    @cached_property
-    def nodes(self) -> tuple[HasseNode, ...]:
-        n = self.marginal_set.n
-        return tuple(
-            HasseNode(ExclusionSet(n, bits), tuple(outcomes), flagged)
-            for bits, outcomes, flagged in zip(
-                self.masks.tolist(), self.table.tolist(), self.flags.tolist()
-            )
-        )
-
-    @cached_property
-    def edges(self) -> tuple[HasseEdge, ...]:
-        n = self.marginal_set.n
-        return tuple(
-            HasseEdge(ExclusionSet(n, lower), ExclusionSet(n, upper),
-                      tuple(deltas))
-            for (lower, upper), deltas in zip(
-                self.edge_masks.tolist(), self.edge_deltas().tolist()
-            )
-        )
-
-    def node_for(self, subset: ExclusionSet) -> HasseNode:
-        row = self._row(subset)
-        return HasseNode(subset, tuple(self.table[row].tolist()),
-                         bool(self.flags[row]))
-
     def outcome(self, subset: ExclusionSet, metric: str) -> float:
         row = self._row(subset)
         try:
@@ -382,8 +335,7 @@ def hasse_from_table(
     flags = np.asarray(flags, dtype=bool)
     if len(table) != 1 << n or len(flags) != 1 << n:
         raise ValueError(f"outcome table and flags need 2^{n} rows")
-    masks = np.arange(1 << n, dtype=np.int64)
-    masks = masks[np.argsort(_canonical_keys(masks, n))]
+    masks = canonical_masks(n)
     bits = np.left_shift(1, np.arange(n, dtype=np.int64))
     lower = np.broadcast_to(masks[:, None], (len(masks), n))
     lacking = lower & bits == 0
@@ -615,22 +567,20 @@ def diagram_from_json(text: str) -> AnnotatedHasseDiagram:
         raise DataError("diagram JSON node outcome width does not match metrics")
     if any(len(deltas) != width for _, _, deltas in edges):
         raise DataError("diagram JSON edge delta width does not match metrics")
-    seen: set[int] = set()
-    for subset, _, _ in nodes:
-        if subset.bits in seen:
-            raise DataError(
-                f"diagram JSON lists node {subset_label(ms, subset)} twice"
-            )
-        seen.add(subset.bits)
-    nodes.sort(key=lambda node: node[0].sort_key)
+    masks = np.array([subset.bits for subset, _, _ in nodes], dtype=np.int64)
+    order = np.argsort(_canonical_keys(masks, ms.n))
+    twice = masks[order][1:][np.diff(masks[order]) == 0]
+    if twice.size:
+        subset = subset_label(ms, ExclusionSet(ms.n, int(twice[0])))
+        raise DataError(f"diagram JSON lists node {subset} twice")
     try:
         diagram = AnnotatedHasseDiagram(
             ms,
             metric_names,
-            np.array([subset.bits for subset, _, _ in nodes], dtype=np.int64),
+            masks[order],
             np.array([outcomes for _, outcomes, _ in nodes],
-                     dtype=np.float64).reshape(len(nodes), width),
-            np.array([flagged for _, _, flagged in nodes], dtype=bool),
+                     dtype=np.float64).reshape(len(nodes), width)[order],
+            np.array([flagged for _, _, flagged in nodes], dtype=bool)[order],
             np.array([(lower.bits, upper.bits) for lower, upper, _ in edges],
                      dtype=np.int64).reshape(len(edges), 2),
         )

@@ -11,6 +11,7 @@ the state, firm and local pipelines all use it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -45,6 +46,8 @@ class Market:
         cleaned: dict[str, float] = {}
         for firm, value in self.sales.items():
             amount = float(value)
+            if not math.isfinite(amount):
+                raise DataError(f"firm {firm!r} has non-finite sales {value!r}")
             if amount < 0:
                 raise DataError(f"firm {firm!r} has negative sales {value!r}")
             cleaned[firm] = amount

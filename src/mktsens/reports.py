@@ -44,7 +44,7 @@ from .lattice import (
     DotStyle,
     ExclusionSet,
     MarginalSet,
-    enumerate_subsets,
+    canonical_masks,
     hasse_from_table,
     subset_label,
     to_dot,
@@ -122,14 +122,24 @@ def _outcome_columns(
         [[(chain, bit_of.get(label, -1), value) for chain, label, value in entries]],
         ms.n, merger,
     ))
-    empty = np.flatnonzero(np.isnan(columns[2]))
-    if empty.size:
-        subset = min(ExclusionSet(ms.n, int(bits)) for bits in empty)
+    empty = np.isnan(columns[2])
+    if empty.any():
+        masks = canonical_masks(ms.n)
+        subset = ExclusionSet(ms.n, int(masks[empty[masks]][0]))
         raise OutcomeEvaluationError(
             f"candidate market excluding {subset_label(ms, subset)} has zero "
             "total sales; its outcomes are undefined"
         )
     return columns
+
+
+def _check_formats(config: RunConfig, universe: StoreUniverse) -> None:
+    """Refuse store formats that the configuration leaves unclassified."""
+    listed = {*config.always_in_formats, *config.marginal_formats}
+    unlisted = sorted({s.format for s in universe} - listed)
+    if unlisted:
+        raise ConfigError("store formats in neither always_in_formats nor "
+                          f"marginal_formats: {unlisted}")
 
 
 def _presumption_game(n: int, flags: np.ndarray) -> SimpleGame:
@@ -168,6 +178,7 @@ def _state_lattice(
     for party in config.merging_chains:
         market.require(party)
     ms = MarginalSet(config.marginal_formats)
+    _check_formats(config, universe)
     columns = _outcome_columns(
         [(s.chain_id, s.format, s.revenue) for s in universe], ms, config.merger
     )
@@ -286,6 +297,7 @@ class LocalReport:
 def run_local(config: RunConfig, universe: StoreUniverse) -> LocalReport:
     """Circle-market sweep: per-subset presumptive counts, sensitivity, SSPI."""
     ms = MarginalSet(config.marginal_formats)
+    _check_formats(config, universe)
     results = analyze_local(
         universe,
         config.merger,
@@ -295,8 +307,8 @@ def run_local(config: RunConfig, universe: StoreUniverse) -> LocalReport:
     )
     flags = np.reshape([r.flags for r in results], (len(results), 1 << ms.n))
     column = flags.sum(axis=0).tolist()
-    counts = tuple((subset, column[subset.bits])
-                   for subset in enumerate_subsets(ms.n))
+    counts = tuple((ExclusionSet(ms.n, bits), column[bits])
+                   for bits in canonical_masks(ms.n).tolist())
     structure = sspi_structure_table(results, config.sspi_decimals)
     return LocalReport(
         config=config,
@@ -479,9 +491,8 @@ def write_local_report(report: LocalReport, out_dir: str | Path) -> list[Path]:
         + [f"sspi_{label}" for label in ms.members]
     ]
     market_entries = []
-    subsets = enumerate_subsets(ms.n)
-    masks = [subset.bits for subset in subsets]
-    indices = [list(subset.indices) for subset in subsets]
+    masks = [subset.bits for subset, _ in report.counts]
+    indices = [list(subset.indices) for subset, _ in report.counts]
     for result in report.results:
         cells = (
             [fmt_fixed(v, decimals) for v in result.sspi]

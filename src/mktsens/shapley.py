@@ -20,7 +20,12 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError
-from .lattice import EXACT_ENUMERATION_MAX, ExclusionSet, evaluate_subsets
+from .lattice import (
+    EXACT_ENUMERATION_MAX,
+    ExclusionSet,
+    _popcounts,
+    evaluate_subsets,
+)
 
 OutcomeScalarFn = Callable[[ExclusionSet], float]
 OutcomeVectorFn = Callable[[ExclusionSet], Mapping[str, float]]
@@ -100,14 +105,16 @@ def _marginal_gains(
     table: np.ndarray, n: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per player i, yield (|S|, v(S + i) - v(S)) for every S without i,
-    as two arrays in bitmask order."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    pop = np.zeros(1 << n, dtype=np.int64)
+    as two arrays in bitmask order.
+
+    Viewed as (-1, 2, 2^i), a table indexed by mask holds the rows without
+    bit i at [:, 0] and the rows with it at [:, 1], both in mask order.
+    """
+    sizes = _popcounts(np.arange(1 << n, dtype=np.int64), n)
     for i in range(n):
-        pop += (masks >> i) & 1
-    for i in range(n):
-        without = masks[(masks & (1 << i)) == 0]
-        yield pop[without], table[without | (1 << i)] - table[without]
+        pairs = table.reshape(-1, 2, 1 << i)
+        yield (sizes.reshape(-1, 2, 1 << i)[:, 0].ravel(),
+               (pairs[:, 1] - pairs[:, 0]).ravel())
 
 
 def _result(values: Sequence[float], grand: float, mode: str,

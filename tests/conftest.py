@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -21,8 +21,6 @@ from mktsens import (
     DegenerateMarketError,
     DotStyle,
     ExclusionSet,
-    HasseEdge,
-    HasseNode,
     Market,
     MarginalSet,
     MergerSpec,
@@ -298,10 +296,23 @@ def scalar_flags(columns, rule) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Object-based Hasse diagrams: one HasseNode per node and one HasseEdge per
-# edge, with the emitters that walked them.  The table-backed diagram and its
-# emitters replaced these; they stay as the byte-for-byte oracle.
+# Object-based Hasse diagrams: one record per node and one per edge, with the
+# emitters that walked them.  The table-backed diagram and its emitters
+# replaced these; they stay as the byte-for-byte oracle.  Subsets are put in
+# canonical order by ExclusionSet comparisons, not by canonical_masks.
 # ---------------------------------------------------------------------------
+
+
+class OracleNode(NamedTuple):
+    subset: ExclusionSet
+    outcomes: tuple[float, ...]
+    flagged: bool
+
+
+class OracleEdge(NamedTuple):
+    from_subset: ExclusionSet
+    to_subset: ExclusionSet
+    deltas: tuple[float, ...]
 
 
 def scalar_hasse(ms: MarginalSet, outcomes: Sequence[Sequence[float]],
@@ -309,14 +320,14 @@ def scalar_hasse(ms: MarginalSet, outcomes: Sequence[Sequence[float]],
     """(nodes, edges) from outcome rows and flags indexed by mask: the full
     lattice by build_hasse's bit loop, or, when ``keep`` names the kept
     masks, restrict's pairwise cover search over them."""
-    subsets = enumerate_subsets(ms.n)
-    nodes = [HasseNode(s, tuple(outcomes[s.bits]), bool(flags[s.bits]))
+    subsets = sorted(ExclusionSet(ms.n, bits) for bits in range(1 << ms.n))
+    nodes = [OracleNode(s, tuple(outcomes[s.bits]), bool(flags[s.bits]))
              for s in subsets if keep is None or s.bits in keep]
 
     def edge(lower, upper):
         deltas = tuple(c - p for c, p in zip(outcomes[upper.bits],
                                              outcomes[lower.bits]))
-        return HasseEdge(lower, upper, deltas)
+        return OracleEdge(lower, upper, deltas)
 
     edges = []
     if keep is None:
@@ -364,7 +375,7 @@ def scalar_hasse_dot(ms, metric_names, nodes, edges,
     by_bits = {node.subset.bits: node for node in nodes}
     lines = ["digraph hasse {", "  rankdir=BT;",
              '  node [shape=box, style=filled, fillcolor=white];']
-    by_size: dict[int, list[HasseNode]] = {}
+    by_size: dict[int, list[OracleNode]] = {}
     for node in sorted(nodes, key=lambda n: n.subset.sort_key):
         by_size.setdefault(node.subset.size, []).append(node)
     for size in sorted(by_size):

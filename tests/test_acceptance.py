@@ -382,8 +382,7 @@ def test_criterion_7_local_pipeline(report, local_config, local_universe,
         for r in result.results:
             flags, sensitive, power = oracle[r.center_id]
             assert r.sensitive == sensitive
-            for outcome in r.outcomes:
-                assert outcome.flagged == flags[outcome.subset.bits]
+            assert dict(enumerate(r.flags.tolist())) == flags
             if sensitive:
                 assert r.sspi == power
 

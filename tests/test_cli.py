@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from mktsens import reports
+from mktsens import Store, reports
 from mktsens.cli import main
 from tests.conftest import base_config_doc, local_stores, state_stores, write_inputs
 
@@ -146,6 +148,39 @@ class TestHasseCommand:
         assert err.value.code == 2
 
 
+class TestUnlistedFormats:
+    """Store formats in neither always_in_formats nor marginal_formats."""
+
+    DOC = base_config_doc(
+        always_in_formats=["supermarket"],
+        marginal_formats=["natural", "limited"],
+        marginal_firms=["grandway", "citygrocer", "dailymart"],
+    )
+    MESSAGE = ("configuration error: store formats in neither "
+               "always_in_formats nor marginal_formats: ['club', 'supercenter']")
+
+    @pytest.mark.parametrize("command,stores", [
+        ("state", state_stores), ("hasse", state_stores),
+        ("local", local_stores),
+    ])
+    def test_format_pipelines_refuse_them(self, tmp_path, capsys, command,
+                                          stores):
+        code, out = run_cli(tmp_path, command, stores(), self.DOC)
+        assert code == 2
+        assert capsys.readouterr().err.strip() == self.MESSAGE
+        assert not out.exists()
+
+    def test_firm_ignores_formats(self, tmp_path):
+        code, out = run_cli(tmp_path, "firm", state_stores(), self.DOC)
+        assert code == 0
+        assert (out / "sspi.csv").exists()
+
+    def test_dropped_formats_do_not_count(self, tmp_path):
+        doc = dict(self.DOC, drop_formats=["club", "supercenter"])
+        code, _ = run_cli(tmp_path, "state", state_stores(), doc)
+        assert code == 0
+
+
 class TestFailureModes:
     def test_bad_config_json(self, tmp_path, capsys):
         stores_path, config_path = write_inputs(
@@ -231,3 +266,119 @@ class TestConsoleScript:
         assert result.returncode == 0, result.stderr
         assert result.stdout.count("wrote ") == 8
         assert (out_dir / "hasse.dot").exists()
+
+
+# ---------------------------------------------------------------------------
+# Byte-identity gate: SHA-256 of every report file the CLI writes for one
+# seeded universe.  A refactor must leave every digest as it is; a change
+# that means to alter report bytes updates them and says why.
+# ---------------------------------------------------------------------------
+
+GOLDEN_CHAINS = ("acme", "bolt", "cato", "dune", "echo", "fern")
+GOLDEN_FORMATS = ("supermarket", "supercenter", "club", "natural", "limited")
+
+
+def golden_stores(seed: int = 20240, count: int = 300) -> tuple[Store, ...]:
+    """Stores in a box of about 20 x 25 miles, so that 3-mile circles
+    around acme and bolt stores often hold both parties."""
+    rng = random.Random(seed)
+    stores = []
+    for k in range(count):
+        chain = rng.choice(GOLDEN_CHAINS)
+        stores.append(Store(
+            f"g{k:03d}", chain, chain.title(), rng.choice(GOLDEN_FORMATS),
+            round(45.0 + rng.uniform(0.0, 0.3), 5),
+            round(-122.0 + rng.uniform(0.0, 0.5), 5),
+            round(rng.uniform(1.0, 40.0), 2),
+        ))
+    return tuple(stores)
+
+
+GOLDEN_CONFIG = base_config_doc(
+    always_in_formats=["supermarket", "supercenter"],
+    marginal_formats=["club", "natural", "limited"],
+    marginal_firms=["cato", "dune", "echo"],
+    # Statewide post-merger HHI runs from 2225 to 2372 over the formats'
+    # lattice, so this threshold makes the state and firm games sensitive.
+    rule={"post_hhi_threshold": 2290},
+    radius_miles=3.0,
+    seed=5,
+    permutations=400,
+)
+
+GOLDEN_RUNS = {
+    "state": ("state",),
+    "sampled": ("state", "--sampled"),
+    "hasse": ("hasse",),
+    "hasse-json": ("hasse", "--format", "json"),
+    "firm": ("firm",),
+    "local": ("local",),
+}
+
+GOLDEN_DIGESTS = {
+    "state/hasse.dot":
+        "15a7622cf1aee96283533481ebcda4932376d9797439353338acf7da8242e925",
+    "state/hasse.json":
+        "7deb3115c123d45d078439aab36bf81100926ce2c9fa2bf4d4addc8181e32a2f",
+    "state/shapley.csv":
+        "ddc4f63d1acd5995a86fc6651f3f580778deec7ac2c890ee3c1b3bcafa295b18",
+    "state/shares.csv":
+        "ff29db43e34d4ddb6aceeff173311ffdc2a352d884a0b48fcf8e517c3f1909d7",
+    "state/shares.json":
+        "8e9203a2cec0c2bf9a1c2354b45bd2f8fd2a850b45d91c73ea95141860e65c04",
+    "state/sspi.csv":
+        "46f68004b968dfe8e6966020f8d6a0079d9cb19eedf6147cb4eae7469124fc6e",
+    "state/sspi.json":
+        "068187bff0c561c0ee1231776e8ddcfc60fdb96c67817c6fc583aa5d42db2ab6",
+    "sampled/hasse.dot":
+        "15a7622cf1aee96283533481ebcda4932376d9797439353338acf7da8242e925",
+    "sampled/hasse.json":
+        "7deb3115c123d45d078439aab36bf81100926ce2c9fa2bf4d4addc8181e32a2f",
+    "sampled/shapley.csv":
+        "e025a79be9afa5875bfe306b06e4fe29301c98f7087d5e6bf150ea84f6b5b2e8",
+    "sampled/shares.csv":
+        "ff29db43e34d4ddb6aceeff173311ffdc2a352d884a0b48fcf8e517c3f1909d7",
+    "sampled/shares.json":
+        "8e9203a2cec0c2bf9a1c2354b45bd2f8fd2a850b45d91c73ea95141860e65c04",
+    "sampled/sspi.csv":
+        "46f68004b968dfe8e6966020f8d6a0079d9cb19eedf6147cb4eae7469124fc6e",
+    "sampled/sspi.json":
+        "068187bff0c561c0ee1231776e8ddcfc60fdb96c67817c6fc583aa5d42db2ab6",
+    "hasse/hasse.dot":
+        "15a7622cf1aee96283533481ebcda4932376d9797439353338acf7da8242e925",
+    "hasse/hasse.json":
+        "7deb3115c123d45d078439aab36bf81100926ce2c9fa2bf4d4addc8181e32a2f",
+    "hasse-json/hasse.json":
+        "7deb3115c123d45d078439aab36bf81100926ce2c9fa2bf4d4addc8181e32a2f",
+    "firm/sspi.csv":
+        "ea2ac21407c90f00b48523cdf5c2fb0a9a36582374cf583c37e6795310faf52b",
+    "firm/sspi.json":
+        "857df08be4931453f136ad1c730f9a852d3292b617f3dff283dd8e1013a197ce",
+    "local/local_counts.csv":
+        "f7ba5243cd4625be4a2f1a1184b6c84466484a872cf0f494dee8d45890cf8f04",
+    "local/local_counts.json":
+        "2d9fbaaac466333eb402e9c6123fea42bbe35bfebbc6a5408c700ad5abd35c76",
+    "local/local_markets.csv":
+        "f1057d94cb9f410ae913e951fd786513cf35e8b9c7258f1eb0acb09ee5832791",
+    "local/local_markets.json":
+        "dc39f942dee55abac997212cfd854a3b027e3f6c5ee04311b60f9eeb06711391",
+    "local/sspi_structure.csv":
+        "d0fcebb39dc6888e42c74b86aa660eaac7a39bc8d742f21617f3eeb1fd277f5c",
+    "local/sspi_structure.json":
+        "40a957f7ea3ff0232b86d19700ae8e462da4a0db49fbd6d8390c7d7c94a66200",
+}
+
+
+def test_reports_match_golden_digests(tmp_path):
+    digests = {}
+    for name, argv in GOLDEN_RUNS.items():
+        code, out = run_cli(tmp_path, argv[0], golden_stores(), GOLDEN_CONFIG,
+                            *argv[1:], out=name)
+        assert code == 0
+        for path in sorted(out.iterdir()):
+            # Full-precision Shapley sums may differ in the last bit
+            # between numpy and BLAS builds.
+            if path.name != "shapley.json":
+                digests[f"{name}/{path.name}"] = hashlib.sha256(
+                    path.read_bytes()).hexdigest()
+    assert digests == GOLDEN_DIGESTS

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mktsens import (
     DataError,
+    ExclusionSet,
     MarginalSet,
     MergerSpec,
     PresumptionRule,
@@ -52,6 +53,16 @@ class TestStore:
             _store(lon=-181.0)
         with pytest.raises(DataError):
             _store(rev=-1.0)
+
+    @pytest.mark.parametrize("rev", [math.nan, math.inf, -math.inf])
+    def test_non_finite_revenue_rejected(self, rev):
+        with pytest.raises(DataError, match="revenue is not finite"):
+            _store(rev=rev)
+
+    def test_nan_revenue_fails_before_any_circle_is_drawn(self):
+        with pytest.raises(DataError, match="'a1': revenue is not finite"):
+            StoreUniverse((_store("a1", "acme", rev=math.nan),
+                           _store("b1", "bolt", rev=5.0)))
 
     def test_position(self):
         assert _store(lat=10.0, lon=20.0).position == (10.0, 20.0)
@@ -309,7 +320,7 @@ class TestCircleMarketOracle:
         for r in results:
             flags, sensitive, power = oracle[r.center_id]
             assert r.sensitive == sensitive
-            assert {o.subset.bits: o.flagged for o in r.outcomes} == flags
+            assert dict(enumerate(r.flags.tolist())) == flags
             if sensitive:
                 assert r.sspi == power
 
@@ -363,21 +374,19 @@ class TestAnalyzeLocal:
         assert cluster1.member_count == 7
         assert cluster1.sensitive
         assert cluster1.sspi == (1.0, 0.0, 0.0)  # the club chain is a dictator
-        for outcome in cluster1.outcomes:
-            labels = ms.labels_of(outcome.subset)
-            post, delta, share = _cluster1_expected(labels)
-            assert outcome.post_hhi == pytest.approx(post, rel=1e-12)
-            assert outcome.delta_hhi == pytest.approx(delta, rel=1e-12)
-            assert outcome.merged_share == pytest.approx(share, rel=1e-12)
-            assert outcome.flagged == ("club" in labels)
+        for bits, (outcomes, flagged) in enumerate(
+                zip(cluster1.table.tolist(), cluster1.flags.tolist())):
+            labels = ms.labels_of(ExclusionSet(ms.n, bits))
+            assert outcomes == pytest.approx(_cluster1_expected(labels),
+                                             rel=1e-12)
+            assert flagged == ("club" in labels)
 
         cluster2 = by_center["a02"]
         assert cluster2.member_count == 4
         assert not cluster2.sensitive
         assert cluster2.sspi is None
-        for outcome in cluster2.outcomes:
-            assert outcome.delta_hhi == pytest.approx(50.0, rel=1e-12)
-            assert not outcome.flagged
+        assert cluster2.table[:, 1] == pytest.approx([50.0] * 8, rel=1e-12)
+        assert not cluster2.flags.any()
 
         # Twin centers in the same cluster see the same circle.
         assert by_center["b01"].sensitive
@@ -385,14 +394,15 @@ class TestAnalyzeLocal:
         assert not by_center["b02"].sensitive
 
     def test_outcome_lookup(self, local_universe, merger):
-        from mktsens import ExclusionSet
-
+        # Rows are indexed by bitmask and read-only.
         ms = MarginalSet(("club", "natural", "limited"))
         results = analyze_local(local_universe, merger, ms, radius_miles=5.0)
-        subset = ms.subset_of(("club",))
-        assert results[0].outcome_for(subset).flagged
-        with pytest.raises(KeyError):
-            results[0].outcome_for(ExclusionSet(5, 1 << 4))
+        assert results[0].table.shape == (8, 3)
+        assert results[0].flags.shape == (8,)
+        assert results[0].flags[ms.subset_of(("club",)).bits]
+        for array in (results[0].table, results[0].flags):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
     def test_single_party_circles_are_skipped(self, merger):
         # An isolated acme store with no bolt nearby carries no overlap.
@@ -433,7 +443,7 @@ class TestAnalyzeLocal:
         u = StoreUniverse(stores, defendant_chains=("acme", "bolt"))
         results = analyze_local(u, merger, ("club",), radius_miles=5.0)
         assert len(results) == 2
-        assert results[0].outcomes[0].merged_share == pytest.approx(0.5)
+        assert results[0].table[0, 2] == pytest.approx(0.5)
 
     def test_circle_left_with_no_revenue_is_a_data_error(self, merger):
         stores = (

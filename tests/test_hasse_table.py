@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +56,14 @@ def diagrams(draw):
     return MarginalSet(labels), tuple(names), rows, flags, keep, style
 
 
+def assert_same_floats(actual: np.ndarray, expected) -> None:
+    """Equal value by value, where NaN equals NaN and 0.0 differs from -0.0."""
+    expected = np.array(expected, dtype=np.float64).reshape(actual.shape)
+    same = ((actual == expected) & (np.signbit(actual) == np.signbit(expected))
+            | np.isnan(actual) & np.isnan(expected))
+    assert same.all()
+
+
 @settings(max_examples=300, deadline=None)
 @given(diagrams())
 def test_emitters_match_the_object_oracle(case):
@@ -63,9 +72,13 @@ def test_emitters_match_the_object_oracle(case):
     if keep is not None:
         diagram = restrict(diagram, [ExclusionSet(ms.n, bits) for bits in keep])
     nodes, edges = scalar_hasse(ms, rows, flags, keep)
-    # repr compares NaN outcomes, which == on tuples of fresh floats cannot.
-    assert repr(diagram.nodes) == repr(tuple(nodes))
-    assert repr(diagram.edges) == repr(tuple(edges))
+    assert diagram.masks.tolist() == [node.subset.bits for node in nodes]
+    assert_same_floats(diagram.table, [node.outcomes for node in nodes])
+    assert diagram.flags.tolist() == [node.flagged for node in nodes]
+    assert diagram.edge_masks.tolist() == [
+        [edge.from_subset.bits, edge.to_subset.bits] for edge in edges
+    ]
+    assert_same_floats(diagram.edge_deltas(), [edge.deltas for edge in edges])
 
     text = to_json(diagram)
     assert isinstance(text, str)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from mktsens import (
     MarginalSet,
     OutcomeEvaluationError,
     build_hasse,
+    canonical_masks,
     covers,
     diagram_from_json,
     enumerate_subsets,
@@ -104,19 +106,25 @@ class TestEnumeration:
         assert len({s.bits for s in subsets}) == 2**n
 
     def test_matches_itertools_combinations(self):
-        n = 6
-        expected = []
-        for k in range(n + 1):
-            masks = sorted(
-                sum(1 << i for i in combo)
-                for combo in itertools.combinations(range(n), k)
-            )
-            expected.extend(masks)
-        assert [s.bits for s in enumerate_subsets(n)] == expected
+        # The canonical-order oracle: cardinality layers, masks ascending.
+        for n in range(0, 11):
+            expected = []
+            for k in range(n + 1):
+                masks = sorted(
+                    sum(1 << i for i in combo)
+                    for combo in itertools.combinations(range(n), k)
+                )
+                expected.extend(masks)
+            assert canonical_masks(n).dtype == np.int64
+            assert canonical_masks(n).tolist() == expected
+            assert [s.bits for s in enumerate_subsets(n)] == expected
 
     def test_capacity_limit(self):
-        with pytest.raises(CapacityError):
-            enumerate_subsets(25)
+        for enumerate_ in (canonical_masks, enumerate_subsets):
+            with pytest.raises(CapacityError):
+                enumerate_(25)
+            with pytest.raises(ValueError):
+                enumerate_(-1)
 
 
 class TestCovers:
@@ -127,6 +135,13 @@ class TestCovers:
         assert not covers(lo, lo)
         assert not covers(ExclusionSet.from_indices(4, [1]),
                           ExclusionSet.from_indices(4, [0, 2]))
+
+
+def assert_same_diagram(a, b):
+    assert a.marginal_set == b.marginal_set
+    assert a.metric_names == b.metric_names
+    for name in ("masks", "table", "flags", "edge_masks"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def _textbook_diagram(market_fn=None):
@@ -147,14 +162,14 @@ class TestBuildHasse:
         diagram = _textbook_diagram()
         ms = diagram.marginal_set
         for labels, expected in TEXTBOOK_HHI.items():
-            node = diagram.node_for(ms.subset_of(labels))
-            assert node.outcomes[0] == expected
+            assert diagram.outcome(ms.subset_of(labels), "hhi") == expected
 
     def test_textbook_flags(self):
         diagram = _textbook_diagram()
         ms = diagram.marginal_set
         flagged = {
-            ms.labels_of(n.subset) for n in diagram.nodes if n.flagged
+            ms.labels_of(ExclusionSet(ms.n, bits))
+            for bits in diagram.masks[diagram.flags].tolist()
         }
         assert flagged == {("1", "2"), ("1", "3"), ("1", "2", "3")}
 
@@ -162,19 +177,24 @@ class TestBuildHasse:
     def test_node_and_edge_counts(self, n):
         ms = MarginalSet(tuple(f"m{i}" for i in range(n)))
         diagram = build_hasse(ms, lambda s: {"size": float(s.size)})
-        assert len(diagram.nodes) == 2**n
-        assert len(diagram.edges) == (n * 2 ** (n - 1) if n else 0)
+        assert diagram.masks.shape == diagram.flags.shape == (2**n,)
+        assert diagram.table.shape == (2**n, 1)
+        assert diagram.edge_masks.shape == (n * 2 ** (n - 1) if n else 0, 2)
 
     def test_edge_deltas_match_node_outcomes(self):
         diagram = _textbook_diagram()
-        for edge in diagram.edges:
-            parent = diagram.node_for(edge.from_subset).outcomes[0]
-            child = diagram.node_for(edge.to_subset).outcomes[0]
-            assert edge.deltas[0] == pytest.approx(child - parent, abs=1e-12)
+        n = diagram.marginal_set.n
+        for (lower, upper), (delta,) in zip(diagram.edge_masks.tolist(),
+                                            diagram.edge_deltas().tolist()):
+            parent = diagram.outcome(ExclusionSet(n, lower), "hhi")
+            child = diagram.outcome(ExclusionSet(n, upper), "hhi")
+            assert delta == pytest.approx(child - parent, abs=1e-12)
 
     def test_every_edge_is_a_covering_pair(self):
         diagram = _textbook_diagram()
-        assert all(covers(e.from_subset, e.to_subset) for e in diagram.edges)
+        n = diagram.marginal_set.n
+        assert all(covers(ExclusionSet(n, lower), ExclusionSet(n, upper))
+                   for lower, upper in diagram.edge_masks.tolist())
 
     def test_outcome_function_called_once_per_subset(self):
         calls = []
@@ -233,15 +253,16 @@ class TestBuildHasse:
         ms = diagram.marginal_set
         sub = restrict(diagram, [ms.subset_of(())])
         with pytest.raises(KeyError):
-            sub.node_for(ms.subset_of(("1",)))
+            sub.outcome(ms.subset_of(("1",)), "hhi")
 
 
 class TestRestrict:
     def test_keeping_everything_is_the_identity(self):
         diagram = _textbook_diagram()
-        kept = restrict(diagram, [n.subset for n in diagram.nodes])
-        assert kept.nodes == diagram.nodes
-        assert kept.edges == diagram.edges
+        n = diagram.marginal_set.n
+        kept = restrict(diagram,
+                        [ExclusionSet(n, bits) for bits in diagram.masks.tolist()])
+        assert_same_diagram(kept, diagram)
 
     def test_chains_through_dropped_nodes_collapse(self):
         diagram = _textbook_diagram()
@@ -249,22 +270,18 @@ class TestRestrict:
         keep = [ms.subset_of(()), ms.subset_of(("1", "2")),
                 ms.subset_of(("1", "2", "3"))]
         sub = restrict(diagram, keep)
-        pairs = {(e.from_subset.bits, e.to_subset.bits) for e in sub.edges}
-        assert pairs == {
-            (ms.subset_of(()).bits, ms.subset_of(("1", "2")).bits),
-            (ms.subset_of(("1", "2")).bits, ms.subset_of(("1", "2", "3")).bits),
-        }
-        empty_to_pair = next(
-            e for e in sub.edges if e.from_subset.bits == 0
-        )
+        assert sub.edge_masks.tolist() == [
+            [ms.subset_of(()).bits, ms.subset_of(("1", "2")).bits],
+            [ms.subset_of(("1", "2")).bits, ms.subset_of(("1", "2", "3")).bits],
+        ]
         expected = TEXTBOOK_HHI[("1", "2")] - TEXTBOOK_HHI[()]
-        assert empty_to_pair.deltas[0] == pytest.approx(expected, abs=1e-12)
+        assert sub.edge_deltas()[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_incomparable_survivors_get_no_edge(self):
         diagram = _textbook_diagram()
         ms = diagram.marginal_set
         sub = restrict(diagram, [ms.subset_of(("1",)), ms.subset_of(("2",))])
-        assert sub.edges == ()
+        assert sub.edge_masks.shape == (0, 2)
 
     def test_unknown_subset_rejected(self):
         diagram = _textbook_diagram()
@@ -331,11 +348,15 @@ class TestDotOutput:
 class TestJsonRoundTrip:
     def test_round_trip_preserves_everything(self):
         diagram = _textbook_diagram()
-        again = diagram_from_json(to_json(diagram))
-        assert again.marginal_set == diagram.marginal_set
-        assert again.metric_names == diagram.metric_names
-        assert again.nodes == diagram.nodes
-        assert again.edges == diagram.edges
+        assert_same_diagram(diagram_from_json(to_json(diagram)), diagram)
+
+    def test_nodes_may_come_in_any_order(self):
+        import json
+
+        diagram = _textbook_diagram()
+        doc = json.loads(to_json(diagram))
+        doc["nodes"].reverse()
+        assert_same_diagram(diagram_from_json(json.dumps(doc)), diagram)
 
     def test_serialization_is_deterministic(self):
         assert to_json(_textbook_diagram()) == to_json(_textbook_diagram())

@@ -50,6 +50,11 @@ class TestMarket:
         with pytest.raises(DataError):
             Market({"a": -1.0})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_sales_rejected(self, value):
+        with pytest.raises(DataError, match="non-finite sales"):
+            Market({"a": 1.0, "b": value})
+
     def test_zero_sales_firm_is_allowed(self):
         m = Market({"a": 0.0, "b": 10.0})
         assert shares(m) == {"a": 0.0, "b": 1.0}

@@ -55,10 +55,10 @@ def make_universe(rows) -> StoreUniverse:
 
 
 def diagram_columns(report):
-    nodes = sorted(report.diagram.nodes, key=lambda node: node.subset.bits)
-    outcomes = np.array([node.outcomes for node in nodes])
-    flags = np.array([node.flagged for node in nodes])
-    return tuple(outcomes.T), flags
+    """The diagram's outcome columns and flags, indexed by mask."""
+    diagram = report.diagram
+    order = np.argsort(diagram.masks)
+    return tuple(diagram.table[order].T), diagram.flags[order]
 
 
 def assert_state_matches_scalar(universe, config):

@@ -63,11 +63,11 @@ class TestRunState:
             subset = ExclusionSet.from_indices(
                 ms.n, [ms.index_of(x) for x in labels]
             )
-            node = report.diagram.node_for(subset)
-            assert node.outcomes[post_index] == pytest.approx(
+            row = report.diagram.masks.tolist().index(subset.bits)
+            assert report.diagram.table[row, post_index] == pytest.approx(
                 expected, rel=1e-12, abs=0.0
             )
-            assert node.flagged == (labels in STATE_FLAGGED)
+            assert report.diagram.flags[row] == (labels in STATE_FLAGGED)
 
     def test_shapley_matches_reference(self, state_config, state_universe):
         report = run_state(state_config, state_universe)
@@ -114,7 +114,8 @@ class TestRunState:
         def refuse(*args, **kwargs):
             raise AssertionError("not on the state pipeline")
 
-        for module, name in ((lattice, "HasseNode"), (lattice, "HasseEdge"),
+        for module, name in ((lattice, "ExclusionSet"),
+                             (reports, "ExclusionSet"),
                              (lattice, "build_hasse"),
                              (lattice, "evaluate_subsets"),
                              (shapley, "evaluate_subsets")):
