@@ -28,7 +28,6 @@ from .errors import (
     OutcomeEvaluationError,
 )
 from .ingest import load_stores
-from .lattice import DotStyle
 from .reports import (
     run_firm_level,
     run_local,
@@ -83,7 +82,6 @@ def main(argv: list[str] | None = None) -> int:
             args.stores,
             drop_formats=config.drop_formats,
             region=config.region_filter,
-            defendant_chains=config.merging_chains,
         )
         out = Path(args.out)
         if args.command == "state":
@@ -99,7 +97,6 @@ def main(argv: list[str] | None = None) -> int:
                 state_diagram(config, universe),
                 out,
                 (args.format,) if args.format else ("dot", "json"),
-                DotStyle(label_metrics=("post_hhi",)),
             )
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

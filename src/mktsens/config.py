@@ -114,6 +114,7 @@ class RunConfig:
         _require(self.sspi_decimals >= 0, "rounding decimals must be nonnegative")
         _require(self.share_decimals >= 0, "rounding decimals must be nonnegative")
         _require(self.permutations >= 1, "permutations must be at least 1")
+        _require(self.seed >= 0, "seed must be nonnegative")
         _require(
             self.region_filter is None or self.region_filter != "",
             "region_filter must be a nonempty string when given",

@@ -1,8 +1,8 @@
 """Local circle markets around merging parties' stores.
 
-Each defendant store anchors a circular candidate market; stores within the
-radius (great-circle distance, inclusive boundary) form the market and
-revenue aggregates by chain.  One :func:`merger_outcome_table` call then
+Each store of the two merging chains anchors a circular candidate market;
+stores within the radius (great-circle distance, inclusive boundary) form
+the market and revenue aggregates by chain.  One :func:`merger_outcome_table` call then
 evaluates every exclusion set of every circle, as it does for the state and
 firm lattices.
 """
@@ -61,10 +61,9 @@ class Store:
 
 @dataclass(frozen=True)
 class StoreUniverse:
-    """All stores under analysis, with the defendant (merging) chains noted."""
+    """All stores under analysis, looked up by store id."""
 
     stores: tuple[Store, ...]
-    defendant_chains: tuple[str, ...] = ()
     _by_id: dict[str, Store] = field(
         init=False, repr=False, compare=False, hash=False
     )
@@ -226,14 +225,14 @@ def analyze_local(
     rule: PresumptionRule = PresumptionRule(),
     radius_miles: float = 5.0,
 ) -> tuple[LocalAnalysisResult, ...]:
-    """Run the exclusion-set analysis in a circle around every defendant store.
+    """Run the exclusion-set analysis in a circle around every store of the
+    two merging chains.
 
-    Centers are the defendant chains' stores (the merging chains unless the
-    universe names others), in store-id order.  A circle is analyzed only
-    when both merging chains have at least one member store; single-party
-    circles carry no competitive overlap and are skipped.  A merging chain
-    whose in-circle revenue disappears under some exclusion set still
-    evaluates, as a zero-sales firm.  One :func:`merger_outcome_table` call
+    Centers are the merging chains' stores, in store-id order.  A circle is
+    analyzed only when both merging chains have at least one member store;
+    single-party circles carry no competitive overlap and are skipped.  A
+    merging chain whose in-circle revenue disappears under some exclusion
+    set still evaluates, as a zero-sales firm.  One :func:`merger_outcome_table` call
     evaluates every exclusion set of every analyzed circle, and one
     :func:`presumption` call flags them.
     """
@@ -247,12 +246,7 @@ def analyze_local(
     for party in parties:
         if party not in universe_chains:
             raise DataError(f"merging chain {party!r} has no stores in the universe")
-    defendants = universe.defendant_chains or parties
-    centers = sorted(universe.of_chains(defendants), key=lambda s: s.store_id)
-    if not centers:
-        raise DataError(
-            f"no defendant stores found for chains {sorted(defendants)}"
-        )
+    centers = sorted(universe.of_chains(parties), key=lambda s: s.store_id)
     circles = [
         circle
         for circle in (circle_market(universe, c, radius_miles) for c in centers)
@@ -282,7 +276,7 @@ def analyze_local(
         array.flags.writeable = False
     results = []
     for circle, outcomes, flagged in zip(circles, table, flags):
-        game = SimpleGame(ms.n, flagged.view(np.uint8))
+        game = SimpleGame(ms.n, flagged)
         sensitive = not game.constant
         results.append(LocalAnalysisResult(
             circle.center, circle.radius_miles, len(circle.members), outcomes,

@@ -41,7 +41,6 @@ def load_stores(
     path: str | Path,
     drop_formats: tuple[str, ...] = (),
     region: str | None = None,
-    defendant_chains: tuple[str, ...] = (),
 ) -> StoreUniverse:
     """Read a store CSV into a :class:`StoreUniverse`.
 
@@ -49,8 +48,8 @@ def load_stores(
     longitude, revenue.  Extra columns are ignored.  Formats are lowercased;
     a ``region`` argument keeps only rows whose ``region`` column matches and
     requires that column to exist.  All validation failures are reported
-    together, each with its source line number.  ``defendant_chains`` is
-    recorded on the universe for local (circle-market) analysis.
+    together, each with its source line number.  Local analysis centres its
+    circles on the stores of the run's merging chains.
     """
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
@@ -153,4 +152,4 @@ def load_stores(
         )
     else:
         logger.info("loaded %d stores from %s", len(stores), path)
-    return StoreUniverse(tuple(stores), defendant_chains)
+    return StoreUniverse(tuple(stores))

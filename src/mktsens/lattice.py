@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .display import floor_int, round_half_up
+from .display import floor_int
 from .errors import CapacityError, DataError, OutcomeEvaluationError
 
 EXACT_ENUMERATION_MAX = 24
@@ -201,16 +201,6 @@ def covers(a: ExclusionSet, b: ExclusionSet) -> bool:
     a._check_width(b)
     diff = b.bits & ~a.bits
     return a.bits & ~b.bits == 0 and diff != 0 and diff & (diff - 1) == 0
-
-
-@dataclass(frozen=True)
-class DotStyle:
-    """Rendering knobs for :func:`to_dot`."""
-
-    floor_labels: bool = True
-    decimals: int = 1
-    alert_fill: str = "lightcoral"
-    label_metrics: tuple[str, ...] | None = None
 
 
 def _frozen_array(
@@ -418,36 +408,27 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _metric_positions(
-    diagram: AnnotatedHasseDiagram, style: DotStyle
-) -> list[int]:
-    wanted = style.label_metrics or diagram.metric_names
+def to_dot(
+    diagram: AnnotatedHasseDiagram, label_metrics: Sequence[str] | None = None
+) -> str:
+    """Render the diagram as Graphviz DOT.
+
+    Nodes sit on ranks by cardinality with the empty set at the bottom and
+    are labelled with the floors of ``label_metrics`` (every metric by
+    default); flagged nodes are filled light coral.  Edge labels show the
+    change in each displayed metric, computed on the floored node values so
+    the arithmetic visibly adds up.
+    """
     positions = []
-    for name in wanted:
+    for name in label_metrics or diagram.metric_names:
         if name not in diagram.metric_names:
             raise ValueError(f"unknown metric {name!r} in label_metrics")
         positions.append(diagram.metric_names.index(name))
-    return positions
-
-
-def to_dot(diagram: AnnotatedHasseDiagram, style: DotStyle = DotStyle()) -> str:
-    """Render the diagram as Graphviz DOT.
-
-    Nodes sit on ranks by cardinality with the empty set at the bottom; edge
-    labels show the change in each displayed metric, computed on the displayed
-    (floored or rounded) node values so the arithmetic visibly adds up.
-    """
-    positions = _metric_positions(diagram, style)
-    if style.floor_labels:
-        node_spec, edge_spec = "d", "+d"
-    else:
-        node_spec, edge_spec = f".{style.decimals}f", f"+.{style.decimals}f"
     members = diagram.marginal_set.members
     labels = [tuple(label for i, label in enumerate(members) if bits >> i & 1)
               for bits in diagram.masks.tolist()]
     ids = [f'"{_dot_escape("_".join(names) if names else "empty")}"'
            for names in labels]
-    fill = f', fillcolor="{_dot_escape(style.alert_fill)}"'
     lines = ["digraph hasse {", "  rankdir=BT;",
              '  node [shape=box, style=filled, fillcolor=white];']
     shown = []
@@ -455,20 +436,20 @@ def to_dot(diagram: AnnotatedHasseDiagram, style: DotStyle = DotStyle()) -> str:
     rows = zip(ids, labels, diagram.table[:, positions].tolist(),
                diagram.flags.tolist())
     for row, (node_id, names, values, flagged) in enumerate(rows):
-        display = [floor_int(v) if style.floor_labels
-                   else round_half_up(v, style.decimals) for v in values]
+        display = [floor_int(v) for v in values]
         shown.append(display)
         name = _dot_escape("{" + ", ".join(names) + "}")
-        text = _dot_escape(", ".join(format(v, node_spec) for v in display))
-        lines.append(f'  {node_id} [label="{name}\\n{text}"'
-                     f'{fill if flagged else ""}];')
+        # Integers need no DOT escaping.
+        text = ", ".join(map(str, display))
+        fill = ', fillcolor="lightcoral"' if flagged else ""
+        lines.append(f'  {node_id} [label="{name}\\n{text}"{fill}];')
         layer.append(node_id)
         if row + 1 == len(labels) or len(labels[row + 1]) != len(names):
             lines.append(f"  {{ rank=same; {'; '.join(layer)}; }}")
             layer = []
     lower, upper = diagram._edge_rows.T.tolist()
     # Signed numbers need no DOT escaping.
-    parts = [[format(column[t] - column[f], edge_spec)
+    parts = [[format(column[t] - column[f], "+d")
               for f, t in zip(lower, upper)] for column in zip(*shown)]
     edge_labels = map(", ".join, zip(*parts)) if parts else [""] * len(lower)
     lines.extend(map('  {} -> {} [label="{}"];'.format,

@@ -91,8 +91,9 @@ class PresumptionRule:
     use_share_criterion: bool = False
 
     def __post_init__(self) -> None:
-        if self.post_hhi_threshold < 0 or self.delta_hhi_threshold < 0:
-            raise ValueError("HHI thresholds must be nonnegative")
+        # Written so that NaN, which no HHI ever exceeds, fails too.
+        if not (self.post_hhi_threshold >= 0 and self.delta_hhi_threshold >= 0):
+            raise ValueError("HHI thresholds must be nonnegative numbers")
         if not 0 < self.merged_share_threshold <= 1:
             raise ValueError("merged share threshold must lie in (0, 1]")
 

@@ -3,8 +3,8 @@
 Three pipelines share one configuration: state-level (exclusion lattice over
 marginal formats on the statewide chain market), firm-level (exclusion
 lattice over named competitor chains), and local (circle markets around
-defendant stores).  Emitters write CSV for human-readable display values and
-JSON carrying full-precision numbers alongside the displayed ones.
+the merging chains' stores).  Emitters write CSV for human-readable display
+values and JSON carrying full-precision numbers alongside the displayed ones.
 
 Display conventions: HHI values floor to integers, Shapley values round
 half-up to integers, Shapley shares round to 3 decimals, SSPI truncates to
@@ -23,7 +23,7 @@ import shutil
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from pathlib import Path
 from typing import Sequence
 
@@ -41,7 +41,6 @@ from .geomarket import (
 )
 from .lattice import (
     AnnotatedHasseDiagram,
-    DotStyle,
     ExclusionSet,
     MarginalSet,
     canonical_masks,
@@ -66,6 +65,8 @@ from .shapley import (
 )
 
 METRIC_NAMES = ("post_hhi", "delta_hhi", "merged_share")
+# The metric that labels the nodes and edges of every hasse.dot.
+DOT_LABEL_METRICS = ("post_hhi",)
 
 
 @contextmanager
@@ -102,11 +103,15 @@ def _json_text(doc: object) -> str:
 
 def _display_total(cells: Sequence[str]) -> str:
     """Sum already-formatted numeric strings exactly, keeping their scale."""
-    filled = [cell for cell in cells if cell != ""]
-    if not filled:
+    numbers = [Decimal(cell) for cell in cells if cell != ""]
+    if not numbers:
         return "0"
-    total = sum(Decimal(cell) for cell in filled)
-    exponent = max(-Decimal(cell).as_tuple().exponent for cell in filled)
+    exponent = max(-number.as_tuple().exponent for number in numbers)
+    with localcontext() as context:
+        # Room for every digit of the sum, with a carry digit per addend.
+        context.prec = (max(0, *(n.adjusted() for n in numbers)) + 1
+                        + max(exponent, 0) + len(numbers))
+        total = sum(numbers)
     return f"{total:.{exponent}f}" if exponent > 0 else str(total)
 
 
@@ -140,12 +145,6 @@ def _check_formats(config: RunConfig, universe: StoreUniverse) -> None:
     if unlisted:
         raise ConfigError("store formats in neither always_in_formats nor "
                           f"marginal_formats: {unlisted}")
-
-
-def _presumption_game(n: int, flags: np.ndarray) -> SimpleGame:
-    wins = flags.astype(np.uint8)
-    wins.flags.writeable = False
-    return SimpleGame(n=n, wins=wins)
 
 
 @dataclass(frozen=True)
@@ -183,6 +182,7 @@ def _state_lattice(
         [(s.chain_id, s.format, s.revenue) for s in universe], ms, config.merger
     )
     flags = presumption(*columns, config.rule)
+    flags.flags.writeable = False
     diagram = hasse_from_table(ms, METRIC_NAMES, np.column_stack(columns), flags)
     return market, columns, flags, diagram
 
@@ -213,7 +213,7 @@ def run_state(
     else:
         sv = shapley_exact(game)
 
-    sspi_game = _presumption_game(diagram.marginal_set.n, flags)
+    sspi_game = SimpleGame(diagram.marginal_set.n, flags)
     return StateReport(
         config=config,
         market=market,
@@ -268,7 +268,9 @@ def run_firm_level(config: RunConfig, universe: StoreUniverse) -> FirmReport:
         ms,
         config.merger,
     )
-    game = _presumption_game(ms.n, presumption(*columns, config.rule))
+    flags = presumption(*columns, config.rule)
+    flags.flags.writeable = False
+    game = SimpleGame(ms.n, flags)
     return FirmReport(
         config=config,
         market=market,
@@ -323,7 +325,6 @@ def write_hasse_report(
     diagram: AnnotatedHasseDiagram,
     out_dir: str | Path,
     formats: Sequence[str],
-    style: DotStyle,
 ) -> list[Path]:
     """Emit ``hasse.<fmt>`` for each format (``dot`` or ``json``); all move
     into place together."""
@@ -332,8 +333,8 @@ def write_hasse_report(
             raise ConfigError(f"unknown hasse format {fmt!r}; expected dot or json")
     with _staged(Path(out_dir)) as write:
         return [
-            write(f"hasse.{fmt}",
-                  to_dot(diagram, style) if fmt == "dot" else to_json(diagram))
+            write(f"hasse.{fmt}", to_dot(diagram, DOT_LABEL_METRICS)
+                  if fmt == "dot" else to_json(diagram))
             for fmt in formats
         ]
 
@@ -421,13 +422,12 @@ def _share_rows(report: StateReport) -> tuple[list[list[str]], dict]:
 
 def write_state_report(report: StateReport, out_dir: str | Path) -> list[Path]:
     """Emit hasse.dot/json, shapley.csv/json, sspi.csv/json, shares.csv/json."""
-    hhi_labels = DotStyle(label_metrics=("post_hhi",))
     shapley_rows, shapley_doc = _shapley_rows(report)
     sspi_rows, sspi_doc = _state_sspi_rows(report)
     share_rows, share_doc = _share_rows(report)
     with _staged(Path(out_dir)) as write:
         return [
-            write("hasse.dot", to_dot(report.diagram, hhi_labels)),
+            write("hasse.dot", to_dot(report.diagram, DOT_LABEL_METRICS)),
             write("hasse.json", to_json(report.diagram)),
             write("shapley.csv", _csv_text(shapley_rows)),
             write("shapley.json", _json_text(shapley_doc)),

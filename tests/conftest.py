@@ -19,7 +19,6 @@ import pytest
 from mktsens import (
     DataError,
     DegenerateMarketError,
-    DotStyle,
     ExclusionSet,
     Market,
     MarginalSet,
@@ -39,7 +38,7 @@ from mktsens import (
     sspi,
     subset_label,
 )
-from mktsens.display import floor_int, round_half_up
+from mktsens.display import floor_int
 
 # Eight-firm reference market: five core firms and marginal firms 1, 2, 3.
 TEXTBOOK_SALES = {
@@ -150,7 +149,7 @@ def state_stores() -> tuple[Store, ...]:
 
 @pytest.fixture
 def state_universe() -> StoreUniverse:
-    return StoreUniverse(state_stores(), defendant_chains=STATE_MERGING)
+    return StoreUniverse(state_stores())
 
 
 @pytest.fixture
@@ -195,7 +194,7 @@ def local_stores() -> tuple[Store, ...]:
 
 @pytest.fixture
 def local_universe() -> StoreUniverse:
-    return StoreUniverse(local_stores(), defendant_chains=STATE_MERGING)
+    return StoreUniverse(local_stores())
 
 
 @pytest.fixture
@@ -253,9 +252,8 @@ def scalar_local_outcomes(universe, merger: MergerSpec, ms: MarginalSet,
     merger_outcome_table call replaced.  Members come from
     scalar_circle_ids.  Arrays are indexed by bitmask."""
     parties = {merger.acquirer, merger.target}
-    defendants = universe.defendant_chains or tuple(parties)
     records = []
-    for center in sorted(universe.of_chains(defendants),
+    for center in sorted(universe.of_chains(parties),
                          key=lambda s: s.store_id):
         members = [universe.store(i) for i in
                    scalar_circle_ids(universe, center, radius_miles)]
@@ -359,18 +357,13 @@ def _dot_id(ms: MarginalSet, subset: ExclusionSet) -> str:
 
 
 def scalar_hasse_dot(ms, metric_names, nodes, edges,
-                     style: DotStyle = DotStyle()) -> str:
+                     label_metrics: Sequence[str] | None = None) -> str:
     """Graphviz DOT of object nodes and edges, one node at a time."""
     positions = []
-    for name in style.label_metrics or metric_names:
+    for name in label_metrics or metric_names:
         if name not in metric_names:
             raise ValueError(f"unknown metric {name!r} in label_metrics")
         positions.append(metric_names.index(name))
-
-    def fmt(value):
-        if style.floor_labels:
-            return str(floor_int(value))
-        return f"{round_half_up(value, style.decimals):.{style.decimals}f}"
 
     by_bits = {node.subset.bits: node for node in nodes}
     lines = ["digraph hasse {", "  rankdir=BT;",
@@ -381,11 +374,12 @@ def scalar_hasse_dot(ms, metric_names, nodes, edges,
     for size in sorted(by_size):
         layer = by_size[size]
         for node in layer:
-            values = ", ".join(fmt(node.outcomes[p]) for p in positions)
+            values = ", ".join(str(floor_int(node.outcomes[p]))
+                               for p in positions)
             name = _dot_escape(subset_label(ms, node.subset))
             attrs = [f'label="{name}\\n{_dot_escape(values)}"']
             if node.flagged:
-                attrs.append(f'fillcolor="{_dot_escape(style.alert_fill)}"')
+                attrs.append('fillcolor="lightcoral"')
             lines.append(f'  {_dot_id(ms, node.subset)} [{", ".join(attrs)}];')
         ids = "; ".join(_dot_id(ms, n.subset) for n in layer)
         lines.append(f"  {{ rank=same; {ids}; }}")
@@ -394,14 +388,8 @@ def scalar_hasse_dot(ms, metric_names, nodes, edges,
         for p in positions:
             parent = by_bits[edge.from_subset.bits].outcomes[p]
             child = by_bits[edge.to_subset.bits].outcomes[p]
-            if style.floor_labels:
-                shown = floor_int(child) - floor_int(parent)
-                parts.append(f"{shown:+d}")
-            else:
-                shown = round_half_up(child, style.decimals) - round_half_up(
-                    parent, style.decimals
-                )
-                parts.append(f"{shown:+.{style.decimals}f}")
+            shown = floor_int(child) - floor_int(parent)
+            parts.append(f"{shown:+d}")
         lines.append(
             f'  {_dot_id(ms, edge.from_subset)} -> {_dot_id(ms, edge.to_subset)} '
             f'[label="{_dot_escape(", ".join(parts))}"];'

@@ -19,7 +19,6 @@ import pytest
 
 from mktsens import (
     CoalitionalGame,
-    DotStyle,
     ExclusionSet,
     MarginalSet,
     Market,
@@ -91,7 +90,7 @@ def test_criterion_1_reference_lattice(report):
 
     start = time.perf_counter()
     diagram = build_hasse(ms, f)
-    dot = to_dot(diagram, DotStyle())
+    dot = to_dot(diagram)
     elapsed = time.perf_counter() - start
 
     def value(*labels) -> float:
@@ -417,7 +416,7 @@ def test_criterion_8_nine_player_scale(report):
             Store(f"r{k}", chain, chain.upper(), "supermarket",
                   45.0 + 0.01 * k, -120.01, 12.0)
         )
-    universe = StoreUniverse(stores, defendant_chains=("alpha", "beta"))
+    universe = StoreUniverse(stores)
     config = RunConfig(
         merging_chains=("alpha", "beta"), marginal_firms=competitors
     )

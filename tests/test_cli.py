@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -240,6 +242,26 @@ class TestFailureModes:
         assert err.startswith("output error: ")
         assert "Traceback" not in err
 
+    def test_negative_seed(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "state", state_stores(),
+                            base_config_doc(seed=-1), "--sampled")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "configuration error: seed must be nonnegative\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["post_hhi_threshold",
+                                     "delta_hhi_threshold"])
+    def test_nan_hhi_threshold(self, tmp_path, capsys, key):
+        # Python's json reads NaN; no HHI would ever exceed it.
+        code, out = run_cli(tmp_path, "state", state_stores(),
+                            base_config_doc(rule={key: math.nan}))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "configuration error: invalid rule: HHI thresholds must be "
+            "nonnegative numbers\n")
+        assert not out.exists()
+
     def test_missing_required_argument(self):
         with pytest.raises(SystemExit) as err:
             main(["state", "--stores", "x.csv"])
@@ -249,6 +271,29 @@ class TestFailureModes:
         with pytest.raises(SystemExit) as err:
             main(["explode"])
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["state", "firm"])
+def test_forty_decimals_keep_exact_totals(tmp_path, command):
+    doc = base_config_doc(
+        marginal_firms=["grandway", "citygrocer", "dailymart"],
+        rounding={"sspi": 40, "shares": 40},
+    )
+    code, out = run_cli(tmp_path, command, state_stores(), doc)
+    assert code == 0
+    tables = sorted(out.glob("*.csv"))
+    assert [p.name for p in tables] == (
+        ["shapley.csv", "shares.csv", "sspi.csv"] if command == "state"
+        else ["sspi.csv"])
+    for path in tables:
+        header, *body, total = read_csv(path)
+        assert total[0] == "Total"
+        for col, name in enumerate(header):
+            if name in ("sv_share", "sspi", "share"):
+                assert all(len(row[col].split(".")[1]) == 40 for row in body)
+            if name in ("shapley_value", "sv_share", "sspi", "share"):
+                assert Fraction(total[col]) == sum(
+                    Fraction(row[col]) for row in body)
 
 
 class TestConsoleScript:

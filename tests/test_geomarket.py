@@ -312,7 +312,7 @@ class TestCircleMarketOracle:
                 rev=rng.uniform(1.0, 50.0),
             ))
         formats = ("club", "natural", "limited")
-        u = StoreUniverse(tuple(stores), defendant_chains=("acme", "bolt"))
+        u = StoreUniverse(tuple(stores))
         results = analyze_local(u, merger, formats, radius_miles=5.0)
         oracle = brute_force_local(stores, ("acme", "bolt"), formats, 5.0)
         assert [r.center_id for r in results] == sorted(oracle)
@@ -409,7 +409,7 @@ class TestAnalyzeLocal:
         stores = local_stores() + (
             _store("z99", "acme", lat=40.0, lon=-110.0),
         )
-        u = StoreUniverse(stores, defendant_chains=("acme", "bolt"))
+        u = StoreUniverse(stores)
         results = analyze_local(
             u, merger, ("club", "natural", "limited"), radius_miles=5.0
         )
@@ -420,27 +420,13 @@ class TestAnalyzeLocal:
             analyze_local(local_universe, MergerSpec("acme", "nosuch"),
                           ("club",))
 
-    def test_no_defendant_stores_rejected(self, merger):
-        stores = tuple(s for s in local_stores())
-        u = StoreUniverse(stores, defendant_chains=("grandway",))
-        results = analyze_local(u, merger, ("club",), radius_miles=5.0)
-        # grandway anchors exist, so circles are analyzed around them.
-        assert [r.center_id for r in results] == ["g01", "g02"]
-        empty = StoreUniverse(
-            tuple(s for s in stores if s.chain_id != "grandway")
-            + (_store("q1", "acme2"),),
-            defendant_chains=("grandway",),
-        )
-        with pytest.raises(DataError):
-            analyze_local(empty, MergerSpec("acme", "bolt"), ("club",))
-
     def test_party_with_zero_revenue_in_circle_still_evaluates(self, merger):
         stores = (
             _store("a1", "acme", rev=0.0),
             _store("b1", "bolt", rev=5.0),
             _store("g1", "grandway", rev=5.0),
         )
-        u = StoreUniverse(stores, defendant_chains=("acme", "bolt"))
+        u = StoreUniverse(stores)
         results = analyze_local(u, merger, ("club",), radius_miles=5.0)
         assert len(results) == 2
         assert results[0].table[0, 2] == pytest.approx(0.5)
@@ -451,7 +437,7 @@ class TestAnalyzeLocal:
             _store("b1", "bolt", rev=0.0),
             _store("c1", "clubby", fmt="club", rev=10.0),
         )
-        u = StoreUniverse(stores, defendant_chains=("acme", "bolt"))
+        u = StoreUniverse(stores)
         with pytest.raises(DataError) as error:
             analyze_local(u, merger, ("club",), radius_miles=5.0)
         assert str(error.value) == (
@@ -477,7 +463,7 @@ class TestAnalyzeLocal:
             for j, (chain, fmt, rev) in enumerate(rows):
                 sid = f"a{k}" if chain == "acme" else f"x{k}{j}"
                 stores.append(_store(sid, chain, fmt=fmt, lat=lat, rev=rev))
-        u = StoreUniverse(tuple(stores), defendant_chains=("acme", "bolt"))
+        u = StoreUniverse(tuple(stores))
         message = ("circle around store 'a2' has no revenue left after "
                    "excluding ['club', 'natural']")
         ms = MarginalSet(("natural", "club", "limited"))
@@ -533,7 +519,7 @@ def local_universes(draw):
                      rev=rev)
               for k, (chain, fmt, step, rev) in enumerate(rows)]
     listed = draw(st.permutations(stores))
-    return (StoreUniverse(tuple(listed), defendant_chains=("acme", "bolt")),
+    return (StoreUniverse(tuple(listed)),
             MarginalSet(formats[1:]))
 
 

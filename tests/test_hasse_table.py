@@ -2,7 +2,7 @@
 
 The emitters render from the outcome table and the edge array; these tests
 require the same bytes as the per-node, per-edge object walk they replaced,
-over awkward labels, non-finite outcomes, every display style and
+over awkward labels, non-finite outcomes, chosen label metrics and
 restricted diagrams.
 """
 
@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mktsens import (
-    DotStyle,
     ExclusionSet,
     MarginalSet,
     diagram_from_json,
@@ -46,14 +45,9 @@ def diagrams(draw):
             for _ in range(1 << n)]
     flags = draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n))
     keep = draw(st.none() | st.sets(st.integers(0, (1 << n) - 1)))
-    style = DotStyle(
-        floor_labels=draw(st.booleans()),
-        decimals=draw(st.integers(min_value=0, max_value=3)),
-        alert_fill=draw(st.sampled_from(["lightcoral", 'red"ish', "gr\\ün"])),
-        label_metrics=draw(st.none() | st.lists(st.sampled_from(names),
-                                                 max_size=3).map(tuple)),
-    )
-    return MarginalSet(labels), tuple(names), rows, flags, keep, style
+    label_metrics = draw(st.none() | st.lists(st.sampled_from(names),
+                                              max_size=3).map(tuple))
+    return MarginalSet(labels), tuple(names), rows, flags, keep, label_metrics
 
 
 def assert_same_floats(actual: np.ndarray, expected) -> None:
@@ -67,7 +61,7 @@ def assert_same_floats(actual: np.ndarray, expected) -> None:
 @settings(max_examples=300, deadline=None)
 @given(diagrams())
 def test_emitters_match_the_object_oracle(case):
-    ms, names, rows, flags, keep, style = case
+    ms, names, rows, flags, keep, label_metrics = case
     diagram = hasse_from_table(ms, names, rows, flags)
     if keep is not None:
         diagram = restrict(diagram, [ExclusionSet(ms.n, bits) for bits in keep])
@@ -86,13 +80,13 @@ def test_emitters_match_the_object_oracle(case):
     assert to_json(diagram_from_json(text)) == text
 
     try:
-        expected = scalar_hasse_dot(ms, names, nodes, edges, style)
+        expected = scalar_hasse_dot(ms, names, nodes, edges, label_metrics)
     except (ArithmeticError, ValueError) as exc:
         # floor and Decimal rounding refuse some non-finite or huge values.
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            to_dot(diagram, style)
+            to_dot(diagram, label_metrics)
     else:
-        assert to_dot(diagram, style) == expected
+        assert to_dot(diagram, label_metrics) == expected
 
 
 @pytest.mark.parametrize("n", range(0, 7))

@@ -23,9 +23,8 @@ class TestLoadStores:
     def test_happy_path(self, tmp_path):
         path = tmp_path / "stores.csv"
         path.write_text(stores_csv_text(state_stores()), encoding="utf-8")
-        universe = load_stores(path, defendant_chains=("acme", "bolt"))
-        assert len(universe) == len(state_stores())
-        assert universe.defendant_chains == ("acme", "bolt")
+        universe = load_stores(path)
+        assert universe.stores == state_stores()
         assert universe.store("s00").chain_id == "acme"
 
     def test_formats_are_lowercased(self, tmp_path):

@@ -14,7 +14,6 @@ from mktsens import (
     AnnotatedHasseDiagram,
     CapacityError,
     DataError,
-    DotStyle,
     ExclusionSet,
     MarginalSet,
     OutcomeEvaluationError,
@@ -295,7 +294,7 @@ class TestRestrict:
 
 class TestDotOutput:
     def test_textbook_rendering(self):
-        dot = to_dot(_textbook_diagram(), DotStyle())
+        dot = to_dot(_textbook_diagram())
         assert dot.startswith("digraph hasse {")
         assert 'rankdir=BT' in dot
         assert '"empty" [label="{}\\n1439"]' in dot
@@ -315,27 +314,18 @@ class TestDotOutput:
         diagram = build_hasse(
             ms, lambda s: {"x": 0.9 if s.size == 0 else 2.1}
         )
-        dot = to_dot(diagram, DotStyle(floor_labels=True))
+        dot = to_dot(diagram)
         assert '[label="+2"]' in dot  # floor(2.1) - floor(0.9), not floor(1.2)
-
-    def test_rounded_label_style(self):
-        ms = MarginalSet(("a",))
-        diagram = build_hasse(
-            ms, lambda s: {"x": 1.25 if s.size else 1.0}
-        )
-        dot = to_dot(diagram, DotStyle(floor_labels=False, decimals=1))
-        assert '\\n1.3"' in dot
-        assert '[label="+0.3"]' in dot
 
     def test_label_metric_selection(self):
         ms = MarginalSet(("a",))
         diagram = build_hasse(
             ms, lambda s: {"x": float(s.size), "y": 10.0 * s.size}
         )
-        dot = to_dot(diagram, DotStyle(label_metrics=("y",)))
+        dot = to_dot(diagram, ("y",))
         assert '\\n10"' in dot and "0, 0" not in dot
         with pytest.raises(ValueError):
-            to_dot(diagram, DotStyle(label_metrics=("z",)))
+            to_dot(diagram, ("z",))
 
     def test_quoting_of_awkward_labels(self):
         ms = MarginalSet(('he said "hi"', "back\\slash"))

@@ -12,7 +12,6 @@ from mktsens import (
     ConfigError,
     presumption,
     DataError,
-    DotStyle,
     ExclusionSet,
     RunConfig,
     StoreUniverse,
@@ -29,6 +28,7 @@ from mktsens.reports import (
     write_local_report,
     write_state_report,
 )
+from mktsens.display import fmt_fixed, fmt_truncated, round_half_up_int
 from tests.conftest import (
     STATE_FLAGGED,
     STATE_MERGING,
@@ -87,8 +87,7 @@ class TestRunState:
 
     def test_missing_party_rejected(self, state_config):
         universe = StoreUniverse(
-            [s for s in local_stores() if s.chain_id != "bolt"],
-            defendant_chains=("acme",),
+            [s for s in local_stores() if s.chain_id != "bolt"]
         )
         with pytest.raises(DataError, match="bolt"):
             run_state(state_config, universe)
@@ -327,7 +326,7 @@ class TestEmitHasse:
     def test_unknown_format(self, state_config, state_universe, tmp_path):
         report = run_state(state_config, state_universe)
         with pytest.raises(ConfigError, match="unknown hasse format"):
-            write_hasse_report(report.diagram, tmp_path, ("svg",), DotStyle())
+            write_hasse_report(report.diagram, tmp_path, ("svg",))
 
 
 class TestStagedWrites:
@@ -377,3 +376,21 @@ class TestDisplayTotal:
 
     def test_blanks_are_skipped(self):
         assert _display_total(["", "1.0"]) == "1.0"
+
+
+class TestDisplayRounding:
+    @pytest.mark.parametrize("value,decimals,text", [
+        (2.675, 2, "2.68"),
+        (999.9996, 3, "1000.000"),
+        (0.99996, 4, "1.0000"),
+        (1.5, 28, "1.5" + "0" * 27),
+        (1e25, 3, "10000000000000000905969664.000"),
+    ])
+    def test_any_number_of_decimals(self, value, decimals, text):
+        assert fmt_fixed(value, decimals) == text
+
+    def test_truncation_and_integers(self):
+        assert fmt_truncated(1.5, 28) == "1.5" + "0" * 27
+        assert fmt_truncated(0.99996, 4) == "0.9999"
+        assert round_half_up_int(9.5) == 10
+        assert round_half_up_int(1e30) == 10 ** 30
