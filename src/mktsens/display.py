@@ -5,7 +5,8 @@ same value always prints the same way.  Binary floats are routed through
 ``Decimal(str(v))`` before quantizing, which keeps e.g. 2.675 rounding on its
 printed digits rather than on its binary representation.  Each quantize
 runs in a context wide enough for every digit of its result, so any number
-of decimals works.
+of decimals works, and the formatters print that decimal itself rather than
+the nearest binary float, whose expansion shows past about 17 digits.
 """
 
 from __future__ import annotations
@@ -34,11 +35,6 @@ def round_half_up(value: float, decimals: int = 0) -> float:
     return float(_quantize(value, decimals, ROUND_HALF_UP))
 
 
-def truncate(value: float, decimals: int = 0) -> float:
-    """Chop ``value`` toward zero at ``decimals`` decimal places."""
-    return float(_quantize(value, decimals, ROUND_DOWN))
-
-
 def round_half_up_int(value: float) -> int:
     """Round to the nearest integer, ties away from zero."""
     return int(_quantize(value, 0, ROUND_HALF_UP))
@@ -46,9 +42,9 @@ def round_half_up_int(value: float) -> int:
 
 def fmt_fixed(value: float, decimals: int) -> str:
     """Format a half-up rounded value with exactly ``decimals`` places."""
-    return f"{round_half_up(value, decimals):.{decimals}f}"
+    return f"{_quantize(value, decimals, ROUND_HALF_UP):.{decimals}f}"
 
 
 def fmt_truncated(value: float, decimals: int) -> str:
     """Format a truncated value with exactly ``decimals`` places."""
-    return f"{truncate(value, decimals):.{decimals}f}"
+    return f"{_quantize(value, decimals, ROUND_DOWN):.{decimals}f}"

@@ -26,9 +26,11 @@ HHI_SCALE = 10_000.0
 OUTCOME_BLOCK = 1024
 
 
-def _ordered_sum(values: Iterable[float]) -> float:
-    """Left-to-right float sum, which merger_outcome_table reproduces
-    (the built-in ``sum`` compensates its rounding from Python 3.12)."""
+def _ordered_sum(values: Iterable) -> float | np.ndarray:
+    """Left-to-right float sum (the built-in ``sum`` compensates its rounding
+    from Python 3.12).  On an array it adds the rows along the first axis,
+    cell by cell in the same order, where ``np.sum`` may add pairwise; that
+    is how merger_outcome_table reproduces the scalar sums."""
     total = 0.0
     for value in values:
         total += value
@@ -304,6 +306,18 @@ def _by_position(per_market: list[Sequence], fill) -> np.ndarray:
     return out
 
 
+def _order_is_fixed(firsts: Mapping[tuple[int, int], int]) -> bool:
+    """Whether every chain of a market keeps its place in dict order under
+    every mask, given the index of the first entry of each (chain row, bit)
+    pair.  A chain whose first entry has bit -1 is never dropped, and one
+    whose entries all carry one bit is kept or dropped whole."""
+    lead: dict[int, tuple[int, int]] = {}
+    for (row, bit), index in firsts.items():
+        if row not in lead or index < lead[row][0]:
+            lead[row] = (index, bit)
+    return all(lead[row][1] in (-1, bit) for row, bit in firsts)
+
+
 def merger_outcome_table(
     markets: Sequence[Sequence[tuple[str, int, float]]], n: int, g: MergerSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -323,6 +337,14 @@ def merger_outcome_table(
     mask whose market has no sales reads NaN in all three arrays, where
     :func:`merger_outcomes` raises.  Markets are evaluated side by side, one
     entry position at a time.
+
+    Chains hold rows in the order of their first entries.  When every chain
+    of every market has a first entry with bit -1, or entries that all carry
+    one bit, no mask moves a chain: each is either kept from its first entry
+    on or dropped whole.  Dict order is then row order under every mask, and
+    a dropped chain's row adds an exact 0.0 to the sums, so they run down the
+    rows without the per-mask sort that any other call needs.  The firm
+    pipeline, with one entry per chain, always takes this path.
     """
     count, size = len(markets), 1 << n
     post, delta, share = (np.empty((count, size)) for _ in range(3))
@@ -350,18 +372,20 @@ def merger_outcome_table(
     rows = width + 1
     absent = max(map(len, markets))
     every = np.arange(count)
-    # Index of the first entry of each (chain row, market) with bit b, in
-    # column b (bit -1 is the last column), or ``absent``; then, per bit,
-    # the cells that hold one.
-    first_of = np.full((rows, count, n + 1), absent)
-    for market, pairs in enumerate(firsts):
-        first_of[[c for c, _ in pairs], market,
-                 [b for _, b in pairs]] = list(pairs.values())
-    holders = []
-    for bit in range(-1, n):
-        held = np.nonzero(first_of[..., bit] < absent)
-        if held[0].size:
-            holders.append((held, first_of[..., bit][held][:, None], bit))
+    fixed = all(map(_order_is_fixed, firsts))
+    if not fixed:
+        # Index of the first entry of each (chain row, market) with bit b,
+        # in column b (bit -1 is the last column), or ``absent``; then, per
+        # bit, the cells that hold one.
+        first_of = np.full((rows, count, n + 1), absent)
+        for market, pairs in enumerate(firsts):
+            first_of[[c for c, _ in pairs], market,
+                     [b for _, b in pairs]] = list(pairs.values())
+        holders = []
+        for bit in range(-1, n):
+            held = np.nonzero(first_of[..., bit] < absent)
+            if held[0].size:
+                holders.append((held, first_of[..., bit][held][:, None], bit))
     acquirer, target = np.array(parties).T
     # Step k adds entry k of every market at its (chain row, market) cell.
     if count == 1:
@@ -386,20 +410,21 @@ def merger_outcome_table(
         sales = np.zeros((rows, count, masks.size))
         for row, value, bit in adds:
             sales[row] += value * kept[bit]
-        first = np.full(sales.shape, absent)
-        for held, index, bit in holders:
-            first[held] = np.minimum(first[held],
-                                     np.where(kept[bit] > 0, index, absent))
-        # Every (market, mask) pair is one column of chain rows.
-        grid = (rows, count * masks.size)
-        order = np.argsort(first.reshape(grid), axis=0, kind="stable")
-        total = np.cumsum(np.take_along_axis(sales.reshape(grid), order,
-                                             axis=0), axis=0)[-1]
+        if not fixed:
+            # Each (market, mask) column of chain rows in the order of the
+            # chains' first kept entries.
+            first = np.full(sales.shape, absent)
+            for held, index, bit in holders:
+                first[held] = np.minimum(first[held],
+                                         np.where(kept[bit] > 0, index, absent))
+            order = np.argsort(first, axis=0, kind="stable")
+        total = _ordered_sum(
+            sales if fixed else np.take_along_axis(sales, order, axis=0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = sales.reshape(grid) / total
-        squares = np.take_along_axis(s * s, order, axis=0)
-        base = HHI_SCALE * np.cumsum(squares, axis=0)[-1].reshape(count, -1)
-        s = s.reshape(sales.shape)
+            s = sales / total
+        squares = s * s
+        base = HHI_SCALE * _ordered_sum(
+            squares if fixed else np.take_along_axis(squares, order, axis=0))
         sa = s[acquirer, every]
         sb = s[target, every]
         merged = sa + sb

@@ -23,7 +23,6 @@ from .errors import CapacityError
 from .lattice import (
     EXACT_ENUMERATION_MAX,
     ExclusionSet,
-    _popcounts,
     evaluate_subsets,
 )
 
@@ -109,8 +108,12 @@ def _marginal_gains(
 
     Viewed as (-1, 2, 2^i), a table indexed by mask holds the rows without
     bit i at [:, 0] and the rows with it at [:, 1], both in mask order.
+    The sizes are uint8: n is at most 24.
     """
-    sizes = _popcounts(np.arange(1 << n, dtype=np.int64), n)
+    sizes = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        # Masks 2^i .. 2^(i+1) - 1 are masks 0 .. 2^i - 1 plus bit i.
+        sizes = np.concatenate((sizes, sizes + 1))
     for i in range(n):
         pairs = table.reshape(-1, 2, 1 << i)
         yield (sizes.reshape(-1, 2, 1 << i)[:, 0].ravel(),
@@ -240,7 +243,8 @@ def sspi(game: SimpleGame) -> tuple[float, ...]:
     n = game.n
     fact = [math.factorial(k) for k in range(n + 1)]
     out = []
-    for sizes, pivots in _marginal_gains(game.wins.astype(np.int64), n):
+    # Pivots are -1, 0 or 1, so int8 holds every difference of wins.
+    for sizes, pivots in _marginal_gains(game.wins.astype(np.int8), n):
         # Float counts are exact: each is at most C(n-1, k) < 2^53.
         counts = np.bincount(sizes, weights=pivots, minlength=n)
         numerator = sum(

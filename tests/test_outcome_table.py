@@ -7,8 +7,10 @@ never a tolerance.  The reference is the scalar path kept in conftest.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from mktsens import (
     DegenerateMarketError,
+    ExclusionSet,
     Market,
     MarginalSet,
     MergerSpec,
@@ -26,8 +29,10 @@ from mktsens import (
     Store,
     StoreUniverse,
     chain_market,
+    exclude,
     merger_outcome_table,
     merger_outcomes,
+    presumption,
     run_firm_level,
     run_state,
 )
@@ -200,25 +205,141 @@ def market_lists(draw):
                          max_size=6)), n
 
 
+def assert_cells_match_scalar(markets, n):
+    """Every cell of the table over ``markets``, and of each market's table
+    alone, equals scalar_market_outcomes."""
+    together = merger_outcome_table(markets, n, MERGER)
+    assert all(column.shape == (len(markets), 1 << n) for column in together)
+    for i, entries in enumerate(markets):
+        alone = merger_outcome_table([entries], n, MERGER)
+        want = np.array([scalar_market_outcomes(entries, bits)
+                         for bits in range(1 << n)]).T
+        for got, single, expected in zip(together, alone, want):
+            assert np.array_equal(got[i], expected, equal_nan=True)
+            assert np.array_equal(single[0], expected, equal_nan=True)
+
+
 class TestMarketAxis:
     @given(market_lists())
     @settings(max_examples=300, deadline=None)
     def test_every_cell_matches_its_market_alone(self, drawn):
-        markets, n = drawn
-        together = merger_outcome_table(markets, n, MERGER)
-        assert all(column.shape == (len(markets), 1 << n)
-                   for column in together)
-        for i, entries in enumerate(markets):
-            alone = merger_outcome_table([entries], n, MERGER)
-            want = np.array([scalar_market_outcomes(entries, bits)
-                             for bits in range(1 << n)]).T
-            for got, single, expected in zip(together, alone, want):
-                assert np.array_equal(got[i], expected, equal_nan=True)
-                assert np.array_equal(single[0], expected, equal_nan=True)
+        assert_cells_match_scalar(*drawn)
 
     def test_no_markets(self):
         for column in merger_outcome_table([], 2, MERGER):
             assert column.shape == (0, 4)
+
+
+class SortReached(Exception):
+    """Raised in place of the kernel's per-mask sort."""
+
+
+def sort_forbidden():
+    """A patch under which the kernel's general path raises SortReached."""
+    return mock.patch.object(np, "argsort", side_effect=SortReached)
+
+
+def interleave(draw, chains):
+    """One market holding every chain's entries, interleaved at random,
+    each chain's own entries in their given order."""
+    slots = draw(st.permutations(
+        [k for k, entries in enumerate(chains) for _ in entries]))
+    queues = [iter(entries) for entries in chains]
+    return [next(queues[k]) for k in slots]
+
+
+def fixed_chains(draw, names, n):
+    """One entry list per name for a chain that keeps its place under every
+    mask: every entry carries one bit, or the first has bit -1."""
+    chains = []
+    for name in names:
+        size = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            bits = [draw(st.integers(-1, n - 1))] * size
+        else:
+            bits = [-1] + draw(st.lists(st.integers(-1, n - 1),
+                                        min_size=size - 1, max_size=size - 1))
+        chains.append([(name, bit, draw(revenues)) for bit in bits])
+    return chains
+
+
+# Enough chains that a sum down the rows could be added pairwise.
+CHAINS = STATE_MERGING + RIVALS + ("hill", "ivy", "jade", "kelp", "lark")
+
+
+@st.composite
+def fixed_markets(draw, n):
+    """0-12 chains, none of which can change place."""
+    names = draw(st.lists(st.sampled_from(CHAINS), unique=True, max_size=12))
+    return interleave(draw, fixed_chains(draw, names, n))
+
+
+@st.composite
+def near_fixed_markets(draw, n):
+    """A fixed market plus one chain that is one entry away from fixed: its
+    first entry has bit b and its second bit -1 or another bit c."""
+    names = draw(st.permutations(CHAINS))[:draw(st.integers(1, 12))]
+    lead = draw(st.integers(0, n - 1))
+    second = draw(st.sampled_from([-1] + [c for c in range(n) if c != lead]))
+    mover = [(names[0], lead, draw(revenues)),
+             (names[0], second, draw(revenues))]
+    return interleave(draw, [mover] + fixed_chains(draw, names[1:], n))
+
+
+class TestFixedOrder:
+    """A call in which no chain can change place never sorts, and a call
+    with one chain that can still sorts; both stay exact."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fixed_markets_skip_the_sort(self, data):
+        n = data.draw(st.integers(0, 3))
+        markets = data.draw(st.lists(fixed_markets(n), min_size=1,
+                                     max_size=5))
+        with sort_forbidden():
+            assert_cells_match_scalar(markets, n)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_entry_from_fixed_takes_the_sort(self, data):
+        n = data.draw(st.integers(1, 3))
+        markets = data.draw(st.lists(fixed_markets(n), max_size=4))
+        markets.insert(data.draw(st.integers(0, len(markets))),
+                       data.draw(near_fixed_markets(n)))
+        with sort_forbidden(), pytest.raises(SortReached):
+            merger_outcome_table(markets, n, MERGER)
+        assert_cells_match_scalar(markets, n)
+
+    def test_seeded_20_firm_lattice(self):
+        # Past the 4,096-mask lattices above: 1,024 kernel blocks, none of
+        # which may sort, checked on sampled masks and both ends.
+        rng = random.Random(2020)
+        chains = STATE_MERGING + tuple(f"r{k:02d}" for k in range(20))
+        rows = [(rng.choice(chains), "supermarket",
+                 round(rng.lognormvariate(2.3, 0.5), 2)) for _ in range(600)]
+        rows += [(chain, "supermarket", 1.0) for chain in chains]
+        universe = make_universe(rows)
+        config = RunConfig(merging_chains=STATE_MERGING,
+                           marginal_firms=chains[2:])
+        market = chain_market(universe, (), "state")
+        ms = MarginalSet(config.marginal_firms)
+        entries = [(chain, ms.members.index(chain) if chain in ms.members
+                    else -1, revenue) for chain, revenue in market.sales.items()]
+        with sort_forbidden():
+            columns = merger_outcome_table([entries], ms.n, MERGER)
+            report = run_firm_level(config, universe)
+        wins = report.sspi_game.wins
+        for mask in [0, (1 << 20) - 1] + rng.sample(range(1, (1 << 20) - 1),
+                                                    256):
+            want = merger_outcomes(exclude(
+                market, ms.labels_of(ExclusionSet(20, mask)), STATE_MERGING),
+                MERGER)
+            got = tuple(float(column[0, mask]) for column in columns)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+            assert wins[mask] == presumption(*want, config.rule)
+        assert report.sensitive
+        assert math.isclose(sum(report.sspi_values),
+                            int(wins[-1]) - int(wins[0]), abs_tol=1e-12)
 
 
 def exact_outcomes(sales: dict[str, int]) -> tuple[Fraction, Fraction]:

@@ -384,10 +384,15 @@ class TestDisplayRounding:
         (999.9996, 3, "1000.000"),
         (0.99996, 4, "1.0000"),
         (1.5, 28, "1.5" + "0" * 27),
-        (1e25, 3, "10000000000000000905969664.000"),
+        (1e25, 3, "10000000000000000000000000.000"),
     ])
     def test_any_number_of_decimals(self, value, decimals, text):
         assert fmt_fixed(value, decimals) == text
+
+    def test_long_formats_print_the_decimal_digits(self):
+        # The binary float nearest 0.1234 is 0.12339999999999999580...
+        assert fmt_fixed(0.1234, 40) == "0.1234" + "0" * 36
+        assert fmt_truncated(0.1234, 40) == "0.1234" + "0" * 36
 
     def test_truncation_and_integers(self):
         assert fmt_truncated(1.5, 28) == "1.5" + "0" * 27
