@@ -7,7 +7,7 @@ candidate market.  This module enumerates that lattice and evaluates an
 outcome function once per subset.  A diagram is a (nodes × metrics) outcome
 table with a flag per node plus an array of edge endpoints; for the full
 lattice the edges are the bit flips that add one label.  DOT and JSON are
-rendered straight from those arrays.
+rendered straight from those arrays, a block of nodes or edges at a time.
 
 Canonical order everywhere is (cardinality ascending, then bitmask ascending),
 so identical inputs always produce byte-identical artifacts.
@@ -18,12 +18,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .display import floor_int
 from .errors import CapacityError, DataError, OutcomeEvaluationError
+from .jsontext import (
+    blocks,
+    iter_json_list,
+    json_bools,
+    json_index_lists,
+    json_list,
+    json_object_format,
+    json_rows,
+)
 
 EXACT_ENUMERATION_MAX = 24
 
@@ -288,10 +297,12 @@ class AnnotatedHasseDiagram:
 
     def edge_deltas(self) -> np.ndarray:
         """(edges × metrics) outcomes of each upper node minus its lower."""
-        upper, lower = self._edge_rows[:, 1], self._edge_rows[:, 0]
+        return self._deltas(self._edge_rows)
+
+    def _deltas(self, edge_rows: np.ndarray) -> np.ndarray:
         # Like Python float subtraction: inf - inf is NaN, silently.
         with np.errstate(invalid="ignore", over="ignore"):
-            return self.table[upper] - self.table[lower]
+            return self.table[edge_rows[:, 1]] - self.table[edge_rows[:, 0]]
 
     def outcome(self, subset: ExclusionSet, metric: str) -> float:
         row = self._row(subset)
@@ -408,10 +419,11 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(
+def iter_dot(
     diagram: AnnotatedHasseDiagram, label_metrics: Sequence[str] | None = None
-) -> str:
-    """Render the diagram as Graphviz DOT.
+) -> Iterator[str]:
+    """Render the diagram as Graphviz DOT, in chunks of about
+    :data:`~mktsens.jsontext.EMIT_BLOCK` nodes or edges.
 
     Nodes sit on ranks by cardinality with the empty set at the bottom and
     are labelled with the floors of ``label_metrics`` (every metric by
@@ -425,95 +437,94 @@ def to_dot(
             raise ValueError(f"unknown metric {name!r} in label_metrics")
         positions.append(diagram.metric_names.index(name))
     members = diagram.marginal_set.members
-    labels = [tuple(label for i, label in enumerate(members) if bits >> i & 1)
-              for bits in diagram.masks.tolist()]
-    ids = [f'"{_dot_escape("_".join(names) if names else "empty")}"'
-           for names in labels]
-    lines = ["digraph hasse {", "  rankdir=BT;",
-             '  node [shape=box, style=filled, fillcolor=white];']
-    shown = []
+    # A rank closes after the last node of each cardinality.
+    sizes = _popcounts(diagram.masks, len(members)).tolist() + [-1]
+    ids: list[str] = []
+    shown: list[list[int]] = []
     layer: list[str] = []
-    rows = zip(ids, labels, diagram.table[:, positions].tolist(),
-               diagram.flags.tolist())
-    for row, (node_id, names, values, flagged) in enumerate(rows):
-        display = [floor_int(v) for v in values]
-        shown.append(display)
-        name = _dot_escape("{" + ", ".join(names) + "}")
-        # Integers need no DOT escaping.
-        text = ", ".join(map(str, display))
-        fill = ', fillcolor="lightcoral"' if flagged else ""
-        lines.append(f'  {node_id} [label="{name}\\n{text}"{fill}];')
-        layer.append(node_id)
-        if row + 1 == len(labels) or len(labels[row + 1]) != len(names):
-            lines.append(f"  {{ rank=same; {'; '.join(layer)}; }}")
-            layer = []
-    lower, upper = diagram._edge_rows.T.tolist()
-    # Signed numbers need no DOT escaping.
-    parts = [[format(column[t] - column[f], "+d")
-              for f, t in zip(lower, upper)] for column in zip(*shown)]
-    edge_labels = map(", ".join, zip(*parts)) if parts else [""] * len(lower)
-    lines.extend(map('  {} -> {} [label="{}"];'.format,
-                     map(ids.__getitem__, lower), map(ids.__getitem__, upper),
-                     edge_labels))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield ('digraph hasse {\n  rankdir=BT;\n'
+           '  node [shape=box, style=filled, fillcolor=white];\n')
+    for rows in blocks(len(diagram.masks)):
+        lines = []
+        block = zip(diagram.masks[rows].tolist(),
+                    diagram.table[rows][:, positions].tolist(),
+                    diagram.flags[rows].tolist())
+        for row, (bits, values, flagged) in enumerate(block, rows.start):
+            names = [label for i, label in enumerate(members) if bits >> i & 1]
+            node_id = f'"{_dot_escape("_".join(names) if names else "empty")}"'
+            ids.append(node_id)
+            display = [floor_int(v) for v in values]
+            shown.append(display)
+            name = _dot_escape("{" + ", ".join(names) + "}")
+            # Integers need no DOT escaping.
+            text = ", ".join(map(str, display))
+            fill = ', fillcolor="lightcoral"' if flagged else ""
+            lines.append(f'  {node_id} [label="{name}\\n{text}"{fill}];\n')
+            layer.append(node_id)
+            if sizes[row + 1] != sizes[row]:
+                lines.append(f"  {{ rank=same; {'; '.join(layer)}; }}\n")
+                layer = []
+        yield "".join(lines)
+    columns = list(zip(*shown))
+    for rows in blocks(len(diagram._edge_rows)):
+        lower, upper = diagram._edge_rows[rows].T.tolist()
+        # Signed numbers need no DOT escaping.
+        parts = [[format(column[t] - column[f], "+d")
+                  for f, t in zip(lower, upper)] for column in columns]
+        labels = map(", ".join, zip(*parts)) if parts else [""] * len(lower)
+        yield "".join(map('  {} -> {} [label="{}"];\n'.format,
+                          map(ids.__getitem__, lower),
+                          map(ids.__getitem__, upper), labels))
+    yield "}\n"
 
 
-_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-# One node and one edge entry as json.dumps(doc, indent=2) lays them out.
-_JSON_NODE = ('{{\n      "subset": {},\n      "outcomes": {},'
-              '\n      "flagged": {}\n    }}').format
-_JSON_EDGE = ('{{\n      "from": {},\n      "to": {},'
-              '\n      "deltas": {}\n    }}').format
+def to_dot(
+    diagram: AnnotatedHasseDiagram, label_metrics: Sequence[str] | None = None
+) -> str:
+    """The whole text of :func:`iter_dot`."""
+    return "".join(iter_dot(diagram, label_metrics))
 
 
-def _json_list(items: Sequence[str], depth: int) -> str:
-    """A JSON array of encoded ``items`` opened at indent level ``depth``."""
-    if not items:
-        return "[]"
-    inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+_JSON_NODE = json_object_format(("subset", "outcomes", "flagged"), 2)
+_JSON_EDGE = json_object_format(("from", "to", "deltas"), 2)
 
 
-def _json_rows(values: np.ndarray) -> list[str]:
-    """Each row of a float array as a JSON array at indent level 3, with
-    json's float text: ``repr`` when finite, else NaN or (-)Infinity."""
-    rows, width = values.shape
-    if not width:
-        return ["[]"] * rows
-    flat = values.ravel()
-    texts = list(map(repr, flat.tolist()))
-    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
-        texts[i] = _NONFINITE_JSON[texts[i]]
-    row = _json_list(["{}"] * width, 3)
-    return list(map(row.format, *(texts[k::width] for k in range(width))))
-
-
-def to_json(diagram: AnnotatedHasseDiagram) -> str:
-    """Serialize the diagram to a stable JSON document.
+def iter_json(diagram: AnnotatedHasseDiagram) -> Iterator[str]:
+    """Serialize the diagram to a stable JSON document, in chunks of about
+    :data:`~mktsens.jsontext.EMIT_BLOCK` nodes or edges.
 
     Schema: {"marginal_set": [labels], "metrics": [names],
     "nodes": [{"subset": [indices], "outcomes": [...], "flagged": bool}],
     "edges": [{"from": [indices], "to": [indices], "deltas": [...]}]}.
     The text is the same as ``json.dumps(doc, indent=2)`` plus a newline.
     """
-    n = diagram.marginal_set.n
-    subsets = [_json_list([str(i) for i in range(n) if bits >> i & 1], 3)
-               for bits in diagram.masks.tolist()]
-    nodes = list(map(_JSON_NODE, subsets, _json_rows(diagram.table),
-                     map(("false", "true").__getitem__, diagram.flags.tolist())))
-    lower, upper = diagram._edge_rows.T.tolist()
-    edges = list(map(_JSON_EDGE, map(subsets.__getitem__, lower),
-                     map(subsets.__getitem__, upper),
-                     _json_rows(diagram.edge_deltas())))
-    header = (
-        _json_list(list(map(json.dumps, diagram.marginal_set.members)), 1),
-        _json_list(list(map(json.dumps, diagram.metric_names)), 1),
-    )
-    return (f'{{\n  "marginal_set": {header[0]},\n  "metrics": {header[1]},'
-            f'\n  "nodes": {_json_list(nodes, 1)},'
-            f'\n  "edges": {_json_list(edges, 1)}\n}}\n')
+    subsets = json_index_lists(diagram.masks, diagram.marginal_set.n, 3)
+    labels = json_list(list(map(json.dumps, diagram.marginal_set.members)), 1)
+    metrics = json_list(list(map(json.dumps, diagram.metric_names)), 1)
+    yield (f'{{\n  "marginal_set": {labels},\n  "metrics": {metrics},'
+           '\n  "nodes": ')
+
+    def nodes(rows: slice) -> list[str]:
+        return list(map(_JSON_NODE, subsets[rows],
+                        json_rows(diagram.table[rows], 3),
+                        json_bools(diagram.flags[rows])))
+
+    def edges(rows: slice) -> list[str]:
+        edge_rows = diagram._edge_rows[rows]
+        lower, upper = edge_rows.T.tolist()
+        return list(map(_JSON_EDGE, map(subsets.__getitem__, lower),
+                        map(subsets.__getitem__, upper),
+                        json_rows(diagram._deltas(edge_rows), 3)))
+
+    yield from iter_json_list(map(nodes, blocks(len(subsets))), 1)
+    yield ',\n  "edges": '
+    yield from iter_json_list(map(edges, blocks(len(diagram._edge_rows))), 1)
+    yield "\n}\n"
+
+
+def to_json(diagram: AnnotatedHasseDiagram) -> str:
+    """The whole text of :func:`iter_json`."""
+    return "".join(iter_json(diagram))
 
 
 def diagram_from_json(text: str) -> AnnotatedHasseDiagram:

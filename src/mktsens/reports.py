@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,15 +39,24 @@ from .geomarket import (
     chain_market,
     sspi_structure_table,
 )
+from .jsontext import (
+    blocks,
+    iter_json_list,
+    json_bools,
+    json_floats,
+    json_index_lists,
+    json_list,
+    json_object_format,
+)
 from .lattice import (
     AnnotatedHasseDiagram,
     ExclusionSet,
     MarginalSet,
     canonical_masks,
     hasse_from_table,
+    iter_dot,
+    iter_json,
     subset_label,
-    to_dot,
-    to_json,
 )
 from .metrics import (
     Market,
@@ -71,15 +80,16 @@ DOT_LABEL_METRICS = ("post_hhi",)
 
 @contextmanager
 def _staged(out_dir: Path):
-    """Yield ``write(name, text)``, staging files in a fresh directory inside
-    ``out_dir``; they move into place only once the whole block succeeds."""
+    """Yield ``write(name, chunks)``, which writes the ``str`` chunks of one
+    file into a fresh staging directory inside ``out_dir``; the files move
+    into place only once the whole block succeeds."""
     out_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     names: list[str] = []
 
-    def write(name: str, text: str) -> Path:
+    def write(name: str, chunks: Iterable[str]) -> Path:
         with open(staging / name, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         names.append(name)
         return out_dir / name
 
@@ -333,8 +343,8 @@ def write_hasse_report(
             raise ConfigError(f"unknown hasse format {fmt!r}; expected dot or json")
     with _staged(Path(out_dir)) as write:
         return [
-            write(f"hasse.{fmt}", to_dot(diagram, DOT_LABEL_METRICS)
-                  if fmt == "dot" else to_json(diagram))
+            write(f"hasse.{fmt}", iter_dot(diagram, DOT_LABEL_METRICS)
+                  if fmt == "dot" else iter_json(diagram))
             for fmt in formats
         ]
 
@@ -427,14 +437,14 @@ def write_state_report(report: StateReport, out_dir: str | Path) -> list[Path]:
     share_rows, share_doc = _share_rows(report)
     with _staged(Path(out_dir)) as write:
         return [
-            write("hasse.dot", to_dot(report.diagram, DOT_LABEL_METRICS)),
-            write("hasse.json", to_json(report.diagram)),
-            write("shapley.csv", _csv_text(shapley_rows)),
-            write("shapley.json", _json_text(shapley_doc)),
-            write("sspi.csv", _csv_text(sspi_rows)),
-            write("sspi.json", _json_text(sspi_doc)),
-            write("shares.csv", _csv_text(share_rows)),
-            write("shares.json", _json_text(share_doc)),
+            write("hasse.dot", iter_dot(report.diagram, DOT_LABEL_METRICS)),
+            write("hasse.json", iter_json(report.diagram)),
+            write("shapley.csv", [_csv_text(shapley_rows)]),
+            write("shapley.json", [_json_text(shapley_doc)]),
+            write("sspi.csv", [_csv_text(sspi_rows)]),
+            write("sspi.json", [_json_text(sspi_doc)]),
+            write("shares.csv", [_csv_text(share_rows)]),
+            write("shares.json", [_json_text(share_doc)]),
         ]
 
 
@@ -463,9 +473,68 @@ def write_firm_report(report: FirmReport, out_dir: str | Path) -> list[Path]:
     }
     with _staged(Path(out_dir)) as write:
         return [
-            write("sspi.csv", _csv_text(rows)),
-            write("sspi.json", _json_text(doc)),
+            write("sspi.csv", [_csv_text(rows)]),
+            write("sspi.json", [_json_text(doc)]),
         ]
+
+
+_COUNT_ENTRY = json_object_format(("subset", "count"), 2)
+_MARKET_ENTRY = json_object_format(
+    ("center_store_id", "member_count", "sensitive", "sspi", "outcomes"), 2
+)
+_OUTCOME_ENTRY = json_object_format(("subset", *METRIC_NAMES, "flagged"), 4)
+
+
+def _local_counts_json(report: LocalReport) -> Iterator[str]:
+    """local_counts.json, as ``json.dumps(doc, indent=2)`` plus a newline
+    would print it, a block of exclusion sets at a time."""
+    ms = report.marginal_set
+    masks = np.array([subset.bits for subset, _ in report.counts], dtype=np.int64)
+    subsets = json_index_lists(masks, ms.n, 3)
+    counts = [str(count) for _, count in report.counts]
+    labels = json_list(list(map(json.dumps, ms.members)), 1)
+    yield (f'{{\n  "marginal_set": {labels},'
+           f'\n  "analyzed_markets": {len(report.results)},'
+           f'\n  "sensitive_markets": {report.sensitive_count},'
+           '\n  "counts": ')
+    yield from iter_json_list(
+        (list(map(_COUNT_ENTRY, subsets[rows], counts[rows]))
+         for rows in blocks(len(counts))), 1)
+    yield "\n}\n"
+
+
+def _local_markets_json(report: LocalReport) -> Iterator[str]:
+    """local_markets.json, as ``json.dumps(doc, indent=2)`` plus a newline
+    would print it, a block of circles holding about
+    :data:`~mktsens.jsontext.EMIT_BLOCK` outcome rows at a time."""
+    ms = report.marginal_set
+    masks = canonical_masks(ms.n)
+    subsets = json_index_lists(masks, ms.n, 5)
+    labels = json_list(list(map(json.dumps, ms.members)), 1)
+    yield (f'{{\n  "marginal_set": {labels},'
+           f'\n  "radius_miles": {json.dumps(report.config.radius_miles)},'
+           '\n  "markets": ')
+
+    def markets(rows: slice) -> list[str]:
+        block = report.results[rows]
+        cells = json_floats(np.stack([r.table[masks] for r in block]))
+        flags = json_bools(np.stack([r.flags[masks] for r in block]).ravel())
+        width = len(METRIC_NAMES)
+        outcomes = list(map(_OUTCOME_ENTRY, subsets * len(block),
+                            *(cells[k::width] for k in range(width)), flags))
+        return [
+            _MARKET_ENTRY(
+                json.dumps(r.center_id), json.dumps(r.member_count),
+                json.dumps(r.sensitive),
+                "null" if r.sspi is None else json_list(json_floats(r.sspi), 3),
+                json_list(outcomes[i * len(masks):(i + 1) * len(masks)], 3),
+            )
+            for i, r in enumerate(block)
+        ]
+
+    yield from iter_json_list(
+        map(markets, blocks(len(report.results), len(masks))), 1)
+    yield "\n}\n"
 
 
 def write_local_report(report: LocalReport, out_dir: str | Path) -> list[Path]:
@@ -476,23 +545,11 @@ def write_local_report(report: LocalReport, out_dir: str | Path) -> list[Path]:
     count_rows: list[list[object]] = [["subset", "excluded_count", "count"]]
     for subset, count in report.counts:
         count_rows.append([subset_label(ms, subset), subset.size, count])
-    counts_doc = {
-        "marginal_set": list(ms.members),
-        "analyzed_markets": len(report.results),
-        "sensitive_markets": report.sensitive_count,
-        "counts": [
-            {"subset": list(subset.indices), "count": count}
-            for subset, count in report.counts
-        ],
-    }
 
     market_rows: list[list[object]] = [
         ["center_store_id", "member_count", "sensitive"]
         + [f"sspi_{label}" for label in ms.members]
     ]
-    market_entries = []
-    masks = [subset.bits for subset, _ in report.counts]
-    indices = [list(subset.indices) for subset, _ in report.counts]
     for result in report.results:
         cells = (
             [fmt_fixed(v, decimals) for v in result.sspi]
@@ -503,32 +560,6 @@ def write_local_report(report: LocalReport, out_dir: str | Path) -> list[Path]:
             [result.center_id, result.member_count,
              str(result.sensitive).lower()] + cells
         )
-        market_entries.append(
-            {
-                "center_store_id": result.center_id,
-                "member_count": result.member_count,
-                "sensitive": result.sensitive,
-                "sspi": list(result.sspi) if result.sspi is not None else None,
-                "outcomes": [
-                    {
-                        "subset": subset,
-                        "post_hhi": post,
-                        "delta_hhi": delta,
-                        "merged_share": share,
-                        "flagged": flagged,
-                    }
-                    for subset, (post, delta, share), flagged in zip(
-                        indices, result.table[masks].tolist(),
-                        result.flags[masks].tolist()
-                    )
-                ],
-            }
-        )
-    markets_doc = {
-        "marginal_set": list(ms.members),
-        "radius_miles": report.config.radius_miles,
-        "markets": market_entries,
-    }
 
     structure_rows: list[list[object]] = [
         [f"sspi_{label}" for label in ms.members] + ["count"]
@@ -546,10 +577,10 @@ def write_local_report(report: LocalReport, out_dir: str | Path) -> list[Path]:
 
     with _staged(Path(out_dir)) as write:
         return [
-            write("local_counts.csv", _csv_text(count_rows)),
-            write("local_counts.json", _json_text(counts_doc)),
-            write("local_markets.csv", _csv_text(market_rows)),
-            write("local_markets.json", _json_text(markets_doc)),
-            write("sspi_structure.csv", _csv_text(structure_rows)),
-            write("sspi_structure.json", _json_text(structure_doc)),
+            write("local_counts.csv", [_csv_text(count_rows)]),
+            write("local_counts.json", _local_counts_json(report)),
+            write("local_markets.csv", [_csv_text(market_rows)]),
+            write("local_markets.json", _local_markets_json(report)),
+            write("sspi_structure.csv", [_csv_text(structure_rows)]),
+            write("sspi_structure.json", [_json_text(structure_doc)]),
         ]

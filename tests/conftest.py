@@ -9,12 +9,14 @@ fixture is two far-apart store clusters with known per-circle outcomes.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mktsens import (
     DataError,
@@ -39,6 +41,9 @@ from mktsens import (
     subset_label,
 )
 from mktsens.display import floor_int
+
+# Labels and ids that need escaping in DOT and JSON, some not ASCII.
+AWKWARD_TEXT = st.text(st.sampled_from('ab_"\\ é中{},'), min_size=1, max_size=4)
 
 # Eight-firm reference market: five core firms and marginal firms 1, 2, 3.
 TEXTBOOK_SALES = {
@@ -417,6 +422,62 @@ def scalar_hasse_json(ms, metric_names, nodes, edges) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def scalar_local_json(report) -> dict[str, str]:
+    """local_counts.json and local_markets.json of a LocalReport, each built
+    as one document of dicts and passed to json.dumps(indent=2): the writer
+    that the block renderer replaced."""
+    ms = report.marginal_set
+    counts_doc = {
+        "marginal_set": list(ms.members),
+        "analyzed_markets": len(report.results),
+        "sensitive_markets": report.sensitive_count,
+        "counts": [
+            {"subset": list(subset.indices), "count": count}
+            for subset, count in report.counts
+        ],
+    }
+    masks = [subset.bits for subset, _ in report.counts]
+    indices = [list(subset.indices) for subset, _ in report.counts]
+    markets_doc = {
+        "marginal_set": list(ms.members),
+        "radius_miles": report.config.radius_miles,
+        "markets": [
+            {
+                "center_store_id": result.center_id,
+                "member_count": result.member_count,
+                "sensitive": result.sensitive,
+                "sspi": list(result.sspi) if result.sspi is not None else None,
+                "outcomes": [
+                    {
+                        "subset": subset,
+                        "post_hhi": post,
+                        "delta_hhi": delta,
+                        "merged_share": share,
+                        "flagged": flagged,
+                    }
+                    for subset, (post, delta, share), flagged in zip(
+                        indices, result.table[masks].tolist(),
+                        result.flags[masks].tolist()
+                    )
+                ],
+            }
+            for result in report.results
+        ],
+    }
+    return {name: json.dumps(doc, indent=2) + "\n" for name, doc in (
+        ("local_counts.json", counts_doc), ("local_markets.json", markets_doc))}
+
+
+def fail_after_one_block(iterate):
+    """``iterate`` cut short, as by a disk that fills mid-stream: its header
+    chunk and its first block, then OSError("disk full")."""
+    def broken(*args, **kwargs):
+        yield from itertools.islice(iterate(*args, **kwargs), 2)
+        raise OSError("disk full")
+
+    return broken
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,15 @@ from pathlib import Path
 
 import pytest
 
-from mktsens import Store, reports
+from mktsens import Store, iter_json, jsontext, reports
 from mktsens.cli import main
-from tests.conftest import base_config_doc, local_stores, state_stores, write_inputs
+from tests.conftest import (
+    base_config_doc,
+    fail_after_one_block,
+    local_stores,
+    state_stores,
+    write_inputs,
+)
 
 
 def run_cli(tmp_path, command, stores, config_doc, *extra, out="out"):
@@ -25,6 +31,13 @@ def run_cli(tmp_path, command, stores, config_doc, *extra, out="out"):
     argv = [command, "--stores", str(stores_path),
             "--config", str(config_path), "--out", str(out_dir), *extra]
     return main(argv), out_dir
+
+
+def assert_only_old_files(out: Path, old: dict[str, bytes]) -> None:
+    """``out`` holds exactly the ``old`` files, byte for byte, and no
+    staging directory."""
+    assert sorted(p.name for p in out.iterdir()) == sorted(old)
+    assert {name: (out / name).read_bytes() for name in old} == old
 
 
 def read_csv(path: Path) -> list[list[str]]:
@@ -51,6 +64,24 @@ class TestStateCommand:
         assert payload["mode"] == "sampled"
         assert payload["seed"] == 11
         assert payload["permutations_used"] == 5000
+
+    def test_failed_json_keeps_every_old_file(self, tmp_path, capsys,
+                                              monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        old = {name: f"old {name}\n".encode() for name in (
+            "hasse.dot", "hasse.json", "shapley.csv", "shapley.json",
+            "sspi.csv", "sspi.json", "shares.csv", "shares.json",
+        )}
+        for name, data in old.items():
+            (out / name).write_bytes(data)
+        # hasse.dot is staged whole before hasse.json fails mid-stream.
+        monkeypatch.setattr(jsontext, "EMIT_BLOCK", 2)
+        monkeypatch.setattr(reports, "iter_json", fail_after_one_block(iter_json))
+        code, _ = run_cli(tmp_path, "state", state_stores(), base_config_doc())
+        assert code == 2
+        assert "output error: disk full" in capsys.readouterr().err
+        assert_only_old_files(out, old)
 
     def test_two_runs_are_byte_identical(self, tmp_path):
         _, first = run_cli(tmp_path, "state", state_stores(),
@@ -134,14 +165,13 @@ class TestHasseCommand:
         for name, data in old.items():
             (out / name).write_bytes(data)
 
-        def broken(diagram):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(reports, "to_json", broken)
+        # Two nodes a block, so hasse.json fails with blocks still to come.
+        monkeypatch.setattr(jsontext, "EMIT_BLOCK", 2)
+        monkeypatch.setattr(reports, "iter_json", fail_after_one_block(iter_json))
         code, _ = run_cli(tmp_path, "hasse", state_stores(), base_config_doc())
         assert code == 2
         assert "output error: disk full" in capsys.readouterr().err
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+        assert_only_old_files(out, old)
 
     def test_rejects_unknown_format(self, tmp_path):
         with pytest.raises(SystemExit) as err:

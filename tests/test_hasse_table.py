@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mktsens import (
@@ -21,13 +21,20 @@ from mktsens import (
     MarginalSet,
     diagram_from_json,
     hasse_from_table,
+    iter_dot,
+    iter_json,
+    jsontext,
     restrict,
     to_dot,
     to_json,
 )
-from tests.conftest import scalar_hasse, scalar_hasse_dot, scalar_hasse_json
+from tests.conftest import (
+    AWKWARD_TEXT,
+    scalar_hasse,
+    scalar_hasse_dot,
+    scalar_hasse_json,
+)
 
-AWKWARD_TEXT = st.text(st.sampled_from('ab_"\\ é中{},'), min_size=1, max_size=4)
 OUTCOMES = st.one_of(
     st.floats(min_value=-1e6, max_value=1e6),
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.5, -2.5, 1.25,
@@ -47,7 +54,9 @@ def diagrams(draw):
     keep = draw(st.none() | st.sets(st.integers(0, (1 << n) - 1)))
     label_metrics = draw(st.none() | st.lists(st.sampled_from(names),
                                               max_size=3).map(tuple))
-    return MarginalSet(labels), tuple(names), rows, flags, keep, label_metrics
+    block = draw(st.sampled_from([1, 2, 3, jsontext.EMIT_BLOCK]))
+    return (MarginalSet(labels), tuple(names), rows, flags, keep, label_metrics,
+            block)
 
 
 def assert_same_floats(actual: np.ndarray, expected) -> None:
@@ -58,10 +67,26 @@ def assert_same_floats(actual: np.ndarray, expected) -> None:
     assert same.all()
 
 
+def entries_per_chunk(chunks, marker: str) -> list[int]:
+    return [chunk.count(marker) for chunk in chunks]
+
+
 @settings(max_examples=300, deadline=None)
 @given(diagrams())
+@example((MarginalSet(()), ("x",), [[math.nan]], [True], None, None, 1))
+@example((MarginalSet(("a", "b")), ("x", "y"),
+          [[math.inf, 1.0], [-math.inf, math.nan], [0.5, -0.0], [2.0, 3.0]],
+          [False, True, False, True], {1, 2}, ("y",), 1))
+@example((MarginalSet(("a", "b", "c")), ("x",),
+          [[float(bits)] for bits in range(8)], [False] * 8, None, None, 3))
 def test_emitters_match_the_object_oracle(case):
-    ms, names, rows, flags, keep, label_metrics = case
+    ms, names, rows, flags, keep, label_metrics, block = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jsontext, "EMIT_BLOCK", block)
+        check_emitters(ms, names, rows, flags, keep, label_metrics, block)
+
+
+def check_emitters(ms, names, rows, flags, keep, label_metrics, block):
     diagram = hasse_from_table(ms, names, rows, flags)
     if keep is not None:
         diagram = restrict(diagram, [ExclusionSet(ms.n, bits) for bits in keep])
@@ -78,6 +103,8 @@ def test_emitters_match_the_object_oracle(case):
     assert isinstance(text, str)
     assert text == scalar_hasse_json(ms, names, nodes, edges)
     assert to_json(diagram_from_json(text)) == text
+    # Every node and edge entry opens on a line of its own at indent level 2.
+    assert max(entries_per_chunk(iter_json(diagram), "\n    {")) <= block
 
     try:
         expected = scalar_hasse_dot(ms, names, nodes, edges, label_metrics)
@@ -87,6 +114,9 @@ def test_emitters_match_the_object_oracle(case):
             to_dot(diagram, label_metrics)
     else:
         assert to_dot(diagram, label_metrics) == expected
+        # Labels hold none of "[=", so this counts node and edge lines.
+        chunks = list(iter_dot(diagram, label_metrics))
+        assert max(entries_per_chunk(chunks, " [label=")) <= block
 
 
 @pytest.mark.parametrize("n", range(0, 7))

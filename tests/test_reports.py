@@ -3,21 +3,31 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mktsens import (
     ConfigError,
     presumption,
     DataError,
     ExclusionSet,
+    LocalAnalysisResult,
+    MarginalSet,
     RunConfig,
+    Store,
     StoreUniverse,
+    canonical_masks,
 )
-from mktsens import lattice, reports, shapley
+from mktsens import jsontext, lattice, reports, shapley
 from mktsens.reports import (
+    LocalReport,
     _display_total,
     _staged,
     run_firm_level,
@@ -30,12 +40,15 @@ from mktsens.reports import (
 )
 from mktsens.display import fmt_fixed, fmt_truncated, round_half_up_int
 from tests.conftest import (
+    AWKWARD_TEXT,
     STATE_FLAGGED,
     STATE_MERGING,
     STATE_POST_HHI,
     TEXTBOOK_SHAPLEY,
     TEXTBOOK_SSPI,
+    fail_after_one_block,
     local_stores,
+    scalar_local_json,
 )
 
 
@@ -322,6 +335,67 @@ class TestRunLocal:
         assert tree_bytes(tmp_path / "one") == tree_bytes(tmp_path / "two")
 
 
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.1, 1800.0]),
+)
+
+
+@st.composite
+def local_reports(draw):
+    """LocalReports of awkward records: non-ASCII labels and centre ids,
+    non-finite outcomes, sspi None or not, integer or float radii."""
+    n = draw(st.integers(min_value=0, max_value=3))
+    ms = MarginalSet(draw(st.lists(AWKWARD_TEXT, min_size=n, max_size=n,
+                                   unique=True)))
+    radius = draw(st.integers(0, 50) | st.floats(0, 50))
+    results = []
+    for center_id in draw(st.lists(AWKWARD_TEXT, max_size=6)):
+        table = draw(st.lists(st.lists(CELLS, min_size=3, max_size=3),
+                              min_size=1 << n, max_size=1 << n))
+        flags = draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n))
+        results.append(LocalAnalysisResult(
+            Store(center_id, "acme", "Acme", "supermarket", 0.0, 0.0, 1.0),
+            radius, draw(st.integers(0, 10**6)), np.array(table),
+            np.array(flags), draw(st.booleans()),
+            draw(st.none() | st.lists(CELLS, min_size=n, max_size=n).map(tuple)),
+        ))
+    counts = tuple((ExclusionSet(n, bits), draw(st.integers(0, 10**6)))
+                   for bits in canonical_masks(n).tolist())
+    config = RunConfig(merging_chains=STATE_MERGING, radius_miles=radius)
+    return LocalReport(config, ms, tuple(results), counts, ())
+
+
+class TestLocalJsonBlocks:
+    """The local JSON files, rendered a block at a time, against the
+    json.dumps(indent=2) documents they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(local_reports(), st.sampled_from([1, 2, 3, 8, jsontext.EMIT_BLOCK]))
+    def test_match_json_dumps(self, report, block):
+        expected = scalar_local_json(report)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(jsontext, "EMIT_BLOCK", block)
+            assert ("".join(reports._local_counts_json(report))
+                    == expected["local_counts.json"])
+            assert ("".join(reports._local_markets_json(report))
+                    == expected["local_markets.json"])
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 8, 16])
+    def test_written_files(self, local_universe, tmp_path, monkeypatch, block):
+        # An integer radius prints as one; one centre id is not ASCII.
+        stores = [dataclasses.replace(s, store_id="a01é")
+                  if s.store_id == "a01" else s for s in local_universe]
+        config = RunConfig(merging_chains=STATE_MERGING, radius_miles=5)
+        report = run_local(config, StoreUniverse(tuple(stores)))
+        assert [r.center_id for r in report.results][0] == "a01é"
+        assert any(r.sspi is None for r in report.results)
+        monkeypatch.setattr(jsontext, "EMIT_BLOCK", block)
+        write_local_report(report, tmp_path)
+        for name, text in scalar_local_json(report).items():
+            assert (tmp_path / name).read_text(encoding="utf-8") == text
+
+
 class TestEmitHasse:
     def test_unknown_format(self, state_config, state_universe, tmp_path):
         report = run_state(state_config, state_universe)
@@ -340,21 +414,21 @@ class TestStagedWrites:
         for name, data in old.items():
             (tmp_path / name).write_bytes(data)
         report = run_local(local_config, local_universe)
-
-        def broken(doc):
-            raise OSError("disk full")
-
-        # local_counts.csv is staged before the first JSON text fails.
-        monkeypatch.setattr(reports, "_json_text", broken)
+        # One circle a block: local_counts.* and local_markets.csv are staged
+        # whole before local_markets.json fails with circles still to come.
+        monkeypatch.setattr(jsontext, "EMIT_BLOCK", 8)
+        monkeypatch.setattr(reports, "_local_markets_json",
+                            fail_after_one_block(reports._local_markets_json))
         with pytest.raises(OSError, match="disk full"):
             write_local_report(report, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(old)
         assert tree_bytes(tmp_path) == old
 
     def test_interleaved_writers_do_not_share_temp_files(self, tmp_path):
         with _staged(tmp_path) as first:
             with _staged(tmp_path) as second:
-                first("a.txt", "first\n")
-                second("a.txt", "second\n")
+                first("a.txt", ["first\n"])
+                second("a.txt", ["second\n"])
             assert (tmp_path / "a.txt").read_text() == "second\n"
         assert (tmp_path / "a.txt").read_text() == "first\n"
         assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
