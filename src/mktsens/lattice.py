@@ -5,9 +5,10 @@ contested) induces the Boolean lattice of its 2^n subsets ordered by
 inclusion.  Each subset is an "exclusion set": the labels removed from the
 candidate market.  This module enumerates that lattice and evaluates an
 outcome function once per subset.  A diagram is a (nodes × metrics) outcome
-table with a flag per node plus an array of edge endpoints; for the full
-lattice the edges are the bit flips that add one label.  DOT and JSON are
-rendered straight from those arrays, a block of nodes or edges at a time.
+table with a flag per node plus one int32 (lower row, upper row) pair per
+edge; for the full lattice the edges are the bit flips that add one label.
+DOT and JSON are rendered straight from those arrays, a block of nodes or
+edges at a time.
 
 Canonical order everywhere is (cardinality ascending, then bitmask ascending),
 so identical inputs always produce byte-identical artifacts.
@@ -17,7 +18,7 @@ so identical inputs always produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -213,16 +214,37 @@ def covers(a: ExclusionSet, b: ExclusionSet) -> bool:
 
 
 def _frozen_array(
-    values: np.typing.ArrayLike, dtype, shape: tuple[int | None, ...], what: str
+    values: np.typing.ArrayLike, dtype, shape: tuple[int | None, ...], what: str,
+    limit: int | None = None,
 ) -> np.ndarray:
-    """A read-only copy of ``values``; None in ``shape`` matches any length."""
-    array = np.array(values, dtype=dtype)
+    """A read-only copy of ``values``; None in ``shape`` matches any length.
+    With ``limit``, values must lie in [0, limit); that is checked before
+    the cast to ``dtype``, so a narrowing cast cannot wrap one."""
+    array = np.asarray(values)
+    if limit is not None and array.size:
+        if not 0 <= array.min() <= array.max() < limit:
+            raise ValueError(f"{what} out of range [0, {limit})")
+    array = np.array(array, dtype=dtype)
     if array.ndim != len(shape) or any(
         want is not None and got != want for got, want in zip(array.shape, shape)
     ):
         raise ValueError(f"{what} has shape {array.shape}, expected {shape}")
     array.flags.writeable = False
     return array
+
+
+def _inverse_rank(masks: np.ndarray, n: int) -> np.ndarray:
+    """Row of each width-``n`` bitmask in ``masks``, by bitmask; -1 if absent."""
+    rank = np.full(1 << n, -1, dtype=np.int32)
+    rank[masks] = np.arange(len(masks), dtype=np.int32)
+    return rank
+
+
+def _edge_deltas(table: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """(edges × metrics) outcomes of each upper row minus its lower row."""
+    # Like Python float subtraction: inf - inf is NaN, silently.
+    with np.errstate(invalid="ignore", over="ignore"):
+        return table[edges[:, 1]] - table[edges[:, 0]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,9 +254,11 @@ class AnnotatedHasseDiagram:
     ``masks`` lists the node subsets as bitmasks in canonical order;
     ``table`` holds one float64 row of outcomes (in ``metric_names`` order)
     per node and ``flags`` marks the nodes that trigger the decision rule.
-    ``edge_masks`` holds one (lower, upper) bitmask pair per edge, and an
-    edge's deltas are always the upper row minus the lower row
-    (:meth:`edge_deltas`).
+    ``edges`` holds one (lower row, upper row) pair of node rows per edge,
+    as int32, sorted by lower row and then by upper row; each lower node is
+    a strict subset of its upper node.  An edge's bitmasks are derived
+    (:attr:`edge_masks`), and its deltas are always the upper row minus
+    the lower row (:meth:`edge_deltas`).
     """
 
     marginal_set: MarginalSet
@@ -242,70 +266,74 @@ class AnnotatedHasseDiagram:
     masks: np.ndarray
     table: np.ndarray
     flags: np.ndarray
-    edge_masks: np.ndarray
-    _keys: np.ndarray = field(init=False, repr=False)
-    _edge_rows: np.ndarray = field(init=False, repr=False)
+    edges: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.marginal_set.n
-        masks = _frozen_array(self.masks, np.int64, (None,), "node masks")
+        masks = _frozen_array(self.masks, np.int64, (None,), "node masks", 1 << n)
         count = len(masks)
         table = _frozen_array(
             self.table, np.float64, (count, len(self.metric_names)),
             "outcome table",
         )
         flags = _frozen_array(self.flags, bool, (count,), "flags")
-        edge_masks = _frozen_array(self.edge_masks, np.int64, (None, 2),
-                                   "edge masks")
-        for what, bits in (("node", masks), ("edge", edge_masks)):
-            if bits.size and not (bits.min() >= 0 and bits.max() < 1 << n):
-                raise ValueError(f"{what} bitmask out of range for width {n}")
-        keys = _canonical_keys(masks, n)
-        if np.any(np.diff(keys) <= 0):
+        edges = _frozen_array(self.edges, np.int32, (None, 2), "edge rows", count)
+        if np.any(np.diff(_canonical_keys(masks, n)) <= 0):
             raise ValueError("diagram nodes must be distinct and in canonical order")
         for name, value in (("masks", masks), ("table", table), ("flags", flags),
-                            ("edge_masks", edge_masks), ("_keys", keys)):
+                            ("edges", edges)):
             object.__setattr__(self, name, value)
-        edge_rows = self._rows_of(edge_masks)
-        missing = np.flatnonzero((edge_rows < 0).any(axis=1))
-        if missing.size:
-            lower, upper = (ExclusionSet(n, int(bits))
-                            for bits in edge_masks[missing[0]])
-            raise ValueError(
-                f"edge {subset_label(self.marginal_set, lower)} -> "
-                f"{subset_label(self.marginal_set, upper)} "
-                "has an endpoint that is not a node"
-            )
-        object.__setattr__(self, "_edge_rows", edge_rows)
+        lower, upper = edges.T
+        step = np.diff(lower)
+        unordered = np.flatnonzero((step < 0) | (step == 0) & (np.diff(upper) <= 0))
+        if unordered.size:
+            raise ValueError(f"{self._edge_name(unordered[0] + 1)} is repeated "
+                             "or out of canonical order")
+        # lower ⊆ upper iff lower | upper == upper; equal rows are a self-loop.
+        # Bitmasks of width n <= 24 fit int32, which halves these temporaries.
+        narrow = masks.astype(np.int32)
+        joined, above = narrow[lower], narrow[upper]
+        joined |= above
+        crossed = np.flatnonzero((joined != above) | (lower == upper))
+        if crossed.size:
+            raise ValueError(f"{self._edge_name(crossed[0])} does not lead "
+                             "from a subset to a strict superset")
 
-    def _rows_of(self, bits: np.ndarray) -> np.ndarray:
-        """Table row of each in-range bitmask in ``bits``; -1 if not a node."""
-        wanted = _canonical_keys(bits, self.marginal_set.n)
-        rows = np.searchsorted(self._keys, wanted)
-        found = rows < len(self._keys)
-        found[found] = self._keys[rows[found]] == wanted[found]
-        return np.where(found, rows, -1)
+    def _edge_name(self, edge: int) -> str:
+        lower, upper = (
+            subset_label(self.marginal_set, ExclusionSet(self.marginal_set.n, bits))
+            for bits in self.masks[self.edges[edge]].tolist()
+        )
+        return f"edge {lower} -> {upper}"
 
-    def _row(self, subset: ExclusionSet) -> int:
-        if subset.n != self.marginal_set.n:
-            raise ValueError("subset width does not match the diagram")
-        row = int(self._rows_of(np.array([subset.bits], dtype=np.int64))[0])
-        if row < 0:
-            raise KeyError(f"subset {subset_label(self.marginal_set, subset)} "
-                           "is not a node of this diagram")
-        return row
+    @property
+    def edge_masks(self) -> np.ndarray:
+        """Each edge's (lower, upper) bitmasks, ``masks[edges]``, read-only."""
+        edge_masks = self.masks[self.edges]
+        edge_masks.flags.writeable = False
+        return edge_masks
+
+    def _rows(self, subsets: Iterable[ExclusionSet]) -> np.ndarray:
+        """Table row of each subset; KeyError names one that is not a node."""
+        n = self.marginal_set.n
+        rank = _inverse_rank(self.masks, n)
+        rows = []
+        for subset in subsets:
+            if subset.n != n:
+                raise ValueError("subset width does not match the diagram")
+            rows.append(int(rank[subset.bits]))
+            if rows[-1] < 0:
+                raise KeyError(f"subset {subset_label(self.marginal_set, subset)} "
+                               "is not a node of this diagram")
+        return np.array(rows, dtype=np.int64)
 
     def edge_deltas(self) -> np.ndarray:
         """(edges × metrics) outcomes of each upper node minus its lower."""
-        return self._deltas(self._edge_rows)
-
-    def _deltas(self, edge_rows: np.ndarray) -> np.ndarray:
-        # Like Python float subtraction: inf - inf is NaN, silently.
-        with np.errstate(invalid="ignore", over="ignore"):
-            return self.table[edge_rows[:, 1]] - self.table[edge_rows[:, 0]]
+        return _edge_deltas(self.table, self.edges)
 
     def outcome(self, subset: ExclusionSet, metric: str) -> float:
-        row = self._row(subset)
+        """One outcome; each call builds the 2^n lookup from mask to row."""
+        (row,) = self._rows([subset])
         try:
             pos = self.metric_names.index(metric)
         except ValueError:
@@ -337,12 +365,17 @@ def hasse_from_table(
     if len(table) != 1 << n or len(flags) != 1 << n:
         raise ValueError(f"outcome table and flags need 2^{n} rows")
     masks = canonical_masks(n)
-    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
-    lower = np.broadcast_to(masks[:, None], (len(masks), n))
-    lacking = lower & bits == 0
-    edge_masks = np.stack((lower[lacking], (lower | bits)[lacking]), axis=1)
+    rank = _inverse_rank(masks, n)
+    # The edges of each row are contiguous; ``at`` is where its next goes.
+    lacking = n - _popcounts(masks, n)
+    at = np.cumsum(lacking) - lacking
+    edges = np.empty((int(lacking.sum()), 2), dtype=np.int32)
+    for bit in range(n):
+        rows = np.flatnonzero(masks >> bit & 1 == 0)
+        edges[at[rows]] = np.column_stack((rows, rank[masks[rows] | 1 << bit]))
+        at[rows] += 1
     return AnnotatedHasseDiagram(
-        ms, tuple(metric_names), masks, table[masks], flags[masks], edge_masks
+        ms, tuple(metric_names), masks, table[masks], flags[masks], edges
     )
 
 
@@ -394,21 +427,18 @@ def restrict(
     supersets of each kept node, so it is quadratic to cubic in the nodes
     kept.
     """
-    rows = []
-    for subset in keep:
-        try:
-            rows.append(diagram._row(subset))
-        except KeyError as exc:
-            raise ValueError(*exc.args) from None
-    rows = np.unique(np.array(rows, dtype=np.int64))
+    try:
+        rows = np.unique(diagram._rows(keep))
+    except KeyError as exc:
+        raise ValueError(*exc.args) from None
     masks = diagram.masks[rows]
     pairs = [np.empty((0, 2), dtype=np.int64)]
     for i, lower in enumerate(masks.tolist()):
         # Strict supersets come later in canonical order.
-        above = masks[i + 1:][masks[i + 1:] & lower == lower]
-        inside = above[:, None] & ~above[None, :] == 0
+        above = i + 1 + np.flatnonzero(masks[i + 1:] & lower == lower)
+        inside = masks[above][:, None] & ~masks[above][None, :] == 0
         uppers = above[np.count_nonzero(inside, axis=0) == 1]
-        pairs.append(np.stack((np.full_like(uppers, lower), uppers), axis=1))
+        pairs.append(np.stack((np.full_like(uppers, i), uppers), axis=1))
     return AnnotatedHasseDiagram(
         diagram.marginal_set, diagram.metric_names, masks, diagram.table[rows],
         diagram.flags[rows], np.concatenate(pairs),
@@ -466,8 +496,8 @@ def iter_dot(
                 layer = []
         yield "".join(lines)
     columns = list(zip(*shown))
-    for rows in blocks(len(diagram._edge_rows)):
-        lower, upper = diagram._edge_rows[rows].T.tolist()
+    for rows in blocks(len(diagram.edges)):
+        lower, upper = diagram.edges[rows].T.tolist()
         # Signed numbers need no DOT escaping.
         parts = [[format(column[t] - column[f], "+d")
                   for f, t in zip(lower, upper)] for column in columns]
@@ -510,15 +540,15 @@ def iter_json(diagram: AnnotatedHasseDiagram) -> Iterator[str]:
                         json_bools(diagram.flags[rows])))
 
     def edges(rows: slice) -> list[str]:
-        edge_rows = diagram._edge_rows[rows]
-        lower, upper = edge_rows.T.tolist()
+        pairs = diagram.edges[rows]
+        lower, upper = pairs.T.tolist()
         return list(map(_JSON_EDGE, map(subsets.__getitem__, lower),
                         map(subsets.__getitem__, upper),
-                        json_rows(diagram._deltas(edge_rows), 3)))
+                        json_rows(_edge_deltas(diagram.table, pairs), 3)))
 
     yield from iter_json_list(map(nodes, blocks(len(subsets))), 1)
     yield ',\n  "edges": '
-    yield from iter_json_list(map(edges, blocks(len(diagram._edge_rows))), 1)
+    yield from iter_json_list(map(edges, blocks(len(diagram.edges))), 1)
     yield "\n}\n"
 
 
@@ -530,8 +560,10 @@ def to_json(diagram: AnnotatedHasseDiagram) -> str:
 def diagram_from_json(text: str) -> AnnotatedHasseDiagram:
     """Inverse of :func:`to_json`; validates structure as it reads.
 
-    Nodes may come in any order but must be distinct; every edge must join
-    two nodes, and its deltas must equal the difference of their outcomes.
+    Nodes and edges may come in any order and are read into canonical
+    order, but must be distinct; every edge must lead from a node to a
+    node that is a strict superset of it, and its deltas must equal the
+    difference of their outcomes.
     """
     try:
         doc = json.loads(text)
@@ -561,32 +593,43 @@ def diagram_from_json(text: str) -> AnnotatedHasseDiagram:
         raise DataError("diagram JSON edge delta width does not match metrics")
     masks = np.array([subset.bits for subset, _, _ in nodes], dtype=np.int64)
     order = np.argsort(_canonical_keys(masks, ms.n))
-    twice = masks[order][1:][np.diff(masks[order]) == 0]
+    masks = masks[order]
+    twice = masks[1:][np.diff(masks) == 0]
     if twice.size:
         subset = subset_label(ms, ExclusionSet(ms.n, int(twice[0])))
         raise DataError(f"diagram JSON lists node {subset} twice")
+    pairs = np.array([(lower.bits, upper.bits) for lower, upper, _ in edges],
+                     dtype=np.int64).reshape(len(edges), 2)
+    ends = _inverse_rank(masks, ms.n)[pairs]
+    missing = np.flatnonzero((ends < 0).any(axis=1))
+    if missing.size:
+        lower, upper, _ = edges[missing[0]]
+        raise DataError(
+            f"diagram JSON is inconsistent: edge {subset_label(ms, lower)} -> "
+            f"{subset_label(ms, upper)} has an endpoint that is not a node"
+        )
+    edge_order = np.lexsort((ends[:, 1], ends[:, 0]))
     try:
         diagram = AnnotatedHasseDiagram(
             ms,
             metric_names,
-            masks[order],
+            masks,
             np.array([outcomes for _, outcomes, _ in nodes],
                      dtype=np.float64).reshape(len(nodes), width)[order],
             np.array([flagged for _, _, flagged in nodes], dtype=bool)[order],
-            np.array([(lower.bits, upper.bits) for lower, upper, _ in edges],
-                     dtype=np.int64).reshape(len(edges), 2),
+            ends[edge_order],
         )
     except ValueError as exc:
         raise DataError(f"diagram JSON is inconsistent: {exc}") from exc
     stated = np.array([deltas for _, _, deltas in edges],
-                      dtype=np.float64).reshape(len(edges), width)
+                      dtype=np.float64).reshape(len(edges), width)[edge_order]
     derived = diagram.edge_deltas()
     # 0.0 and -0.0 compare equal but print differently, so signs count too.
     same = ((stated == derived) & (np.signbit(stated) == np.signbit(derived))
             | np.isnan(stated) & np.isnan(derived))
     wrong = np.flatnonzero(~same.all(axis=1))
     if wrong.size:
-        lower, upper, deltas = edges[wrong[0]]
+        lower, upper, deltas = edges[edge_order[wrong[0]]]
         raise DataError(
             f"diagram JSON edge {subset_label(ms, lower)} -> "
             f"{subset_label(ms, upper)} has deltas {deltas}, but its nodes "

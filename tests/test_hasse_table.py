@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,15 +95,17 @@ def check_emitters(ms, names, rows, flags, keep, label_metrics, block):
     assert diagram.masks.tolist() == [node.subset.bits for node in nodes]
     assert_same_floats(diagram.table, [node.outcomes for node in nodes])
     assert diagram.flags.tolist() == [node.flagged for node in nodes]
-    assert diagram.edge_masks.tolist() == [
-        [edge.from_subset.bits, edge.to_subset.bits] for edge in edges
-    ]
+    edge_masks = [[edge.from_subset.bits, edge.to_subset.bits] for edge in edges]
+    assert diagram.edge_masks.tolist() == edge_masks
+    assert diagram.masks[diagram.edges].tolist() == edge_masks
     assert_same_floats(diagram.edge_deltas(), [edge.deltas for edge in edges])
 
     text = to_json(diagram)
     assert isinstance(text, str)
     assert text == scalar_hasse_json(ms, names, nodes, edges)
-    assert to_json(diagram_from_json(text)) == text
+    read = diagram_from_json(text)
+    assert read.masks[read.edges].tolist() == edge_masks
+    assert to_json(read) == text
     # Every node and edge entry opens on a line of its own at indent level 2.
     assert max(entries_per_chunk(iter_json(diagram), "\n    {")) <= block
 
@@ -134,7 +137,7 @@ def test_arrays_are_read_only():
     ms = MarginalSet(("a", "b"))
     diagram = hasse_from_table(ms, ("x",), [[0.0], [1.0], [2.0], [3.0]],
                                [False, True, False, True])
-    for array in (diagram.masks, diagram.table, diagram.flags,
+    for array in (diagram.masks, diagram.table, diagram.flags, diagram.edges,
                   diagram.edge_masks):
         with pytest.raises(ValueError):
             array[0] = 0
@@ -144,3 +147,29 @@ def test_table_and_flags_must_cover_the_lattice():
     ms = MarginalSet(("a", "b"))
     with pytest.raises(ValueError):
         hasse_from_table(ms, ("x",), [[0.0], [1.0], [2.0]], [False] * 3)
+
+
+def test_full_lattice_diagram_memory_at_n16():
+    """Edges are stored once, as int32 row pairs, and built without
+    edge-sized int64 temporaries: masks, a three-metric table, flags and
+    524,288 edges keep about 6 MiB."""
+    n = 16
+    rng = np.random.default_rng(0)
+    ms = MarginalSet(tuple(f"m{i}" for i in range(n)))
+    table = rng.random((1 << n, 3))
+    flags = rng.random(1 << n) < 0.5
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        diagram = hasse_from_table(ms, ("a", "b", "c"), table, flags)
+        kept, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert diagram.edges.dtype == np.int32
+    assert len(diagram.edges) == n << (n - 1)
+    assert kept < 10 * 2**20
+    assert peak < 32 * 2**20

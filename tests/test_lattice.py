@@ -416,6 +416,65 @@ class TestJsonRoundTrip:
         doc["nodes"].reverse()
         assert to_json(diagram_from_json(json.dumps(doc))) == text
 
+    def test_edges_are_read_in_canonical_order(self):
+        import json
+
+        text = to_json(_textbook_diagram())
+        doc = json.loads(text)
+        doc["edges"].reverse()
+        assert to_json(diagram_from_json(json.dumps(doc))) == text
+
+    def test_reversed_edge_rejected(self):
+        import json
+
+        doc = json.loads(to_json(_textbook_diagram()))
+        edge = doc["edges"][5]
+        edge["from"], edge["to"] = edge["to"], edge["from"]
+        edge["deltas"] = [-delta for delta in edge["deltas"]]
+        with pytest.raises(DataError, match=r"edge \{1, 2\} -> \{2\} does not"):
+            diagram_from_json(json.dumps(doc))
+
+    def test_self_loop_rejected(self):
+        import json
+
+        doc = json.loads(to_json(_textbook_diagram()))
+        doc["edges"][1].update({"to": doc["edges"][1]["from"], "deltas": [0.0]})
+        with pytest.raises(DataError, match=r"edge \{\} -> \{\} does not"):
+            diagram_from_json(json.dumps(doc))
+
+    def test_duplicate_edge_rejected(self):
+        import json
+
+        doc = json.loads(to_json(_textbook_diagram()))
+        doc["edges"].append(doc["edges"][5])
+        with pytest.raises(DataError,
+                           match=r"edge \{2\} -> \{1, 2\} is repeated"):
+            diagram_from_json(json.dumps(doc))
+
+
+class TestDiagramArrays:
+    """The constructor's checks on edge rows, for library callers."""
+
+    def _parts(self):
+        diagram = _textbook_diagram()
+        return (diagram.marginal_set, diagram.metric_names, diagram.masks,
+                diagram.table, diagram.flags)
+
+    def test_row_too_large_for_int32_is_not_wrapped(self):
+        # 2^32 + 1 would wrap to row 1, making a valid edge {} -> {1}.
+        with pytest.raises(ValueError, match="edge rows out of range"):
+            AnnotatedHasseDiagram(*self._parts(), [[0, 2**32 + 1]])
+        with pytest.raises(ValueError, match="edge rows out of range"):
+            AnnotatedHasseDiagram(*self._parts(), [[-1, 1]])
+
+    def test_edges_out_of_canonical_order_rejected(self):
+        with pytest.raises(ValueError, match="out of canonical order"):
+            AnnotatedHasseDiagram(*self._parts(), [[0, 2], [0, 1]])
+
+    def test_edge_to_a_non_superset_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \{1\} -> \{2\} does not"):
+            AnnotatedHasseDiagram(*self._parts(), [[1, 2]])
+
 
 class TestSubsetLabel:
     def test_labels(self):
