@@ -18,7 +18,7 @@ import numpy as np
 
 from .display import round_half_up
 from .errors import DataError
-from .lattice import ExclusionSet, MarginalSet, canonical_masks
+from .lattice import MarginalSet, first_marked
 from .metrics import (
     Market,
     MergerSpec,
@@ -264,8 +264,7 @@ def analyze_local(
     empty = np.isnan(columns[2])
     if empty.any():
         row = int(np.flatnonzero(empty.any(axis=1))[0])
-        masks = canonical_masks(ms.n)
-        subset = ExclusionSet(ms.n, int(masks[empty[row, masks]][0]))
+        subset = first_marked(empty[row], ms.n)
         raise DataError(
             f"circle around store {circles[row].center_id!r} has no revenue "
             f"left after excluding {sorted(ms.labels_of(subset))}"

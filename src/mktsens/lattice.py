@@ -37,6 +37,9 @@ from .jsontext import (
 
 EXACT_ENUMERATION_MAX = 24
 
+# Edges checked at a time; with 4,096 the n = 20 diagram built about 10% slower.
+EDGE_CHECK_BLOCK = 65_536
+
 T = TypeVar("T")
 OutcomeFn = Callable[["ExclusionSet"], Mapping[str, float]]
 RuleFn = Callable[[Mapping[str, float]], bool]
@@ -166,11 +169,27 @@ def _canonical_keys(masks: np.ndarray, n: int) -> np.ndarray:
     return _popcounts(masks, n) << n | masks
 
 
+def subset_sizes(n: int) -> np.ndarray:
+    """The size of every subset of ``n`` labels by bitmask, as uint8 (n <= 24)."""
+    sizes = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        # Masks 2^i .. 2^(i+1) - 1 are masks 0 .. 2^i - 1 plus bit i.
+        sizes = np.concatenate((sizes, sizes + 1))
+    return sizes
+
+
 def canonical_masks(n: int) -> np.ndarray:
     """All 2^n bitmasks of width ``n`` in canonical order, as int64."""
     _check_width(n)
-    masks = np.arange(1 << n, dtype=np.int64)
-    return masks[np.argsort(_canonical_keys(masks, n))]
+    # A stable sort keeps masks of one size in ascending order.
+    return np.argsort(subset_sizes(n), kind="stable").astype(np.int64)
+
+
+def first_marked(marked: np.ndarray, n: int) -> ExclusionSet:
+    """The first subset in canonical order that ``marked``, a boolean array
+    indexed by bitmask, marks; it must mark one."""
+    masks = canonical_masks(n)
+    return ExclusionSet(n, int(masks[marked[masks]][0]))
 
 
 def enumerate_subsets(n: int) -> list[ExclusionSet]:
@@ -283,21 +302,23 @@ class AnnotatedHasseDiagram:
         for name, value in (("masks", masks), ("table", table), ("flags", flags),
                             ("edges", edges)):
             object.__setattr__(self, name, value)
-        lower, upper = edges.T
-        step = np.diff(lower)
-        unordered = np.flatnonzero((step < 0) | (step == 0) & (np.diff(upper) <= 0))
-        if unordered.size:
-            raise ValueError(f"{self._edge_name(unordered[0] + 1)} is repeated "
-                             "or out of canonical order")
+        # A slice of edges at a time; each order check starts one edge back.
+        for start in range(1, len(edges), EDGE_CHECK_BLOCK):
+            lower, upper = edges[start - 1:start + EDGE_CHECK_BLOCK].T
+            step = np.diff(lower)
+            unordered = np.flatnonzero((step < 0) | (step == 0) & (np.diff(upper) <= 0))
+            if unordered.size:
+                raise ValueError(f"{self._edge_name(start + unordered[0])} is "
+                                 "repeated or out of canonical order")
         # lower ⊆ upper iff lower | upper == upper; equal rows are a self-loop.
-        # Bitmasks of width n <= 24 fit int32, which halves these temporaries.
-        narrow = masks.astype(np.int32)
-        joined, above = narrow[lower], narrow[upper]
-        joined |= above
-        crossed = np.flatnonzero((joined != above) | (lower == upper))
-        if crossed.size:
-            raise ValueError(f"{self._edge_name(crossed[0])} does not lead "
-                             "from a subset to a strict superset")
+        for start in range(0, len(edges), EDGE_CHECK_BLOCK):
+            lower, upper = edges[start:start + EDGE_CHECK_BLOCK].T
+            joined, above = masks[lower], masks[upper]
+            joined |= above
+            crossed = np.flatnonzero((joined != above) | (lower == upper))
+            if crossed.size:
+                raise ValueError(f"{self._edge_name(start + crossed[0])} does "
+                                 "not lead from a subset to a strict superset")
 
     def _edge_name(self, edge: int) -> str:
         lower, upper = (
@@ -367,7 +388,7 @@ def hasse_from_table(
     masks = canonical_masks(n)
     rank = _inverse_rank(masks, n)
     # The edges of each row are contiguous; ``at`` is where its next goes.
-    lacking = n - _popcounts(masks, n)
+    lacking = n - subset_sizes(n)[masks].astype(np.int64)
     at = np.cumsum(lacking) - lacking
     edges = np.empty((int(lacking.sum()), 2), dtype=np.int32)
     for bit in range(n):

@@ -298,24 +298,12 @@ def merger_outcomes(m: Market, g: MergerSpec) -> tuple[float, float, float]:
 
 
 def _by_position(per_market: list[Sequence], fill) -> np.ndarray:
-    """(longest × markets) array whose row k holds item k of each market's
-    sequence, or ``fill`` where that sequence is shorter."""
-    out = np.full((max(map(len, per_market)), len(per_market)), fill)
+    """(longest × markets) array whose row k holds item k (a number, or a
+    tuple like ``fill``) of each market's sequence, or ``fill`` past its end."""
+    out = np.full((max(map(len, per_market)), len(per_market)) + np.shape(fill), fill)
     for market, items in enumerate(per_market):
         out[:len(items), market] = items
     return out
-
-
-def _order_is_fixed(firsts: Mapping[tuple[int, int], int]) -> bool:
-    """Whether every chain of a market keeps its place in dict order under
-    every mask, given the index of the first entry of each (chain row, bit)
-    pair.  A chain whose first entry has bit -1 is never dropped, and one
-    whose entries all carry one bit is kept or dropped whole."""
-    lead: dict[int, tuple[int, int]] = {}
-    for (row, bit), index in firsts.items():
-        if row not in lead or index < lead[row][0]:
-            lead[row] = (index, bit)
-    return all(lead[row][1] in (-1, bit) for row, bit in firsts)
 
 
 def merger_outcome_table(
@@ -338,19 +326,19 @@ def merger_outcome_table(
     :func:`merger_outcomes` raises.  Markets are evaluated side by side, one
     entry position at a time.
 
-    Chains hold rows in the order of their first entries.  When every chain
-    of every market has a first entry with bit -1, or entries that all carry
-    one bit, no mask moves a chain: each is either kept from its first entry
-    on or dropped whole.  Dict order is then row order under every mask, and
-    a dropped chain's row adds an exact 0.0 to the sums, so they run down the
-    rows without the per-mask sort that any other call needs.  The firm
-    pipeline, with one entry per chain, always takes this path.
+    A lead is an entry that can be its chain's first kept entry: the first
+    entry of each (chain, bit) pair, with none after the chain's first bit
+    -1 entry.  A lead comes first exactly where its bit is kept and the bits
+    of its chain's earlier leads are all excluded.  The sums run over the
+    leads in entry order and select 0.0 wherever a lead does not come first:
+    the nonzero terms are dict order's, in its order.  Every term is >= +0.0
+    or NaN, so the zeros are exact (a product with 0.0 would make inf NaN).
     """
     count, size = len(markets), 1 << n
     post, delta, share = (np.empty((count, size)) for _ in range(3))
     if not count:
         return post, delta, share
-    chains, bits, revenues, firsts, parties, width = [], [], [], [], [], 0
+    chains, bits, revenues, leads, parties, width = [], [], [], [], [], 0
     for market in markets:
         chain, bit, revenue = zip(*market) if market else ((), (), ())
         if bit and not -1 <= min(bit) <= max(bit) < n:
@@ -360,45 +348,42 @@ def merger_outcome_table(
         chains.append(list(map(columns.__getitem__, chain)))
         bits.append(bit)
         revenues.append(list(map(float, revenue)))
-        # Walking the entries backwards leaves each (column, bit) pair with
-        # the index of its first entry.
-        firsts.append(dict(zip(zip(chains[-1][::-1], bit[::-1]),
-                               range(len(bit) - 1, -1, -1))))
+        # Lead (row, need, prior) comes first where a mask's bits in ``need``
+        # are ``prior``, its chain's earlier leads' bits (bit n is bit -1).  A
+        # chain's last lead leaves out its own bit; without it the chain is empty.
+        found, earlier = [], {}
+        for row, b in dict.fromkeys(zip(chains[-1], bit)):
+            prior = earlier.get(row, 0)
+            if not prior >> n:
+                earlier[row] = prior | 1 << (n if b < 0 else b)
+                found.append((row, earlier[row], prior))
+        leads.append(np.array([(row, prior if need == earlier[row] else need, prior)
+                               for row, need, prior in found], np.int64).reshape(-1, 3))
         # A merging chain with no entries reads the all-zero row past the
         # market's chains.
         parties.append((columns.get(g.acquirer, len(columns)),
                         columns.get(g.target, len(columns))))
         width = max(width, len(columns))
     rows = width + 1
-    absent = max(map(len, markets))
     every = np.arange(count)
-    fixed = all(map(_order_is_fixed, firsts))
-    if not fixed:
-        # Index of the first entry of each (chain row, market) with bit b,
-        # in column b (bit -1 is the last column), or ``absent``; then, per
-        # bit, the cells that hold one.
-        first_of = np.full((rows, count, n + 1), absent)
-        for market, pairs in enumerate(firsts):
-            first_of[[c for c, _ in pairs], market,
-                     [b for _, b in pairs]] = list(pairs.values())
-        holders = []
-        for bit in range(-1, n):
-            held = np.nonzero(first_of[..., bit] < absent)
-            if held[0].size:
-                holders.append((held, first_of[..., bit][held][:, None], bit))
     acquirer, target = np.array(parties).T
-    # Step k adds entry k of every market at its (chain row, market) cell.
+    # Step k adds entry k, or reads lead k, of every market at its (row, market) cell.
     if count == 1:
         # Python scalars keep each step of a lone market basic indexing.
         adds = [((row, 0), value, bit)
                 for row, value, bit in zip(chains[0], revenues[0], bits[0])]
+        steps = [(row, need or None, prior) for row, need, prior in leads[0].tolist()]
     else:
-        # A shorter market adds 0.0 to its last row, which no chain uses.
+        # A shorter market adds 0.0 to its last row, which no chain uses,
+        # and reads its missing leads from there.
         adds = [((row, every), value, bit) for row, value, bit in zip(
             _by_position(chains, rows - 1),
             _by_position(revenues, 0.0)[:, :, None],
             _by_position(bits, -1),
         )]
+        steps = [((row, every), need[:, None] if need.any() else None, prior[:, None])
+                 for row, need, prior
+                 in _by_position(leads, (rows - 1, 0, 0)).transpose(0, 2, 1)]
     shifts = np.arange(n)[:, None]
     step = max(1, OUTCOME_BLOCK // count)
     for start in range(0, size, step):
@@ -407,24 +392,21 @@ def merger_outcome_table(
         # bit -1 and is all ones.
         kept = np.ones((n + 1, masks.size))
         kept[:n] = (masks >> shifts) & 1 == 0
-        sales = np.zeros((rows, count, masks.size))
-        for row, value, bit in adds:
-            sales[row] += value * kept[bit]
-        if not fixed:
-            # Each (market, mask) column of chain rows in the order of the
-            # chains' first kept entries.
-            first = np.full(sales.shape, absent)
-            for held, index, bit in holders:
-                first[held] = np.minimum(first[held],
-                                         np.where(kept[bit] > 0, index, absent))
-            order = np.argsort(first, axis=0, kind="stable")
-        total = _ordered_sum(
-            sales if fixed else np.take_along_axis(sales, order, axis=0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = sales / total
-        squares = s * s
-        base = HHI_SCALE * _ordered_sum(
-            squares if fixed else np.take_along_axis(squares, order, axis=0))
+        firsts = [(at, None if need is None else (masks & need) == prior)
+                  for at, need, prior in steps]
+
+        def lead_sum(values: np.ndarray) -> np.ndarray:
+            return _ordered_sum(values[at] if first is None
+                                else np.where(first, values[at], 0.0)
+                                for at, first in firsts)
+
+        # Sums may overflow to inf, as Python floats do; inf / inf and 0 / 0 read NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sales = np.zeros((rows, count, masks.size))
+            for at, value, bit in adds:
+                sales[at] += value * kept[bit]
+            s = sales / lead_sum(sales)
+            base = HHI_SCALE * lead_sum(s * s)
         sa = s[acquirer, every]
         sb = s[target, every]
         merged = sa + sb

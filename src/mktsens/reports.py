@@ -53,6 +53,7 @@ from .lattice import (
     ExclusionSet,
     MarginalSet,
     canonical_masks,
+    first_marked,
     hasse_from_table,
     iter_dot,
     iter_json,
@@ -139,8 +140,7 @@ def _outcome_columns(
     ))
     empty = np.isnan(columns[2])
     if empty.any():
-        masks = canonical_masks(ms.n)
-        subset = ExclusionSet(ms.n, int(masks[empty[masks]][0]))
+        subset = first_marked(empty, ms.n)
         raise OutcomeEvaluationError(
             f"candidate market excluding {subset_label(ms, subset)} has zero "
             "total sales; its outcomes are undefined"

@@ -24,6 +24,7 @@ from .lattice import (
     EXACT_ENUMERATION_MAX,
     ExclusionSet,
     evaluate_subsets,
+    subset_sizes,
 )
 
 OutcomeScalarFn = Callable[[ExclusionSet], float]
@@ -108,12 +109,8 @@ def _marginal_gains(
 
     Viewed as (-1, 2, 2^i), a table indexed by mask holds the rows without
     bit i at [:, 0] and the rows with it at [:, 1], both in mask order.
-    The sizes are uint8: n is at most 24.
     """
-    sizes = np.zeros(1, dtype=np.uint8)
-    for _ in range(n):
-        # Masks 2^i .. 2^(i+1) - 1 are masks 0 .. 2^i - 1 plus bit i.
-        sizes = np.concatenate((sizes, sizes + 1))
+    sizes = subset_sizes(n)
     for i in range(n):
         pairs = table.reshape(-1, 2, 1 << i)
         yield (sizes.reshape(-1, 2, 1 << i)[:, 0].ravel(),

@@ -152,7 +152,8 @@ def test_table_and_flags_must_cover_the_lattice():
 def test_full_lattice_diagram_memory_at_n16():
     """Edges are stored once, as int32 row pairs, and built without
     edge-sized int64 temporaries: masks, a three-metric table, flags and
-    524,288 edges keep about 6 MiB."""
+    524,288 edges keep about 6 MiB.  The edge checks run a slice at a time,
+    so the peak stays near 15 MiB."""
     n = 16
     rng = np.random.default_rng(0)
     ms = MarginalSet(tuple(f"m{i}" for i in range(n)))
@@ -172,4 +173,4 @@ def test_full_lattice_diagram_memory_at_n16():
     assert diagram.edges.dtype == np.int32
     assert len(diagram.edges) == n << (n - 1)
     assert kept < 10 * 2**20
-    assert peak < 32 * 2**20
+    assert peak < 17 * 2**20

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mktsens import (
     covers,
     diagram_from_json,
     enumerate_subsets,
+    lattice,
     restrict,
     subset_label,
     to_dot,
@@ -117,6 +119,11 @@ class TestEnumeration:
             assert canonical_masks(n).dtype == np.int64
             assert canonical_masks(n).tolist() == expected
             assert [s.bits for s in enumerate_subsets(n)] == expected
+
+    def test_first_marked_is_first_in_canonical_order(self):
+        # {0, 1} has the lower mask, but {2} is smaller and comes first.
+        marked = np.isin(np.arange(8), [3, 4, 7])
+        assert lattice.first_marked(marked, 3) == ExclusionSet(3, 4)
 
     def test_capacity_limit(self):
         for enumerate_ in (canonical_masks, enumerate_subsets):
@@ -474,6 +481,32 @@ class TestDiagramArrays:
     def test_edge_to_a_non_superset_rejected(self):
         with pytest.raises(ValueError, match=r"edge \{1\} -> \{2\} does not"):
             AnnotatedHasseDiagram(*self._parts(), [[1, 2]])
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    def test_edge_checks_run_in_slices(self, monkeypatch, block):
+        # Each fault is found, and named, wherever it falls against the
+        # slice boundaries; an order check reaches back across one.
+        monkeypatch.setattr(lattice, "EDGE_CHECK_BLOCK", block)
+        parts = self._parts()
+        ms, masks = parts[0], parts[2].tolist()
+        edges = _textbook_diagram().edges.tolist()
+        AnnotatedHasseDiagram(*parts, edges)
+
+        def name(edge):
+            lower, upper = (subset_label(ms, ExclusionSet(ms.n, masks[row]))
+                            for row in edge)
+            return re.escape(f"edge {lower} -> {upper}")
+
+        for k in range(1, len(edges)):
+            swapped = edges[:k - 1] + [edges[k], edges[k - 1]] + edges[k + 1:]
+            with pytest.raises(ValueError,
+                               match=f"^{name(edges[k - 1])} is repeated"):
+                AnnotatedHasseDiagram(*parts, swapped)
+        crossing = [[i, j] for i, j in itertools.combinations(range(len(masks)), 2)
+                    if masks[i] & ~masks[j]]
+        for edge in crossing:
+            with pytest.raises(ValueError, match=f"^{name(edge)} does not lead"):
+                AnnotatedHasseDiagram(*parts, sorted(edges + [edge]))
 
 
 class TestSubsetLabel:

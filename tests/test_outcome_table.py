@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -229,14 +230,30 @@ class TestMarketAxis:
         for column in merger_outcome_table([], 2, MERGER):
             assert column.shape == (0, 4)
 
+    def test_sales_that_overflow_to_inf(self):
+        # cato's two 1e308 entries sum to inf where neither bit is excluded.
+        # Its second lead must add 0.0 there, not inf * 0.0 = NaN.
+        entries = [("acme", -1, 5.0), ("bolt", -1, 3.0), ("cato", 0, 1e308),
+                   ("cato", 1, 1e308), ("dune", 1, 2.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            post, delta, share = merger_outcome_table([entries], 2, MERGER)
+        assert np.array_equal(post, [[np.nan, 1e4, 1e4, 1e4]], equal_nan=True)
+        assert delta.tolist() == [[0.0, 0.0, 0.0, 4687.5]]
+        assert share.tolist() == [[0.0, 7.999999999999999e-308,
+                                   7.999999999999999e-308, 1.0]]
+
 
 class SortReached(Exception):
-    """Raised in place of the kernel's per-mask sort."""
+    """Raised in place of a per-mask sort of chain rows."""
 
 
 def sort_forbidden():
-    """A patch under which the kernel's general path raises SortReached."""
-    return mock.patch.object(np, "argsort", side_effect=SortReached)
+    """A patch under which sorting or gathering chain rows raises
+    SortReached."""
+    return mock.patch.multiple(
+        np, argsort=mock.Mock(side_effect=SortReached),
+        take_along_axis=mock.Mock(side_effect=SortReached))
 
 
 def interleave(draw, chains):
@@ -286,29 +303,35 @@ def near_fixed_markets(draw, n):
     return interleave(draw, [mover] + fixed_chains(draw, names[1:], n))
 
 
+@st.composite
+def revisiting_markets(draw, n):
+    """1-4 interleaved chains whose entries return to bits they have
+    already used, as in (b, c, b, -1, c), so a chain can have several leads
+    and entries after its first bit -1 entry."""
+    names = draw(st.permutations(CHAINS))[:draw(st.integers(1, 4))]
+    chains = []
+    for name in names:
+        used = draw(st.lists(st.integers(-1, n - 1), min_size=1, max_size=3))
+        bits = draw(st.lists(st.sampled_from(used), min_size=2, max_size=8))
+        chains.append([(name, bit, draw(revenues)) for bit in bits])
+    return interleave(draw, chains)
+
+
 class TestFixedOrder:
-    """A call in which no chain can change place never sorts, and a call
-    with one chain that can still sorts; both stay exact."""
+    """The kernel sums in entry order: no call sorts chain rows per mask,
+    whether its chains can change place or not, and every cell is exact."""
 
     @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_fixed_markets_skip_the_sort(self, data):
-        n = data.draw(st.integers(0, 3))
-        markets = data.draw(st.lists(fixed_markets(n), min_size=1,
-                                     max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_no_call_sorts(self, data):
+        n = data.draw(st.integers(1, 3))
+        markets = data.draw(st.lists(
+            st.one_of(fixed_markets(n), near_fixed_markets(n),
+                      revisiting_markets(n)), min_size=1, max_size=5))
+        drawn = data.draw(market_lists())
         with sort_forbidden():
             assert_cells_match_scalar(markets, n)
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_one_entry_from_fixed_takes_the_sort(self, data):
-        n = data.draw(st.integers(1, 3))
-        markets = data.draw(st.lists(fixed_markets(n), max_size=4))
-        markets.insert(data.draw(st.integers(0, len(markets))),
-                       data.draw(near_fixed_markets(n)))
-        with sort_forbidden(), pytest.raises(SortReached):
-            merger_outcome_table(markets, n, MERGER)
-        assert_cells_match_scalar(markets, n)
+            assert_cells_match_scalar(*drawn)
 
     def test_seeded_20_firm_lattice(self):
         # Past the 4,096-mask lattices above: 1,024 kernel blocks, none of
