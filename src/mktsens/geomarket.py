@@ -2,9 +2,13 @@
 
 Each store of the two merging chains anchors a circular candidate market;
 stores within the radius (great-circle distance, inclusive boundary) form
-the market and revenue aggregates by chain.  One :func:`merger_outcome_table` call then
-evaluates every exclusion set of every circle, as it does for the state and
-firm lattices.
+the market and revenue aggregates by chain.  Selection works on a columnar
+view of the universe: a store farther in latitude than the radius cannot be
+in the circle, so each centre computes distances only inside its latitude
+window, found by binary search in the latitude-sorted stores.
+:func:`merger_outcome_table` then evaluates every exclusion set of the
+circles, as it does for the state and firm lattices, over chunks of circles
+whose member entries total at most :data:`LOCAL_CHUNK_ENTRIES`.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +34,11 @@ from .shapley import SimpleGame, sspi
 
 EARTH_RADIUS_KM = 6371.0088
 MILES_TO_KM = 1.609344
+
+# Member entries (stores, summed over circles) per merger_outcome_table call
+# in analyze_local.  It bounds the kernel's padded per-entry arrays; results
+# do not depend on it.
+LOCAL_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -100,12 +109,31 @@ class StoreUniverse:
         return tuple(s for s in self.stores if s.chain_id in wanted)
 
     @cached_property
-    def _coordinates(self) -> tuple:
-        """(stores by id, latitude radians, its cosine, longitude degrees)."""
+    def columns(self) -> StoreColumns:
+        """The stores as arrays, row i being the i-th store in store-id order."""
         ordered = tuple(sorted(self.stores, key=lambda s: s.store_id))
+        codes: dict[str, int] = {}
+        chain = np.array([codes.setdefault(s.chain_id, len(codes))
+                          for s in ordered], dtype=np.intp)
         lat = np.radians([s.latitude for s in ordered])
-        lon = np.array([s.longitude for s in ordered])
-        return ordered, lat, np.cos(lat), lon
+        by_latitude = np.argsort(lat, kind="stable")
+        return StoreColumns(
+            ordered, lat, np.cos(lat), np.array([s.longitude for s in ordered]),
+            chain, codes, by_latitude, lat[by_latitude],
+        )
+
+
+class StoreColumns(NamedTuple):
+    """A :class:`StoreUniverse` in store-id order, as circle selection reads it."""
+
+    stores: tuple[Store, ...]
+    latitude: np.ndarray  # radians
+    cos_latitude: np.ndarray
+    longitude: np.ndarray  # degrees
+    chain: np.ndarray  # each store's code in chain_codes
+    chain_codes: dict[str, int]  # chain id -> code, in order of first store
+    by_latitude: np.ndarray  # rows in ascending latitude order
+    sorted_latitude: np.ndarray  # latitude[by_latitude]
 
 
 def haversine(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -149,6 +177,39 @@ class CircleMarket:
         return tuple(s.store_id for s in self.members)
 
 
+def _circle_rows(columns: StoreColumns, anchor: Store,
+                 radius_km: float) -> np.ndarray:
+    """Rows of ``columns`` at most ``radius_km`` from ``anchor``, ascending.
+
+    A great-circle distance is at least the Earth's radius times the
+    latitude difference, so only the stores in the latitude window of
+    ``radius_km`` (widened by the boundary band) can be members.  The vector
+    haversine runs on that window only.
+    """
+    if radius_km < 0:
+        raise ValueError("radius must be nonnegative")
+    # numpy's sin/arcsin may differ from libm by a few ulps: let the scalar
+    # haversine decide every store this close to the boundary.
+    band = 1e-9 * max(radius_km, 1.0)
+    phi = math.radians(anchor.latitude)
+    reach = (radius_km + band) / EARTH_RADIUS_KM
+    window = columns.by_latitude[
+        columns.sorted_latitude.searchsorted(phi - reach, "left"):
+        columns.sorted_latitude.searchsorted(phi + reach, "right")
+    ]
+    dlam = np.radians(columns.longitude[window] - anchor.longitude)
+    h = (
+        np.sin((columns.latitude[window] - phi) / 2.0) ** 2
+        + math.cos(phi) * columns.cos_latitude[window] * np.sin(dlam / 2.0) ** 2
+    )
+    distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(h, 1.0)))
+    keep = distance <= radius_km
+    for i in np.flatnonzero(np.abs(distance - radius_km) <= band).tolist():
+        store = columns.stores[window[i]]
+        keep[i] = haversine(anchor.position, store.position) <= radius_km
+    return np.sort(window[keep])
+
+
 def circle_market(
     universe: StoreUniverse,
     center: str | Store,
@@ -159,26 +220,11 @@ def circle_market(
     ``center`` may be a store id (looked up in the universe) or a Store.
     The center is always a member; members are sorted by store id.
     """
-    if radius_miles < 0:
-        raise ValueError("radius must be nonnegative")
     anchor = universe.store(center) if isinstance(center, str) else center
-    radius_km = miles_to_km(radius_miles)
-    ordered, lat, cos_lat, lon = universe._coordinates
-    phi = math.radians(anchor.latitude)
-    dlam = np.radians(lon - anchor.longitude)
-    h = (
-        np.sin((lat - phi) / 2.0) ** 2
-        + math.cos(phi) * cos_lat * np.sin(dlam / 2.0) ** 2
-    )
-    distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(h, 1.0)))
-    keep = distance <= radius_km
-    # numpy's sin/arcsin may differ from libm by a few ulps: let the scalar
-    # haversine decide every store this close to the boundary.
-    band = 1e-9 * max(radius_km, 1.0)
-    for i in np.flatnonzero(np.abs(distance - radius_km) <= band):
-        keep[i] = haversine(anchor.position, ordered[i].position) <= radius_km
-    members = tuple(ordered[i] for i in np.flatnonzero(keep))
-    return CircleMarket(anchor, radius_miles, members)
+    columns = universe.columns
+    rows = _circle_rows(columns, anchor, miles_to_km(radius_miles))
+    return CircleMarket(anchor, radius_miles,
+                        tuple(map(columns.stores.__getitem__, rows.tolist())))
 
 
 def chain_market(
@@ -228,60 +274,87 @@ def analyze_local(
     """Run the exclusion-set analysis in a circle around every store of the
     two merging chains.
 
-    Centers are the merging chains' stores, in store-id order.  A circle is
-    analyzed only when both merging chains have at least one member store;
-    single-party circles carry no competitive overlap and are skipped.  A
-    merging chain whose in-circle revenue disappears under some exclusion
-    set still evaluates, as a zero-sales firm.  One :func:`merger_outcome_table` call
-    evaluates every exclusion set of every analyzed circle, and one
-    :func:`presumption` call flags them.
+    Centers are the merging chains' stores, in store-id order.  Each circle
+    is selected in its center's latitude window of the universe's
+    :attr:`~StoreUniverse.columns`.  A circle is analyzed only when both
+    merging chains have at least one member store; single-party circles
+    carry no competitive overlap and are skipped.  A merging chain whose
+    in-circle revenue disappears under some exclusion set still evaluates,
+    as a zero-sales firm.  The analyzed circles go to
+    :func:`merger_outcome_table` and :func:`presumption` in chunks whose
+    member entries total at most :data:`LOCAL_CHUNK_ENTRIES` (a larger
+    circle goes alone); the results do not depend on the chunking.  Circles
+    with the same flags share one :func:`sspi` call.
     """
     ms = (
         marginal_formats
         if isinstance(marginal_formats, MarginalSet)
         else MarginalSet(marginal_formats)
     )
-    parties = (merger.acquirer, merger.target)
-    universe_chains = {s.chain_id for s in universe}
-    for party in parties:
-        if party not in universe_chains:
+    columns = universe.columns
+    parties = []
+    for party in (merger.acquirer, merger.target):
+        if party not in columns.chain_codes:
             raise DataError(f"merging chain {party!r} has no stores in the universe")
-    centers = sorted(universe.of_chains(parties), key=lambda s: s.store_id)
-    circles = [
-        circle
-        for circle in (circle_market(universe, c, radius_miles) for c in centers)
-        if set(parties) <= {s.chain_id for s in circle.members}
-    ]
+        parties.append(columns.chain_codes[party])
+    radius_km = miles_to_km(radius_miles)
     bit_of = {label: i for i, label in enumerate(ms.members)}
     # One entry per store, shared by every circle that holds it.
-    entry_of = {s.store_id: (s.chain_id, bit_of.get(s.format, -1), s.revenue)
-                for s in universe}
-    columns = merger_outcome_table(
-        [[entry_of[s.store_id] for s in circle.members] for circle in circles],
-        ms.n,
-        merger,
-    )
-    empty = np.isnan(columns[2])
-    if empty.any():
-        row = int(np.flatnonzero(empty.any(axis=1))[0])
-        subset = first_marked(empty[row], ms.n)
-        raise DataError(
-            f"circle around store {circles[row].center_id!r} has no revenue "
-            f"left after excluding {sorted(ms.labels_of(subset))}"
-        )
-    table = np.stack(columns, axis=-1)
-    flags = presumption(*columns, rule)
-    for array in (table, flags):
-        array.flags.writeable = False
+    entries = [(s.chain_id, bit_of.get(s.format, -1), s.revenue)
+               for s in columns.stores]
+    power: dict[bytes, tuple[float, ...] | None] = {}
     results = []
-    for circle, outcomes, flagged in zip(circles, table, flags):
-        game = SimpleGame(ms.n, flagged)
-        sensitive = not game.constant
-        results.append(LocalAnalysisResult(
-            circle.center, circle.radius_miles, len(circle.members), outcomes,
-            flagged, sensitive, sspi(game) if sensitive else None,
-        ))
+    for chunk in _two_party_chunks(columns, parties, radius_km):
+        post, delta, share = merger_outcome_table(
+            [[entries[i] for i in rows.tolist()] for _, rows in chunk],
+            ms.n,
+            merger,
+        )
+        empty = np.isnan(share)
+        if empty.any():
+            row = int(np.flatnonzero(empty.any(axis=1))[0])
+            subset = first_marked(empty[row], ms.n)
+            raise DataError(
+                f"circle around store {columns.stores[chunk[row][0]].store_id!r} "
+                f"has no revenue left after excluding {sorted(ms.labels_of(subset))}"
+            )
+        table = np.stack((post, delta, share), axis=-1)
+        flags = presumption(post, delta, share, rule)
+        for array in (table, flags):
+            array.flags.writeable = False
+        for (center, rows), outcomes, flagged in zip(chunk, table, flags):
+            key = flagged.tobytes()
+            if key not in power:
+                game = SimpleGame(ms.n, flagged)
+                power[key] = None if game.constant else sspi(game)
+            results.append(LocalAnalysisResult(
+                columns.stores[center], radius_miles, len(rows), outcomes,
+                flagged, power[key] is not None, power[key],
+            ))
     return tuple(results)
+
+
+def _two_party_chunks(
+    columns: StoreColumns, parties: Sequence[int], radius_km: float
+) -> Iterator[list[tuple[int, np.ndarray]]]:
+    """The circles around the stores of the ``parties`` chain codes that hold
+    both parties, as (center row, member rows) pairs in center order, in
+    chunks of at most :data:`LOCAL_CHUNK_ENTRIES` member rows (a larger
+    circle goes alone)."""
+    chunk: list[tuple[int, np.ndarray]] = []
+    held = 0
+    for center in np.flatnonzero(np.isin(columns.chain, parties)).tolist():
+        rows = _circle_rows(columns, columns.stores[center], radius_km)
+        chains = columns.chain[rows]
+        if not all((chains == party).any() for party in parties):
+            continue
+        if chunk and held + len(rows) > LOCAL_CHUNK_ENTRIES:
+            yield chunk
+            chunk, held = [], 0
+        chunk.append((center, rows))
+        held += len(rows)
+    if chunk:
+        yield chunk
 
 
 def sspi_structure_table(

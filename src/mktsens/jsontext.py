@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 # Nodes, edges or outcome rows rendered per chunk of a streamed report.
-EMIT_BLOCK = 4096
+EMIT_BLOCK = 1024
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 

@@ -253,8 +253,8 @@ def scalar_local_outcomes(universe, merger: MergerSpec, ms: MarginalSet,
                           rule, radius_miles: float) -> list[dict]:
     """One record per analysed circle, in center order, from one
     chain_market, one merger_outcomes and one scalar presumption call per
-    circle and exclusion set: the local path that analyze_local's single
-    merger_outcome_table call replaced.  Members come from
+    circle and exclusion set: the local path that analyze_local's chunked
+    merger_outcome_table calls replaced.  Members come from
     scalar_circle_ids.  Arrays are indexed by bitmask."""
     parties = {merger.acquirer, merger.target}
     records = []

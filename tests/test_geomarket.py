@@ -26,8 +26,10 @@ from mktsens import (
     run_local,
     sspi_structure_table,
 )
+from mktsens import geomarket
 from mktsens.cli import main
-from mktsens.geomarket import EARTH_RADIUS_KM, MILES_TO_KM
+from mktsens.geomarket import EARTH_RADIUS_KM, LOCAL_CHUNK_ENTRIES, MILES_TO_KM
+from mktsens.metrics import merger_outcome_table
 from tests.conftest import (
     LOCAL_CLUSTER_1,
     base_config_doc,
@@ -283,6 +285,54 @@ def _near_radius_universe(draw):
     return StoreUniverse(tuple(stores)), radius_miles
 
 
+def _wrapped(lon: float) -> float:
+    """``lon`` degrees moved into [-180, 180]."""
+    return lon if -180.0 <= lon <= 180.0 else (lon + 180.0) % 360.0 - 180.0
+
+
+@st.composite
+def _window_edge_universe(draw):
+    """A center, often near a pole or the antimeridian, with a colocated
+    twin and stores within a few ulps of the edges of its latitude window
+    and of its circle.
+
+    Meridian stores sit at a latitude difference of exactly radius / R, so
+    at the radius; window stores at radius / R widened by the selection's
+    1e-9 boundary band, on the center's meridian or at any longitude; circle
+    stores at the radius along any bearing.
+    """
+    lat0 = draw(st.sampled_from([-90.0, -89.999, -89.5, 0.0, 89.5, 89.999, 90.0])
+                | st.floats(min_value=-90, max_value=90))
+    lon0 = draw(st.sampled_from([-180.0, -179.9999, 179.9999, 180.0])
+                | st.floats(min_value=-180, max_value=180))
+    radius_miles = draw(st.sampled_from([0.0, 0.25, 1.0, 5.0, 30.0, 300.0]))
+    radius_km = miles_to_km(radius_miles)
+    arc = radius_km / EARTH_RADIUS_KM
+    reach = (radius_km + 1e-9 * max(radius_km, 1.0)) / EARTH_RADIUS_KM
+    phi0, lam0 = math.radians(lat0), math.radians(lon0)
+    stores = [_store("center", lat=lat0, lon=lon0),
+              _store("twin", lat=lat0, lon=lon0)]
+    for i in range(draw(st.integers(min_value=1, max_value=12))):
+        kind = draw(st.sampled_from(["meridian", "window", "circle"]))
+        if kind == "circle":
+            bearing = draw(st.floats(min_value=0, max_value=2 * math.pi))
+            phi = math.asin(math.sin(phi0) * math.cos(arc)
+                            + math.cos(phi0) * math.sin(arc) * math.cos(bearing))
+            lon = math.degrees(lam0 + math.atan2(
+                math.sin(bearing) * math.sin(arc) * math.cos(phi0),
+                math.cos(arc) - math.sin(phi0) * math.sin(phi),
+            ))
+        else:
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            phi = phi0 + sign * (arc if kind == "meridian" else reach)
+            lon = lon0 if kind == "meridian" or draw(st.booleans()) else draw(
+                st.floats(min_value=-180, max_value=180))
+        lat = _nudged(math.degrees(phi), draw(st.integers(-3, 3)))
+        stores.append(_store(f"s{i:03d}", lat=min(90.0, max(-90.0, lat)),
+                             lon=_wrapped(lon)))
+    return StoreUniverse(tuple(stores)), radius_miles
+
+
 class TestCircleMarketOracle:
     @given(_near_radius_universe())
     @settings(max_examples=200, deadline=None)
@@ -292,6 +342,17 @@ class TestCircleMarketOracle:
         assert circle.member_ids == scalar_circle_ids(
             u, u.store("center"), radius_miles
         )
+
+    @given(_window_edge_universe())
+    @settings(max_examples=300, deadline=None)
+    def test_window_edges_match_scalar_selection(self, case):
+        # Every store is a center once, so stores at the window's edge are
+        # also centers whose own windows reach the poles or wrap longitude.
+        u, radius_miles = case
+        for center in u:
+            circle = circle_market(u, center, radius_miles)
+            assert circle.member_ids == scalar_circle_ids(u, center,
+                                                          radius_miles)
 
     def test_analyze_local_matches_brute_force(self, merger):
         # 300 stores in a ~30 km square, so each 5-mile circle holds dozens.
@@ -538,19 +599,97 @@ class TestAnalyzeLocalOracle:
                 analyze_local(u, merger, ms, rule, radius_miles)
             assert str(error.value) == str(exc)
             return
-        results = analyze_local(u, merger, ms, rule, radius_miles)
-        assert [r.center_id for r in results] == [
-            e["center_id"] for e in expected
-        ]
-        for result, want in zip(results, expected):
-            assert result.member_count == want["member_count"]
-            for column, name in enumerate(
-                ("post_hhi", "delta_hhi", "merged_share")
-            ):
-                assert np.array_equal(result.table[:, column], want[name])
-            assert np.array_equal(result.flags, want["flags"])
-            assert result.sensitive == want["sensitive"]
-            assert result.sspi == want["sspi"]
+        _assert_matches_scalar(analyze_local(u, merger, ms, rule, radius_miles),
+                               expected)
+
+    @given(local_universes(), st.sampled_from([1, 40, LOCAL_CHUNK_ENTRIES]))
+    @settings(max_examples=100, deadline=None)
+    def test_chunk_bound_changes_nothing(self, drawn, bound):
+        # Circles here hold at most 33 stores, so 40 entries is one or two
+        # circles per kernel call.
+        u, ms = drawn
+        merger = MergerSpec("acme", "bolt")
+        try:
+            expected = scalar_local_outcomes(u, merger, ms, PresumptionRule(),
+                                             2.0)
+        except DataError as exc:
+            expected = exc
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geomarket, "LOCAL_CHUNK_ENTRIES", bound)
+            if isinstance(expected, DataError):
+                with pytest.raises(DataError) as error:
+                    analyze_local(u, merger, ms, radius_miles=2.0)
+                assert str(error.value) == str(expected)
+            else:
+                _assert_matches_scalar(
+                    analyze_local(u, merger, ms, radius_miles=2.0), expected)
+
+
+def _assert_matches_scalar(results, expected: list[dict]) -> None:
+    """analyze_local's results equal scalar_local_outcomes' records."""
+    assert [r.center_id for r in results] == [e["center_id"] for e in expected]
+    for result, want in zip(results, expected):
+        assert type(result.member_count) is int
+        assert result.member_count == want["member_count"]
+        for column, name in enumerate(("post_hhi", "delta_hhi", "merged_share")):
+            assert np.array_equal(result.table[:, column], want[name])
+        assert np.array_equal(result.flags, want["flags"])
+        assert result.sensitive == want["sensitive"]
+        assert result.sspi == want["sspi"]
+
+
+class TestLocalChunks:
+    """analyze_local evaluates its circles in chunks of at most
+    LOCAL_CHUNK_ENTRIES member entries per kernel call."""
+
+    @staticmethod
+    def _universe() -> StoreUniverse:
+        # Four far-apart clusters.  In each, the stores sit within a mile of
+        # each other, so all circles of a cluster are equal and share their
+        # flags; the clusters differ in size and in revenues.
+        rng = random.Random(5)
+        chains = [("acme", "supermarket"), ("bolt", "supermarket"),
+                  ("cato", "supermarket"), ("clubby", "club"),
+                  ("naturo", "natural"), ("limitz", "limited")]
+        stores = []
+        for cluster in range(4):
+            for k in range(6 + 4 * cluster):
+                chain, fmt = chains[k % len(chains)]
+                stores.append(_store(
+                    f"c{cluster}s{k:02d}", chain, fmt=fmt,
+                    lat=40.0 + 2.0 * cluster + rng.uniform(0, 0.01),
+                    lon=-100.0 + rng.uniform(0, 0.01),
+                    rev=rng.uniform(1.0, 30.0) * (1 + 9 * (chain == "clubby")),
+                ))
+        return StoreUniverse(tuple(stores))
+
+    @pytest.mark.parametrize("bound", [1, 25, LOCAL_CHUNK_ENTRIES])
+    def test_every_bound_matches_the_scalar_path(self, bound, monkeypatch):
+        u = self._universe()
+        merger = MergerSpec("acme", "bolt")
+        ms = MarginalSet(("club", "natural", "limited"))
+        expected = scalar_local_outcomes(u, merger, ms, PresumptionRule(), 5.0)
+        sensitive = [e["flags"].tobytes() for e in expected if e["sensitive"]]
+        assert len(set(sensitive)) < len(sensitive)
+
+        calls = []
+
+        def kernel(markets, n, g):
+            calls.append([len(market) for market in markets])
+            return merger_outcome_table(markets, n, g)
+
+        monkeypatch.setattr(geomarket, "merger_outcome_table", kernel)
+        monkeypatch.setattr(geomarket, "LOCAL_CHUNK_ENTRIES", bound)
+        _assert_matches_scalar(analyze_local(u, merger, ms, radius_miles=5.0),
+                               expected)
+        assert sum(map(len, calls)) == len(expected)
+        assert all(len(sizes) == 1 or sum(sizes) <= bound for sizes in calls)
+        if bound == 1:
+            assert len(calls) == len(expected)
+        elif bound == LOCAL_CHUNK_ENTRIES:
+            assert len(calls) == 1
+        else:
+            assert 1 < len(calls) < len(expected)
 
 
 class TestCountsAndStructure:
