@@ -1,21 +1,26 @@
 """JSON text laid out as ``json.dumps(doc, indent=2)`` lays it out, from arrays.
 
 The reports whose size doubles with every marginal label (``hasse.json``,
-``local_markets.json`` and ``local_counts.json``) are rendered with these
-helpers a block at a time instead of as one document for ``json.dumps``,
-whose indenting encoder is pure Python.  ``depth`` is the indent level at
-which a value opens; its items sit one level deeper.
+``hasse.dot``, ``local_markets.json`` and ``local_counts.json``) are rendered
+with these helpers a block at a time instead of as one document for
+``json.dumps``, whose indenting encoder is pure Python.  :func:`join_records`
+renders a block of records as columns of text interleaved into one list and
+joined once.  ``depth`` is the indent level at which a value opens; its
+items sit one level deeper.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 # Nodes, edges or outcome rows rendered per chunk of a streamed report.
 EMIT_BLOCK = 1024
+
+# Marks where a column's text goes in a record template.
+SLOT = "\0"
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -35,51 +40,83 @@ def json_list(items: Sequence[str], depth: int) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
 
 
-def iter_json_list(chunks: Iterable[Sequence[str]], depth: int) -> Iterator[str]:
-    """The text of :func:`json_list` over the concatenated ``chunks`` of
-    encoded items, one string per nonempty chunk."""
-    inner = "\n" + "  " * (depth + 1)
+def iter_json_list(chunks: Iterable[str], depth: int) -> Iterator[str]:
+    """A JSON array that opens at ``depth``, from ``chunks`` of its items,
+    each item preceded by a comma and its line break; one string per
+    nonempty chunk."""
     empty = True
-    for items in chunks:
-        if items:
-            yield ("[" if empty else ",") + inner + ("," + inner).join(items)
+    for text in chunks:
+        if text:
+            yield "[" + text[1:] if empty else text
             empty = False
     yield "[]" if empty else "\n" + "  " * depth + "]"
 
 
 def json_index_lists(masks: np.ndarray, n: int, depth: int) -> list[str]:
     """Each bitmask of width ``n`` as the JSON array of its set bits."""
-    return [json_list([str(i) for i in range(n) if bits >> i & 1], depth)
-            for bits in masks.tolist()]
+    return subset_texts(masks, list(map(str, range(n))), "[]",
+                        json_template([SLOT, SLOT], depth))
 
 
-def json_object_format(keys: Sequence[str], depth: int) -> Callable[..., str]:
-    """``format`` of a JSON object with ``keys``, taking the encoded values."""
-    inner = "\n" + "  " * (depth + 1)
-    body = ",".join(f"{inner}{json.dumps(key)}: {{}}" for key in keys)
-    return ("{{" + body + "\n" + "  " * depth + "}}").format
-
-
-def json_floats(values: np.ndarray) -> list[str]:
-    """json's text of each float of ``values`` in C order: ``repr`` when
-    finite, else NaN or (-)Infinity."""
-    flat = np.asarray(values, dtype=np.float64).ravel()
-    texts = list(map(repr, flat.tolist()))
-    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
-        texts[i] = _NONFINITE[texts[i]]
+def json_columns(values: np.ndarray) -> list[list[str]]:
+    """json's text of each float or bool of ``values``, one list per column
+    (a 1-D array is one column): ``repr`` of a finite float, else NaN or
+    (-)Infinity."""
+    columns = values.T if values.ndim == 2 else values[None]
+    if values.dtype == bool:
+        return [list(map(("false", "true").__getitem__, c)) for c in columns.tolist()]
+    texts = [list(map(repr, column)) for column in columns.tolist()]
+    for k, i in zip(*np.nonzero(~np.isfinite(columns))):
+        texts[k][i] = _NONFINITE[texts[k][i]]
     return texts
 
 
-def json_rows(values: np.ndarray, depth: int) -> list[str]:
-    """Each row of a 2-D float array as a JSON array."""
-    rows, width = values.shape
-    if not width:
-        return ["[]"] * rows
-    texts = json_floats(values)
-    row = json_list(["{}"] * width, depth)
-    return list(map(row.format, *(texts[k::width] for k in range(width))))
+def join_records(template: str, columns: Sequence[Sequence[str]]) -> str:
+    """A block of records, each ``template`` with the record's text of
+    ``columns[k]`` (at least one) in place of its k-th :data:`SLOT`.  Each
+    column fills its slots of one list by one slice assignment, and the list
+    is joined once."""
+    width = 2 * len(columns) + 1
+    record = [""] * width
+    record[::2] = template.split(SLOT)
+    out = record * len(columns[0])
+    for k, column in enumerate(columns):
+        out[2 * k + 1::width] = column
+    return "".join(out)
 
 
-def json_bools(flags: np.ndarray) -> list[str]:
-    """``true`` or ``false`` for each flag."""
-    return list(map(("false", "true").__getitem__, flags.tolist()))
+def json_template(value: object, depth: int) -> str:
+    """``json.dumps(value, indent=2)`` laid out to open at ``depth``, with
+    each :data:`SLOT` string of ``value`` left as a bare slot."""
+    text = json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+    return text.replace(json.dumps(SLOT), SLOT)
+
+
+def subset_texts(masks: np.ndarray, items: Sequence[str], empty: str,
+                 pair: str) -> list[str]:
+    """The text of each of the distinct bitmasks ``masks``: ``empty`` for no
+    bits, else the ``items`` of its set bits laid out as ``pair`` lays out
+    two :data:`SLOT` marks.
+
+    A text is the text of its mask without the highest bit, cut before the
+    end, plus one item: one concatenation for each of ``masks`` and of the
+    masks that they drop to, which are few beside 2^n when ``masks`` are."""
+    start, sep, end = pair.split(SLOT)
+    # np.unique would import numpy.ma, which costs more than this.
+    need = np.sort(masks)
+    for bit in reversed(range(len(items))):
+        lower = need[need >> bit == 1] ^ 1 << bit
+        at = np.minimum(np.searchsorted(need, lower), len(need) - 1)
+        missing = lower[need[at] != lower]
+        need = np.insert(need, np.searchsorted(need, missing), missing)
+    texts = np.empty(len(need), dtype=object)
+    texts[:1] = empty
+    cut = -len(end) or None
+    for bit, item in enumerate(items):
+        low, high = np.searchsorted(need, [1 << bit, 2 << bit]).tolist()
+        below = texts[np.searchsorted(need, need[low:high] ^ 1 << bit)]
+        tail = sep + item + end
+        texts[low:high] = [text[:cut] + tail for text in below]
+        if low < high and need[low] == 1 << bit:
+            texts[low] = start + item + end
+    return texts[np.searchsorted(need, masks)].tolist()

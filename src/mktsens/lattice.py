@@ -18,7 +18,8 @@ so identical inputs always produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -26,13 +27,15 @@ import numpy as np
 from .display import floor_int
 from .errors import CapacityError, DataError, OutcomeEvaluationError
 from .jsontext import (
+    SLOT,
     blocks,
     iter_json_list,
-    json_bools,
+    join_records,
+    json_columns,
     json_index_lists,
     json_list,
-    json_object_format,
-    json_rows,
+    json_template,
+    subset_texts,
 )
 
 EXACT_ENUMERATION_MAX = 24
@@ -234,16 +237,16 @@ def covers(a: ExclusionSet, b: ExclusionSet) -> bool:
 
 def _frozen_array(
     values: np.typing.ArrayLike, dtype, shape: tuple[int | None, ...], what: str,
-    limit: int | None = None,
+    limit: int | None = None, copy: bool = True,
 ) -> np.ndarray:
-    """A read-only copy of ``values``; None in ``shape`` matches any length.
-    With ``limit``, values must lie in [0, limit); that is checked before
-    the cast to ``dtype``, so a narrowing cast cannot wrap one."""
+    """``values`` read-only, and copied unless ``copy`` is false; None in
+    ``shape`` matches any length.  With ``limit``, values must lie in [0,
+    limit), checked before the cast to ``dtype`` so that none can wrap."""
     array = np.asarray(values)
     if limit is not None and array.size:
         if not 0 <= array.min() <= array.max() < limit:
             raise ValueError(f"{what} out of range [0, {limit})")
-    array = np.array(array, dtype=dtype)
+    array = np.array(array, dtype=dtype) if copy else np.asarray(array, dtype=dtype)
     if array.ndim != len(shape) or any(
         want is not None and got != want for got, want in zip(array.shape, shape)
     ):
@@ -278,6 +281,9 @@ class AnnotatedHasseDiagram:
     a strict subset of its upper node.  An edge's bitmasks are derived
     (:attr:`edge_masks`), and its deltas are always the upper row minus
     the lower row (:meth:`edge_deltas`).
+
+    It freezes copies of the arrays it is given, unless ``_owned``: this
+    module's producers hand over arrays that nothing else holds.
     """
 
     marginal_set: MarginalSet
@@ -286,17 +292,19 @@ class AnnotatedHasseDiagram:
     table: np.ndarray
     flags: np.ndarray
     edges: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _owned: bool) -> None:
         n = self.marginal_set.n
-        masks = _frozen_array(self.masks, np.int64, (None,), "node masks", 1 << n)
+        frozen = partial(_frozen_array, copy=not _owned)
+        masks = frozen(self.masks, np.int64, (None,), "node masks", 1 << n)
         count = len(masks)
-        table = _frozen_array(
+        table = frozen(
             self.table, np.float64, (count, len(self.metric_names)),
             "outcome table",
         )
-        flags = _frozen_array(self.flags, bool, (count,), "flags")
-        edges = _frozen_array(self.edges, np.int32, (None, 2), "edge rows", count)
+        flags = frozen(self.flags, bool, (count,), "flags")
+        edges = frozen(self.edges, np.int32, (None, 2), "edge rows", count)
         if np.any(np.diff(_canonical_keys(masks, n)) <= 0):
             raise ValueError("diagram nodes must be distinct and in canonical order")
         for name, value in (("masks", masks), ("table", table), ("flags", flags),
@@ -396,7 +404,7 @@ def hasse_from_table(
         edges[at[rows]] = np.column_stack((rows, rank[masks[rows] | 1 << bit]))
         at[rows] += 1
     return AnnotatedHasseDiagram(
-        ms, tuple(metric_names), masks, table[masks], flags[masks], edges
+        ms, tuple(metric_names), masks, table[masks], flags[masks], edges, _owned=True
     )
 
 
@@ -462,7 +470,7 @@ def restrict(
         pairs.append(np.stack((np.full_like(uppers, i), uppers), axis=1))
     return AnnotatedHasseDiagram(
         diagram.marginal_set, diagram.metric_names, masks, diagram.table[rows],
-        diagram.flags[rows], np.concatenate(pairs),
+        diagram.flags[rows], np.concatenate(pairs), _owned=True,
     )
 
 
@@ -487,45 +495,46 @@ def iter_dot(
         if name not in diagram.metric_names:
             raise ValueError(f"unknown metric {name!r} in label_metrics")
         positions.append(diagram.metric_names.index(name))
-    members = diagram.marginal_set.members
-    # A rank closes after the last node of each cardinality.
-    sizes = _popcounts(diagram.masks, len(members)).tolist() + [-1]
-    ids: list[str] = []
-    shown: list[list[int]] = []
-    layer: list[str] = []
+    width = len(positions)
+    # The shown values in a label: one SLOT each.
+    shown_slots = ", ".join([SLOT] * width)
+    labels = [_dot_escape(label) for label in diagram.marginal_set.members]
+    ids = subset_texts(diagram.masks, labels, '"empty"', f'"{SLOT}_{SLOT}"')
+    names = subset_texts(diagram.masks, labels, "{}", f"{{{SLOT}, {SLOT}}}")
+
+    def floors(rows: slice | np.ndarray) -> list[int]:
+        """The shown values of ``rows``, row by row, floored to exact ints."""
+        shown = diagram.table[rows][:, positions]
+        return list(map(floor_int, shown.ravel().tolist()))
+
+    # Rows [bounds[k], bounds[k + 1]) hold the subsets of size k.
+    bounds = np.searchsorted(_popcounts(diagram.masks, len(labels)),
+                             np.arange(len(labels) + 2)).tolist()
+    fills = ('"];\n', '", fillcolor="lightcoral"];\n')
     yield ('digraph hasse {\n  rankdir=BT;\n'
            '  node [shape=box, style=filled, fillcolor=white];\n')
-    for rows in blocks(len(diagram.masks)):
-        lines = []
-        block = zip(diagram.masks[rows].tolist(),
-                    diagram.table[rows][:, positions].tolist(),
-                    diagram.flags[rows].tolist())
-        for row, (bits, values, flagged) in enumerate(block, rows.start):
-            names = [label for i, label in enumerate(members) if bits >> i & 1]
-            node_id = f'"{_dot_escape("_".join(names) if names else "empty")}"'
-            ids.append(node_id)
-            display = [floor_int(v) for v in values]
-            shown.append(display)
-            name = _dot_escape("{" + ", ".join(names) + "}")
-            # Integers need no DOT escaping.
-            text = ", ".join(map(str, display))
-            fill = ', fillcolor="lightcoral"' if flagged else ""
-            lines.append(f'  {node_id} [label="{name}\\n{text}"{fill}];\n')
-            layer.append(node_id)
-            if sizes[row + 1] != sizes[row]:
-                lines.append(f"  {{ rank=same; {'; '.join(layer)}; }}\n")
-                layer = []
-        yield "".join(lines)
-    columns = list(zip(*shown))
+    for rows in blocks(len(ids)):
+        shown = list(map(str, floors(rows)))
+        tails = list(map(fills.__getitem__, diagram.flags[rows].tolist()))
+        for low, high in zip(bounds, bounds[1:]):
+            # A rank closes after the last node of its size.
+            if low < high and rows.start < high <= rows.stop:
+                tails[high - 1 - rows.start] += (
+                    f"  {{ rank=same; {'; '.join(ids[low:high])}; }}\n")
+        # Integers need no DOT escaping.
+        yield join_records(f'  {SLOT} [label="{SLOT}\\n{shown_slots}{SLOT}', [
+            ids[rows], names[rows], *(shown[k::width] for k in range(width)), tails])
+    del names
     for rows in blocks(len(diagram.edges)):
-        lower, upper = diagram.edges[rows].T.tolist()
+        lower, upper = diagram.edges[rows].T
+        below, above = floors(lower), floors(upper)
         # Signed numbers need no DOT escaping.
-        parts = [[format(column[t] - column[f], "+d")
-                  for f, t in zip(lower, upper)] for column in columns]
-        labels = map(", ".join, zip(*parts)) if parts else [""] * len(lower)
-        yield "".join(map('  {} -> {} [label="{}"];\n'.format,
-                          map(ids.__getitem__, lower),
-                          map(ids.__getitem__, upper), labels))
+        deltas = [list(map("{:+d}".format, map(int.__sub__, above[k::width],
+                                                below[k::width])))
+                  for k in range(width)]
+        yield join_records(f'  {SLOT} -> {SLOT} [label="{shown_slots}"];\n', [
+            list(map(ids.__getitem__, lower.tolist())),
+            list(map(ids.__getitem__, upper.tolist())), *deltas])
     yield "}\n"
 
 
@@ -534,10 +543,6 @@ def to_dot(
 ) -> str:
     """The whole text of :func:`iter_dot`."""
     return "".join(iter_dot(diagram, label_metrics))
-
-
-_JSON_NODE = json_object_format(("subset", "outcomes", "flagged"), 2)
-_JSON_EDGE = json_object_format(("from", "to", "deltas"), 2)
 
 
 def iter_json(diagram: AnnotatedHasseDiagram) -> Iterator[str]:
@@ -554,18 +559,23 @@ def iter_json(diagram: AnnotatedHasseDiagram) -> Iterator[str]:
     metrics = json_list(list(map(json.dumps, diagram.metric_names)), 1)
     yield (f'{{\n  "marginal_set": {labels},\n  "metrics": {metrics},'
            '\n  "nodes": ')
+    width = len(diagram.metric_names)
 
-    def nodes(rows: slice) -> list[str]:
-        return list(map(_JSON_NODE, subsets[rows],
-                        json_rows(diagram.table[rows], 3),
-                        json_bools(diagram.flags[rows])))
+    node = ",\n    " + json_template(
+        {"subset": SLOT, "outcomes": [SLOT] * width, "flagged": SLOT}, 2)
+    edge = ",\n    " + json_template(
+        {"from": SLOT, "to": SLOT, "deltas": [SLOT] * width}, 2)
 
-    def edges(rows: slice) -> list[str]:
+    def nodes(rows: slice) -> str:
+        return join_records(node, [subsets[rows], *json_columns(diagram.table[rows]),
+                                   *json_columns(diagram.flags[rows])])
+
+    def edges(rows: slice) -> str:
         pairs = diagram.edges[rows]
         lower, upper = pairs.T.tolist()
-        return list(map(_JSON_EDGE, map(subsets.__getitem__, lower),
-                        map(subsets.__getitem__, upper),
-                        json_rows(_edge_deltas(diagram.table, pairs), 3)))
+        return join_records(edge, [list(map(subsets.__getitem__, lower)),
+                                   list(map(subsets.__getitem__, upper)),
+                                   *json_columns(_edge_deltas(diagram.table, pairs))])
 
     yield from iter_json_list(map(nodes, blocks(len(subsets))), 1)
     yield ',\n  "edges": '
@@ -638,7 +648,7 @@ def diagram_from_json(text: str) -> AnnotatedHasseDiagram:
             np.array([outcomes for _, outcomes, _ in nodes],
                      dtype=np.float64).reshape(len(nodes), width)[order],
             np.array([flagged for _, _, flagged in nodes], dtype=bool)[order],
-            ends[edge_order],
+            ends[edge_order], _owned=True,
         )
     except ValueError as exc:
         raise DataError(f"diagram JSON is inconsistent: {exc}") from exc

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -410,9 +411,9 @@ def merger_outcome_table(
         sa = s[acquirer, every]
         sb = s[target, every]
         merged = sa + sb
-        merged_squared = np.array(
-            [v ** 2 for v in merged.ravel().tolist()]
-        ).reshape(merged.shape)
+        # Python's float power (C pow), as the scalar path squares.
+        merged_squared = np.fromiter(map(pow, merged.ravel().tolist(), repeat(2)),
+                                     np.float64, merged.size).reshape(merged.shape)
         block = slice(start, start + masks.size)
         post[:, block] = (
             base - HHI_SCALE * (sa * sa + sb * sb) + HHI_SCALE * merged_squared

@@ -40,13 +40,14 @@ from .geomarket import (
     sspi_structure_table,
 )
 from .jsontext import (
+    SLOT,
     blocks,
     iter_json_list,
-    json_bools,
-    json_floats,
+    join_records,
+    json_columns,
     json_index_lists,
     json_list,
-    json_object_format,
+    json_template,
 )
 from .lattice import (
     AnnotatedHasseDiagram,
@@ -478,13 +479,6 @@ def write_firm_report(report: FirmReport, out_dir: str | Path) -> list[Path]:
         ]
 
 
-_COUNT_ENTRY = json_object_format(("subset", "count"), 2)
-_MARKET_ENTRY = json_object_format(
-    ("center_store_id", "member_count", "sensitive", "sspi", "outcomes"), 2
-)
-_OUTCOME_ENTRY = json_object_format(("subset", *METRIC_NAMES, "flagged"), 4)
-
-
 def _local_counts_json(report: LocalReport) -> Iterator[str]:
     """local_counts.json, as ``json.dumps(doc, indent=2)`` plus a newline
     would print it, a block of exclusion sets at a time."""
@@ -492,13 +486,14 @@ def _local_counts_json(report: LocalReport) -> Iterator[str]:
     masks = np.array([subset.bits for subset, _ in report.counts], dtype=np.int64)
     subsets = json_index_lists(masks, ms.n, 3)
     counts = [str(count) for _, count in report.counts]
+    entry = ",\n    " + json_template({"subset": SLOT, "count": SLOT}, 2)
     labels = json_list(list(map(json.dumps, ms.members)), 1)
     yield (f'{{\n  "marginal_set": {labels},'
            f'\n  "analyzed_markets": {len(report.results)},'
            f'\n  "sensitive_markets": {report.sensitive_count},'
            '\n  "counts": ')
     yield from iter_json_list(
-        (list(map(_COUNT_ENTRY, subsets[rows], counts[rows]))
+        (join_records(entry, [subsets[rows], counts[rows]])
          for rows in blocks(len(counts))), 1)
     yield "\n}\n"
 
@@ -514,26 +509,34 @@ def _local_markets_json(report: LocalReport) -> Iterator[str]:
     yield (f'{{\n  "marginal_set": {labels},'
            f'\n  "radius_miles": {json.dumps(report.config.radius_miles)},'
            '\n  "markets": ')
+    each = len(masks)
+    # Each circle's first outcome row opens with the circle's fields (head),
+    # and its last closes the outcome list and the circle.
+    outcome = SLOT + json_template(
+        {"subset": SLOT, **dict.fromkeys(METRIC_NAMES, SLOT), "flagged": SLOT}, 4
+    ) + SLOT
 
-    def markets(rows: slice) -> list[str]:
+    def head(r: LocalAnalysisResult) -> str:
+        """A circle's item separator and fields, up to its first outcome."""
+        sspi = ("null" if r.sspi is None
+                else json_list(json_columns(np.asarray(r.sspi))[0], 3))
+        return (f',\n    {{\n      "center_store_id": {json.dumps(r.center_id)},'
+                f'\n      "member_count": {json.dumps(r.member_count)},'
+                f'\n      "sensitive": {json.dumps(r.sensitive)},'
+                f'\n      "sspi": {sspi},'
+                '\n      "outcomes": [\n        ')
+
+    def markets(rows: slice) -> str:
         block = report.results[rows]
-        cells = json_floats(np.stack([r.table[masks] for r in block]))
-        flags = json_bools(np.stack([r.flags[masks] for r in block]).ravel())
-        width = len(METRIC_NAMES)
-        outcomes = list(map(_OUTCOME_ENTRY, subsets * len(block),
-                            *(cells[k::width] for k in range(width)), flags))
-        return [
-            _MARKET_ENTRY(
-                json.dumps(r.center_id), json.dumps(r.member_count),
-                json.dumps(r.sensitive),
-                "null" if r.sspi is None else json_list(json_floats(r.sspi), 3),
-                json_list(outcomes[i * len(masks):(i + 1) * len(masks)], 3),
-            )
-            for i, r in enumerate(block)
-        ]
+        cells = json_columns(np.concatenate([r.table[masks] for r in block]))
+        (flags,) = json_columns(np.concatenate([r.flags[masks] for r in block]))
+        opens, closes = [",\n        "] * len(flags), [""] * len(flags)
+        opens[::each] = list(map(head, block))
+        closes[each - 1::each] = ["\n      ]\n    }"] * len(block)
+        return join_records(outcome, [opens, subsets * len(block), *cells, flags,
+                                      closes])
 
-    yield from iter_json_list(
-        map(markets, blocks(len(report.results), len(masks))), 1)
+    yield from iter_json_list(map(markets, blocks(len(report.results), each)), 1)
     yield "\n}\n"
 
 

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mktsens import (
+    AnnotatedHasseDiagram,
     ExclusionSet,
     MarginalSet,
     diagram_from_json,
@@ -31,6 +32,8 @@ from mktsens import (
 )
 from tests.conftest import (
     AWKWARD_TEXT,
+    OracleEdge,
+    OracleNode,
     scalar_hasse,
     scalar_hasse_dot,
     scalar_hasse_json,
@@ -80,6 +83,20 @@ def entries_per_chunk(chunks, marker: str) -> list[int]:
           [False, True, False, True], {1, 2}, ("y",), 1))
 @example((MarginalSet(("a", "b", "c")), ("x",),
           [[float(bits)] for bits in range(8)], [False] * 8, None, None, 3))
+# Floors and their differences are exact Python ints: 2^63 - (-2^63) and
+# 1e19 overflow int64, and -1e300 has 301 digits.
+@example((MarginalSet(("a", "b")), ("x", "y"),
+          [[2.0**63, -1e300], [-2.0**63, 1e19], [1e19, 2.0**63], [-1e300, 0.5]],
+          [True, False, True, False], None, None, 2))
+@example((MarginalSet(("a", "b", "c")), ("x", "y"),
+          [[2.0**63, -1e300], [-2.0**63, 1e19], [1e19, 2.0**63], [-1e300, 0.5],
+           [0.0, -0.5], [-1e19, 1.0], [2.5, 3.0], [-2.0**64, 4.0]],
+          [False] * 8, {0, 1, 3, 6, 7}, ("y", "x"), 3))
+# Two label metrics whose deltas are negative, in blocks of two rows, so
+# the one- and two-label ranks each span two blocks.
+@example((MarginalSet(("a", "b", "c")), ("x", "y", "z"),
+          [[-1.5 * bits, 10.0 - 3 * bits, 0.25 * bits] for bits in range(8)],
+          [bool(bits & 1) for bits in range(8)], None, ("y", "x"), 2))
 def test_emitters_match_the_object_oracle(case):
     ms, names, rows, flags, keep, label_metrics, block = case
     with pytest.MonkeyPatch.context() as patch:
@@ -143,6 +160,67 @@ def test_arrays_are_read_only():
             array[0] = 0
 
 
+def test_diagrams_keep_their_own_arrays():
+    """A caller's arrays stay the caller's: changing them after the diagram
+    is built leaves the diagram as it was, and its arrays stay read-only."""
+    ms = MarginalSet(("a", "b"))
+    table = np.array([[0.0], [1.0], [2.0], [3.0]])
+    flags = np.array([False, True, False, True])
+    built = hasse_from_table(ms, ("x",), table, flags)
+    masks, edges = built.masks.copy(), built.edges.copy()
+    direct = AnnotatedHasseDiagram(ms, ("x",), masks, table, flags, edges)
+    for diagram in (built, direct):
+        assert diagram.table is not table and diagram.flags is not flags
+    table[:] = -1.0
+    flags[:] = ~flags
+    masks[:] = 0
+    edges[:] = 0
+    for diagram in (built, direct):
+        assert diagram.masks.tolist() == [0, 1, 2, 3]
+        assert diagram.table.tolist() == [[0.0], [1.0], [2.0], [3.0]]
+        assert diagram.flags.tolist() == [False, True, False, True]
+        assert diagram.edges.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
+        for array in (diagram.masks, diagram.table, diagram.flags, diagram.edges):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
+def test_sparse_wide_diagram_renders_without_lattice_sized_tables():
+    """Five nodes of a 24-label lattice, read from JSON: the emitters build
+    subset text only for these masks and the masks they drop to, never for
+    all 2^24 subsets."""
+    n = 24
+    ms = MarginalSet(['a"b\\c', *(f"m{i}" for i in range(1, n))])
+    names = ("x", "y")
+    rows = {0: (0.0, 2.0**63), 1: (-1.5, 1e19), 1 << 23: (2.5, -1e300),
+            1 | 1 << 5 | 1 << 23: (7.0, -0.0), (1 << n) - 1: (-2.0**64, 0.5)}
+    nodes = [OracleNode(ExclusionSet(n, bits), rows[bits], bits % 2 == 1)
+             for bits in sorted(rows, key=lambda b: (b.bit_count(), b))]
+    covers = [(0, 1), (0, 1 << 23), (1, 1 | 1 << 5 | 1 << 23),
+              (1 << 23, 1 | 1 << 5 | 1 << 23), (1 | 1 << 5 | 1 << 23, (1 << n) - 1)]
+    edges = [OracleEdge(ExclusionSet(n, lower), ExclusionSet(n, upper),
+                        tuple(b - a for a, b in zip(rows[lower], rows[upper])))
+             for lower, upper in covers]
+    expected_json = scalar_hasse_json(ms, names, nodes, edges)
+    expected_dot = scalar_hasse_dot(ms, names, nodes, edges)
+    diagram = diagram_from_json(expected_json)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        dot, text = to_dot(diagram), to_json(diagram)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert dot == expected_dot
+    assert text == expected_json
+    assert peak - base < 2**20
+
+
 def test_table_and_flags_must_cover_the_lattice():
     ms = MarginalSet(("a", "b"))
     with pytest.raises(ValueError):
@@ -153,7 +231,8 @@ def test_full_lattice_diagram_memory_at_n16():
     """Edges are stored once, as int32 row pairs, and built without
     edge-sized int64 temporaries: masks, a three-metric table, flags and
     524,288 edges keep about 6 MiB.  The edge checks run a slice at a time,
-    so the peak stays near 15 MiB."""
+    and the arrays built are handed to the diagram without a copy, so the
+    peak stays near 10 MiB."""
     n = 16
     rng = np.random.default_rng(0)
     ms = MarginalSet(tuple(f"m{i}" for i in range(n)))
@@ -173,4 +252,4 @@ def test_full_lattice_diagram_memory_at_n16():
     assert diagram.edges.dtype == np.int32
     assert len(diagram.edges) == n << (n - 1)
     assert kept < 10 * 2**20
-    assert peak < 17 * 2**20
+    assert peak < 11 * 2**20
