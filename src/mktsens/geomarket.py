@@ -14,9 +14,10 @@ whose member entries total at most :data:`LOCAL_CHUNK_ENTRIES`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,70 +69,109 @@ class Store:
         return (self.latitude, self.longitude)
 
 
-@dataclass(frozen=True)
+def _codes(values: Sequence[str], index: dict[str, int]) -> np.ndarray:
+    """Codes of ``values`` in ``index``, which numbers strings as they first come."""
+    for value in dict.fromkeys(values):
+        index.setdefault(value, len(index))
+    return np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+
+
 class StoreUniverse:
-    """All stores under analysis, looked up by store id."""
+    """All stores under analysis, as columns in file order: ``ids``; float64
+    ``latitude``, ``longitude`` (degrees) and ``revenue``; and ``chain``,
+    ``name`` and ``format``, codes of the strings ``chain_ids``,
+    ``chain_names`` and ``formats`` in order of first store.  A
+    :class:`Store` is a row view, built only where one is handed out.
+    ``_columns`` takes checked columns: (ids, numbers, codes, strings)."""
 
-    stores: tuple[Store, ...]
-    _by_id: dict[str, Store] = field(
-        init=False, repr=False, compare=False, hash=False
-    )
+    def __init__(self, stores: Iterable[Store] = (),
+                 _columns: tuple | None = None) -> None:
+        if _columns is None:
+            fields_of = attrgetter(*(f.name for f in fields(Store)))
+            ids, *text = list(zip(*map(fields_of, stores))) or [()] * 7
+            seen: set[str] = set()
+            if twice := [i for i in ids if i in seen or seen.add(i)]:
+                raise DataError(f"duplicate store id {twice[0]!r}")
+            strings: tuple[dict[str, int], ...] = ({}, {}, {})
+            _columns = (ids, [np.array(column, np.float64) for column in text[3:]],
+                        list(map(_codes, text[:3], strings)), strings)
+        ids, numbers, codes, strings = _columns
+        self.ids: tuple[str, ...] = tuple(ids)
+        self.latitude, self.longitude, self.revenue = numbers
+        self.chain, self.name, self.format = codes
+        self.chain_ids, self.chain_names, self.formats = map(tuple, strings)
+        for array in (*numbers, *codes):
+            array.flags.writeable = False
 
-    def __post_init__(self) -> None:
-        by_id: dict[str, Store] = {}
-        for store in self.stores:
-            if store.store_id in by_id:
-                raise DataError(f"duplicate store id {store.store_id!r}")
-            by_id[store.store_id] = store
-        object.__setattr__(self, "_by_id", by_id)
+    def _stores(self, rows: list[int]) -> tuple[Store, ...]:
+        """The stores at ``rows`` (file order), as :class:`Store` objects."""
+        text = (map(strings.__getitem__, codes[rows].tolist()) for codes, strings in (
+            (self.chain, self.chain_ids), (self.name, self.chain_names),
+            (self.format, self.formats)))
+        numbers = (column[rows].tolist()
+                   for column in (self.latitude, self.longitude, self.revenue))
+        return tuple(map(Store, map(self.ids.__getitem__, rows), *text, *numbers))
 
-    def __iter__(self):
+    @property
+    def stores(self) -> tuple[Store, ...]:
+        return self._stores(list(range(len(self))))
+
+    def __iter__(self) -> Iterator[Store]:
         return iter(self.stores)
 
     def __len__(self) -> int:
-        return len(self.stores)
+        return len(self.ids)
 
     def store(self, store_id: str) -> Store:
-        try:
-            return self._by_id[store_id]
-        except KeyError:
-            raise DataError(f"unknown store id {store_id!r}") from None
+        if store_id not in self.ids:
+            raise DataError(f"unknown store id {store_id!r}")
+        return self._stores([self.ids.index(store_id)])[0]
 
     def chains(self) -> dict[str, str]:
-        """chain_id -> chain_name, first spelling wins."""
-        out: dict[str, str] = {}
-        for store in self.stores:
-            out.setdefault(store.chain_id, store.chain_name)
-        return out
+        """chain_id -> chain_name, first spelling wins: chain codes count up
+        in file order, so a chain's first store is where their maximum steps."""
+        first = np.flatnonzero(np.diff(np.maximum.accumulate(self.chain), prepend=-1))
+        return dict(zip(self.chain_ids,
+                        map(self.chain_names.__getitem__, self.name[first].tolist())))
 
     def of_chains(self, chain_ids: Iterable[str]) -> tuple[Store, ...]:
-        wanted = set(chain_ids)
-        return tuple(s for s in self.stores if s.chain_id in wanted)
+        codes = [self.chain_ids.index(c) for c in set(chain_ids) if c in self.chain_ids]
+        return self._stores(np.flatnonzero(np.isin(self.chain, codes)).tolist())
+
+    def sales(self) -> dict[str, float]:
+        """Revenue by chain id in order of first store, each chain's stores
+        added in file order, as :func:`chain_market` adds them."""
+        return dict(zip(self.chain_ids, np.bincount(
+            self.chain, self.revenue, len(self.chain_ids)).tolist()))
+
+    def entries(self, bit_of: Mapping[str, int]) -> list[tuple[str, int, float]]:
+        """The :func:`merger_outcome_table` entries (chain id, bit, revenue)
+        of the stores in order, each bit its format's in ``bit_of`` or -1."""
+        bits = np.array([bit_of.get(f, -1) for f in self.formats], np.intp)
+        return list(zip(map(self.chain_ids.__getitem__, self.chain.tolist()),
+                        bits[self.format].tolist(), self.revenue.tolist()))
 
     @cached_property
     def columns(self) -> StoreColumns:
-        """The stores as arrays, row i being the i-th store in store-id order."""
-        ordered = tuple(sorted(self.stores, key=lambda s: s.store_id))
-        codes: dict[str, int] = {}
-        chain = np.array([codes.setdefault(s.chain_id, len(codes))
-                          for s in ordered], dtype=np.intp)
-        lat = np.radians([s.latitude for s in ordered])
+        """The stores in store-id order, derived by an argsort of the ids."""
+        row = np.array(sorted(range(len(self)), key=self.ids.__getitem__), np.intp)
+        by_id = StoreUniverse(_columns=(
+            map(self.ids.__getitem__, row.tolist()),
+            [column[row] for column in (self.latitude, self.longitude, self.revenue)],
+            [column[row] for column in (self.chain, self.name, self.format)],
+            (self.chain_ids, self.chain_names, self.formats),
+        ))
+        lat = np.radians(by_id.latitude)
         by_latitude = np.argsort(lat, kind="stable")
-        return StoreColumns(
-            ordered, lat, np.cos(lat), np.array([s.longitude for s in ordered]),
-            chain, codes, by_latitude, lat[by_latitude],
-        )
+        return StoreColumns(by_id, lat, np.cos(lat), by_latitude, lat[by_latitude])
 
 
 class StoreColumns(NamedTuple):
-    """A :class:`StoreUniverse` in store-id order, as circle selection reads it."""
+    """The universe in store-id order, ``by_id``, and its latitude index."""
 
-    stores: tuple[Store, ...]
+    by_id: StoreUniverse
     latitude: np.ndarray  # radians
     cos_latitude: np.ndarray
-    longitude: np.ndarray  # degrees
-    chain: np.ndarray  # each store's code in chain_codes
-    chain_codes: dict[str, int]  # chain id -> code, in order of first store
     by_latitude: np.ndarray  # rows in ascending latitude order
     sorted_latitude: np.ndarray  # latitude[by_latitude]
 
@@ -177,7 +217,12 @@ class CircleMarket:
         return tuple(s.store_id for s in self.members)
 
 
-def _circle_rows(columns: StoreColumns, anchor: Store,
+def _position(universe: StoreUniverse, row: int) -> tuple[float, float]:
+    """The (latitude, longitude) degrees of the store at ``row``, as floats."""
+    return float(universe.latitude[row]), float(universe.longitude[row])
+
+
+def _circle_rows(columns: StoreColumns, anchor: tuple[float, float],
                  radius_km: float) -> np.ndarray:
     """Rows of ``columns`` at most ``radius_km`` from ``anchor``, ascending.
 
@@ -191,13 +236,13 @@ def _circle_rows(columns: StoreColumns, anchor: Store,
     # numpy's sin/arcsin may differ from libm by a few ulps: let the scalar
     # haversine decide every store this close to the boundary.
     band = 1e-9 * max(radius_km, 1.0)
-    phi = math.radians(anchor.latitude)
+    phi = math.radians(anchor[0])
     reach = (radius_km + band) / EARTH_RADIUS_KM
     window = columns.by_latitude[
         columns.sorted_latitude.searchsorted(phi - reach, "left"):
         columns.sorted_latitude.searchsorted(phi + reach, "right")
     ]
-    dlam = np.radians(columns.longitude[window] - anchor.longitude)
+    dlam = np.radians(columns.by_id.longitude[window] - anchor[1])
     h = (
         np.sin((columns.latitude[window] - phi) / 2.0) ** 2
         + math.cos(phi) * columns.cos_latitude[window] * np.sin(dlam / 2.0) ** 2
@@ -205,8 +250,7 @@ def _circle_rows(columns: StoreColumns, anchor: Store,
     distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(h, 1.0)))
     keep = distance <= radius_km
     for i in np.flatnonzero(np.abs(distance - radius_km) <= band).tolist():
-        store = columns.stores[window[i]]
-        keep[i] = haversine(anchor.position, store.position) <= radius_km
+        keep[i] = haversine(anchor, _position(columns.by_id, window[i])) <= radius_km
     return np.sort(window[keep])
 
 
@@ -222,9 +266,8 @@ def circle_market(
     """
     anchor = universe.store(center) if isinstance(center, str) else center
     columns = universe.columns
-    rows = _circle_rows(columns, anchor, miles_to_km(radius_miles))
-    return CircleMarket(anchor, radius_miles,
-                        tuple(map(columns.stores.__getitem__, rows.tolist())))
+    rows = _circle_rows(columns, anchor.position, miles_to_km(radius_miles))
+    return CircleMarket(anchor, radius_miles, columns.by_id._stores(rows.tolist()))
 
 
 def chain_market(
@@ -294,14 +337,13 @@ def analyze_local(
     columns = universe.columns
     parties = []
     for party in (merger.acquirer, merger.target):
-        if party not in columns.chain_codes:
+        if party not in universe.chain_ids:
             raise DataError(f"merging chain {party!r} has no stores in the universe")
-        parties.append(columns.chain_codes[party])
+        parties.append(universe.chain_ids.index(party))
     radius_km = miles_to_km(radius_miles)
     bit_of = {label: i for i, label in enumerate(ms.members)}
     # One entry per store, shared by every circle that holds it.
-    entries = [(s.chain_id, bit_of.get(s.format, -1), s.revenue)
-               for s in columns.stores]
+    entries = columns.by_id.entries(bit_of)
     power: dict[bytes, tuple[float, ...] | None] = {}
     results = []
     for chunk in _two_party_chunks(columns, parties, radius_km):
@@ -315,20 +357,21 @@ def analyze_local(
             row = int(np.flatnonzero(empty.any(axis=1))[0])
             subset = first_marked(empty[row], ms.n)
             raise DataError(
-                f"circle around store {columns.stores[chunk[row][0]].store_id!r} "
+                f"circle around store {columns.by_id.ids[chunk[row][0]]!r} "
                 f"has no revenue left after excluding {sorted(ms.labels_of(subset))}"
             )
         table = np.stack((post, delta, share), axis=-1)
         flags = presumption(post, delta, share, rule)
         for array in (table, flags):
             array.flags.writeable = False
-        for (center, rows), outcomes, flagged in zip(chunk, table, flags):
+        centers = columns.by_id._stores([center for center, _ in chunk])
+        for center, (_, rows), outcomes, flagged in zip(centers, chunk, table, flags):
             key = flagged.tobytes()
             if key not in power:
                 game = SimpleGame(ms.n, flagged)
                 power[key] = None if game.constant else sspi(game)
             results.append(LocalAnalysisResult(
-                columns.stores[center], radius_miles, len(rows), outcomes,
+                center, radius_miles, len(rows), outcomes,
                 flagged, power[key] is not None, power[key],
             ))
     return tuple(results)
@@ -343,9 +386,9 @@ def _two_party_chunks(
     circle goes alone)."""
     chunk: list[tuple[int, np.ndarray]] = []
     held = 0
-    for center in np.flatnonzero(np.isin(columns.chain, parties)).tolist():
-        rows = _circle_rows(columns, columns.stores[center], radius_km)
-        chains = columns.chain[rows]
+    for center in np.flatnonzero(np.isin(columns.by_id.chain, parties)).tolist():
+        rows = _circle_rows(columns, _position(columns.by_id, center), radius_km)
+        chains = columns.by_id.chain[rows]
         if not all((chains == party).any() for party in parties):
             continue
         if chunk and held + len(rows) > LOCAL_CHUNK_ENTRIES:

@@ -255,11 +255,12 @@ def _frozen_array(
     return array
 
 
-def _inverse_rank(masks: np.ndarray, n: int) -> np.ndarray:
-    """Row of each width-``n`` bitmask in ``masks``, by bitmask; -1 if absent."""
-    rank = np.full(1 << n, -1, dtype=np.int32)
-    rank[masks] = np.arange(len(masks), dtype=np.int32)
-    return rank
+def _node_rows(masks: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Row of each bitmask of ``wanted`` in the node ``masks``, or -1 where
+    it is not a node: a binary search in the masks' numeric order."""
+    order = np.argsort(masks)
+    rows = np.append(order, -1)[masks[order].searchsorted(wanted)]
+    return np.where(np.append(masks, -1)[rows] == wanted, rows, -1)
 
 
 def _edge_deltas(table: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -344,24 +345,22 @@ class AnnotatedHasseDiagram:
 
     def _rows(self, subsets: Iterable[ExclusionSet]) -> np.ndarray:
         """Table row of each subset; KeyError names one that is not a node."""
-        n = self.marginal_set.n
-        rank = _inverse_rank(self.masks, n)
-        rows = []
-        for subset in subsets:
-            if subset.n != n:
-                raise ValueError("subset width does not match the diagram")
-            rows.append(int(rank[subset.bits]))
-            if rows[-1] < 0:
-                raise KeyError(f"subset {subset_label(self.marginal_set, subset)} "
-                               "is not a node of this diagram")
-        return np.array(rows, dtype=np.int64)
+        subsets = list(subsets)
+        if any(subset.n != self.marginal_set.n for subset in subsets):
+            raise ValueError("subset width does not match the diagram")
+        rows = _node_rows(self.masks, np.array([s.bits for s in subsets], np.int64))
+        if (rows < 0).any():
+            absent = subsets[int(np.argmin(rows))]
+            raise KeyError(f"subset {subset_label(self.marginal_set, absent)} "
+                           "is not a node of this diagram")
+        return rows
 
     def edge_deltas(self) -> np.ndarray:
         """(edges × metrics) outcomes of each upper node minus its lower."""
         return _edge_deltas(self.table, self.edges)
 
     def outcome(self, subset: ExclusionSet, metric: str) -> float:
-        """One outcome; each call builds the 2^n lookup from mask to row."""
+        """One outcome; each call sorts the node masks to find its row."""
         (row,) = self._rows([subset])
         try:
             pos = self.metric_names.index(metric)
@@ -394,7 +393,8 @@ def hasse_from_table(
     if len(table) != 1 << n or len(flags) != 1 << n:
         raise ValueError(f"outcome table and flags need 2^{n} rows")
     masks = canonical_masks(n)
-    rank = _inverse_rank(masks, n)
+    rank = np.empty(1 << n, dtype=np.int32)
+    rank[masks] = np.arange(1 << n, dtype=np.int32)
     # The edges of each row are contiguous; ``at`` is where its next goes.
     lacking = n - subset_sizes(n)[masks].astype(np.int64)
     at = np.cumsum(lacking) - lacking
@@ -457,9 +457,11 @@ def restrict(
     kept.
     """
     try:
-        rows = np.unique(diagram._rows(keep))
+        rows = np.sort(diagram._rows(keep))
     except KeyError as exc:
         raise ValueError(*exc.args) from None
+    # Drop repeats; np.unique would import numpy.ma.
+    rows = rows[np.diff(rows, prepend=-1) != 0]
     masks = diagram.masks[rows]
     pairs = [np.empty((0, 2), dtype=np.int64)]
     for i, lower in enumerate(masks.tolist()):
@@ -631,7 +633,7 @@ def diagram_from_json(text: str) -> AnnotatedHasseDiagram:
         raise DataError(f"diagram JSON lists node {subset} twice")
     pairs = np.array([(lower.bits, upper.bits) for lower, upper, _ in edges],
                      dtype=np.int64).reshape(len(edges), 2)
-    ends = _inverse_rank(masks, ms.n)[pairs]
+    ends = _node_rows(masks, pairs)
     missing = np.flatnonzero((ends < 0).any(axis=1))
     if missing.size:
         lower, upper, _ = edges[missing[0]]

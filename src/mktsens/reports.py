@@ -36,7 +36,6 @@ from .geomarket import (
     LocalAnalysisResult,
     StoreUniverse,
     analyze_local,
-    chain_market,
     sspi_structure_table,
 )
 from .jsontext import (
@@ -128,17 +127,12 @@ def _display_total(cells: Sequence[str]) -> str:
 
 
 def _outcome_columns(
-    entries: Sequence[tuple[str, str, float]], ms: MarginalSet, merger: MergerSpec
+    entries: Sequence[tuple[str, int, float]], ms: MarginalSet, merger: MergerSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Post HHI, delta HHI and merged share per exclusion mask of the market
-    of ``(chain_id, label, revenue)`` entries, where an entry is excluded
-    with its label; refuses a lattice in which some candidate market has no
-    sales left."""
-    bit_of = {label: i for i, label in enumerate(ms.members)}
-    columns = tuple(c[0] for c in merger_outcome_table(
-        [[(chain, bit_of.get(label, -1), value) for chain, label, value in entries]],
-        ms.n, merger,
-    ))
+    of :func:`merger_outcome_table` entries ``(chain_id, bit, revenue)``;
+    refuses a lattice in which some candidate market has no sales left."""
+    columns = tuple(c[0] for c in merger_outcome_table([entries], ms.n, merger))
     empty = np.isnan(columns[2])
     if empty.any():
         subset = first_marked(empty, ms.n)
@@ -152,7 +146,7 @@ def _outcome_columns(
 def _check_formats(config: RunConfig, universe: StoreUniverse) -> None:
     """Refuse store formats that the configuration leaves unclassified."""
     listed = {*config.always_in_formats, *config.marginal_formats}
-    unlisted = sorted({s.format for s in universe} - listed)
+    unlisted = sorted(set(universe.formats) - listed)
     if unlisted:
         raise ConfigError("store formats in neither always_in_formats nor "
                           f"marginal_formats: {unlisted}")
@@ -184,13 +178,13 @@ def _state_lattice(
 ) -> tuple[Market, tuple[np.ndarray, ...], np.ndarray, AnnotatedHasseDiagram]:
     """The statewide chain market, its outcome columns and presumption flags
     by exclusion mask, and the annotated Hasse diagram built from them."""
-    market = chain_market(universe, (), "state")
+    market = Market(universe.sales(), "state")
     for party in config.merging_chains:
         market.require(party)
     ms = MarginalSet(config.marginal_formats)
     _check_formats(config, universe)
     columns = _outcome_columns(
-        [(s.chain_id, s.format, s.revenue) for s in universe], ms, config.merger
+        universe.entries(dict(zip(ms.members, range(ms.n)))), ms, config.merger
     )
     flags = presumption(*columns, config.rule)
     flags.flags.writeable = False
@@ -266,7 +260,7 @@ def run_firm_level(config: RunConfig, universe: StoreUniverse) -> FirmReport:
     """
     if not config.marginal_firms:
         raise ConfigError("firm-level analysis requires marginal_firms")
-    market = chain_market(universe, (), "state")
+    market = Market(universe.sales(), "state")
     for party in config.merging_chains:
         market.require(party)
     for firm in config.marginal_firms:
@@ -274,11 +268,10 @@ def run_firm_level(config: RunConfig, universe: StoreUniverse) -> FirmReport:
             raise DataError(f"marginal firm {firm!r} has no stores in the universe")
     firms = config.marginal_firms
     ms = MarginalSet(firms)
-    columns = _outcome_columns(
-        [(chain, chain, revenue) for chain, revenue in market.sales.items()],
-        ms,
-        config.merger,
-    )
+    bit_of = dict(zip(firms, range(ms.n)))
+    columns = _outcome_columns([(chain, bit_of.get(chain, -1), revenue)
+                                for chain, revenue in market.sales.items()],
+                               ms, config.merger)
     flags = presumption(*columns, config.rule)
     flags.flags.writeable = False
     game = SimpleGame(ms.n, flags)

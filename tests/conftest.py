@@ -9,8 +9,11 @@ fixture is two far-apart store clusters with known per-circle outcomes.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
+import logging
+import math
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -498,6 +501,94 @@ def stores_csv_text(stores, region_of=None) -> str:
             row += f",{region_of(s)}"
         lines.append(row)
     return "\n".join(lines) + "\n"
+
+
+def scalar_load_stores(path, drop_formats=(), region=None) -> StoreUniverse:
+    """The row-at-a-time reader that :func:`mktsens.load_stores` replaced: one
+    :class:`csv.DictReader` dict and one :class:`Store` per row.  It logs
+    as the package does."""
+    from mktsens.ingest import MAX_REPORTED_ERRORS, REGION_COLUMN, REQUIRED_COLUMNS
+
+    def clean(raw):
+        return None if raw is None else str(raw).strip()
+
+    try:
+        handle = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataError(f"cannot read store file {path}: {exc}") from exc
+    errors, stores, seen = [], [], set()
+    dropped_by_format = dropped_by_region = 0
+    drop = {f.strip().lower() for f in drop_formats}
+    with handle:
+        reader = csv.DictReader(handle)
+        header = reader.fieldnames
+        if header is None:
+            raise DataError(f"store file {path} is empty")
+        missing = [c for c in REQUIRED_COLUMNS if c not in header]
+        if missing:
+            raise DataError(f"store file {path} is missing required columns: "
+                            f"{', '.join(missing)}")
+        if region is not None and REGION_COLUMN not in header:
+            raise DataError(f"store file {path} has no {REGION_COLUMN!r} column "
+                            "but a region filter was requested")
+        for row in reader:
+            line = reader.line_num
+            problems, text, numbers = [], {}, {}
+            for column in REQUIRED_COLUMNS:
+                value = clean(row.get(column))
+                if value is None or value == "":
+                    problems.append(f"missing {column}")
+                else:
+                    text[column] = value
+            for column, low, high in (("latitude", -90.0, 90.0),
+                                      ("longitude", -180.0, 180.0),
+                                      ("revenue", 0.0, math.inf)):
+                value = text.get(column)
+                if value is None:
+                    continue
+                try:
+                    parsed = float(value)
+                except ValueError:
+                    problems.append(f"{column} {value!r} is not a number")
+                    continue
+                if not math.isfinite(parsed) or not low <= parsed <= high:
+                    problems.append(f"{column} {value!r} is out of range")
+                else:
+                    numbers[column] = parsed
+            store_id = text.get("store_id")
+            if store_id is not None:
+                if store_id in seen:
+                    problems.append(f"duplicate store id {store_id!r}")
+                else:
+                    seen.add(store_id)
+            if problems:
+                errors.append(f"line {line}: {'; '.join(problems)}")
+                continue
+            if region is not None and clean(row.get(REGION_COLUMN)) != region:
+                dropped_by_region += 1
+                continue
+            store_format = text["format"].lower()
+            if store_format in drop:
+                dropped_by_format += 1
+                continue
+            stores.append(Store(text["store_id"], text["chain_id"],
+                                text["chain_name"], store_format,
+                                numbers["latitude"], numbers["longitude"],
+                                numbers["revenue"]))
+    if errors:
+        shown = errors[:MAX_REPORTED_ERRORS]
+        suffix = (f"\n... and {len(errors) - len(shown)} more"
+                  if len(errors) > len(shown) else "")
+        raise DataError(f"store file {path} has {len(errors)} invalid row(s):\n"
+                        + "\n".join(shown) + suffix)
+    logger = logging.getLogger("mktsens.ingest")
+    if drop or region is not None:
+        logger.info("loaded %d stores from %s (%d dropped by format filter, "
+                    "%d outside region)", len(stores), path, dropped_by_format,
+                    dropped_by_region)
+    else:
+        logger.info("loaded %d stores from %s", len(stores), path)
+    return StoreUniverse(tuple(stores))
 
 
 def write_inputs(tmp_path: Path, stores, config_doc: dict,

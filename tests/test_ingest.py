@@ -2,13 +2,28 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import logging
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mktsens import ConfigError, DataError, PresumptionRule, RunConfig, load_stores
+from mktsens import ingest
 from mktsens.config import load_config
-from tests.conftest import CSV_HEADER, state_stores, stores_csv_text
+from tests.conftest import (
+    CSV_HEADER,
+    scalar_load_stores,
+    state_stores,
+    stores_csv_text,
+)
 
 GOOD_ROW = "s1,acme,Acme Markets,Supermarket,47.61,-122.33,12.5"
 
@@ -132,6 +147,132 @@ class TestLoadStores:
         store = load_stores(path).store("s1")
         assert store.chain_id == "acme"
         assert store.revenue == 10.0
+
+
+# Field texts per column: valid, padded, non-ASCII, non-finite, malformed
+# and blank, plus arbitrary short text with separators, quotes and newlines.
+FIELD_POOLS = {
+    "store_id": ("s1", "s2", "s3", " s1 ", "店4", ""),
+    "chain_id": ("acme", "bolt", " acme ", "Acme", ""),
+    "chain_name": ("Acme", "Acme Markets", "Bolt, Inc.", "two\nlines", ""),
+    "format": ("club", "Club", " NATURAL ", "supermarket", "ｃｌｕｂ", ""),
+    "latitude": ("47.5", "-90", "90.0", "1_0", " 1e1 ", "nan", "-inf", "91",
+                 "north", ""),
+    "longitude": ("-122.3", "180", "-180.5", "1_0", "inf", "east", " 0 ", ""),
+    "revenue": ("10", "12.34", "0", "-0", "-5", "1e308", "1e999", "nan",
+                "ten", ""),
+    "region": ("west", "east", " west ", ""),
+}
+ANY_FIELD = st.text(st.sampled_from('a1 ,"\n\t._-é'), max_size=4)
+
+
+def _field(column: str):
+    return st.one_of(st.sampled_from(FIELD_POOLS.get(column, ("x", ""))),
+                     ANY_FIELD)
+
+
+@st.composite
+def store_csv_texts(draw) -> str:
+    """Store CSV text: every required column and up to two more, some named
+    twice; ragged rows, blank lines, quoting and an optional BOM."""
+    extra = draw(st.lists(st.sampled_from(ingest.REQUIRED_COLUMNS
+                                          + ("region", "notes")), max_size=2))
+    header = draw(st.permutations(ingest.REQUIRED_COLUMNS + tuple(extra)))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        width = 0 if draw(st.integers(0, 5)) == 0 else max(
+            1, len(header) + draw(st.integers(-3, 2)))
+        rows.append([draw(_field(header[i] if i < len(header) else "notes"))
+                     for i in range(width)])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer,
+                        lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
+                        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL,
+                                                      csv.QUOTE_ALL])))
+    writer.writerow(header)
+    writer.writerows(rows)
+    return draw(st.sampled_from(["", "\ufeff"])) + buffer.getvalue()
+
+
+@contextmanager
+def _ingest_log():
+    """The messages that the ``mktsens.ingest`` logger emits at INFO."""
+    messages: list[str] = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("mktsens.ingest")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def _read_with(load, path: Path, **filters):
+    """What ``load`` makes of ``path``: its stores and chains, or the type
+    and text of its exception, and its log lines."""
+    with _ingest_log() as messages:
+        try:
+            universe = load(path, **filters)
+        except Exception as exc:  # csv.Error too: both readers must agree
+            return (type(exc), str(exc)), messages
+    return (universe.stores, universe.chains()), messages
+
+
+BAD_ROWS = "".join(f"s{i},acme,Acme,club,999,0,1\n" for i in range(25))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=store_csv_texts(),
+       drop_formats=st.sampled_from([(), ("club",), (" Natural ", "CLUB")]),
+       region=st.sampled_from([None, "west", ""]),
+       block_rows=st.sampled_from([1, 2, 3, 7, ingest.BLOCK_ROWS]))
+@example(text=CSV_HEADER + ",latitude\ns1,acme,Acme,club,1,2,3,4\n"
+         "s2,acme,Acme,club,1,2,3\n", drop_formats=(), region=None,
+         block_rows=ingest.BLOCK_ROWS)
+@example(text=CSV_HEADER + ",region\ns1,acme,Acme,club,1,2,3,west\n"
+         "s2,acme,Acme,natural,1,2,3,east\ns1,bolt,Bolt,natural,1,2,3,west\n"
+         "s2,bolt,Bolt,natural,1,2,3,west\n", drop_formats=("club",),
+         region="west", block_rows=ingest.BLOCK_ROWS)
+@example(text="\ufeff" + CSV_HEADER + "\ns1,acme,Acme,club,1,2,3\n",
+         drop_formats=(), region=None, block_rows=ingest.BLOCK_ROWS)
+@example(text=CSV_HEADER + "\n" + BAD_ROWS, drop_formats=(), region=None,
+         block_rows=ingest.BLOCK_ROWS)
+def test_load_stores_matches_the_row_loop(text, drop_formats, region, block_rows):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "stores.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        filters = {"drop_formats": drop_formats, "region": region}
+        with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+            got = _read_with(load_stores, path, **filters)
+        assert got == _read_with(scalar_load_stores, path, **filters)
+    (stores, _), _ = got
+    if not isinstance(stores, type):
+        assert all(type(value) is (str if name[0] in "scf" else float)
+                   for store in stores for name, value in vars(store).items())
+
+
+def test_every_block_size_reads_the_same_universe(tmp_path):
+    path = write_csv(tmp_path, "\n".join([
+        "s3,acme,Acme,club,47.0,-122.0,10",
+        "",
+        "",
+        's1,bolt,"Bolt,\nInc.",natural,46.0,-121.0,1_0',
+        "s2,acme,Acme Markets,Club,45.0,-120.0, 1e3 ",
+        "",
+        "s4,cyan,Cyan,supermarket,44.0,-119.0,7",
+    ]) + "\n\n")
+    expected = scalar_load_stores(path).stores
+    for block_rows in (1, 2, 3):
+        with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+            universe = load_stores(path)
+        assert universe.stores == expected
+        assert universe.chains() == {"acme": "Acme", "bolt": "Bolt,\nInc.",
+                                     "cyan": "Cyan"}
 
 
 class TestRunConfig:
