@@ -7,6 +7,12 @@ values and Shapley-Shubik power indices, statewide and in local circle
 markets.
 """
 
+import os
+
+# mktsens's one BLAS call is a vector dot: one OpenBLAS thread spares numpy's
+# import its worker pool and keeps the dot's rounding off the core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .config import RunConfig, load_config
 from .errors import (
     CapacityError,

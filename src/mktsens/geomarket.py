@@ -103,11 +103,16 @@ class StoreUniverse:
         for array in (*numbers, *codes):
             array.flags.writeable = False
 
+    @property
+    def _coded(self) -> tuple[tuple[np.ndarray, tuple[str, ...]], ...]:
+        """(codes, strings) of the chain ids, chain names and formats."""
+        return ((self.chain, self.chain_ids), (self.name, self.chain_names),
+                (self.format, self.formats))
+
     def _stores(self, rows: list[int]) -> tuple[Store, ...]:
         """The stores at ``rows`` (file order), as :class:`Store` objects."""
-        text = (map(strings.__getitem__, codes[rows].tolist()) for codes, strings in (
-            (self.chain, self.chain_ids), (self.name, self.chain_names),
-            (self.format, self.formats)))
+        text = (map(strings.__getitem__, codes[rows].tolist())
+                for codes, strings in self._coded)
         numbers = (column[rows].tolist()
                    for column in (self.latitude, self.longitude, self.revenue))
         return tuple(map(Store, map(self.ids.__getitem__, rows), *text, *numbers))
@@ -128,8 +133,9 @@ class StoreUniverse:
         return self._stores([self.ids.index(store_id)])[0]
 
     def chains(self) -> dict[str, str]:
-        """chain_id -> chain_name, first spelling wins: chain codes count up
-        in file order, so a chain's first store is where their maximum steps."""
+        """chain_id -> chain_name, the spelling of the chain's first row wins:
+        chain codes count up in row order, so that row is where their maximum
+        steps.  On :meth:`by_id`, the first row is the first in store-id order."""
         first = np.flatnonzero(np.diff(np.maximum.accumulate(self.chain), prepend=-1))
         return dict(zip(self.chain_ids,
                         map(self.chain_names.__getitem__, self.name[first].tolist())))
@@ -139,8 +145,9 @@ class StoreUniverse:
         return self._stores(np.flatnonzero(np.isin(self.chain, codes)).tolist())
 
     def sales(self) -> dict[str, float]:
-        """Revenue by chain id in order of first store, each chain's stores
-        added in file order, as :func:`chain_market` adds them."""
+        """Revenue by chain id in order of first row, each chain's stores
+        added in row order, as :func:`chain_market` adds them; on
+        :meth:`by_id`, both orders are store-id order."""
         return dict(zip(self.chain_ids, np.bincount(
             self.chain, self.revenue, len(self.chain_ids)).tolist()))
 
@@ -151,16 +158,24 @@ class StoreUniverse:
         return list(zip(map(self.chain_ids.__getitem__, self.chain.tolist()),
                         bits[self.format].tolist(), self.revenue.tolist()))
 
-    @cached_property
-    def columns(self) -> StoreColumns:
-        """The stores in store-id order, derived by an argsort of the ids."""
+    def by_id(self) -> StoreUniverse:
+        """The stores in store-id order, their strings numbered by first store
+        in that order: a universe that depends on the set of rows only.  Each
+        call builds one, which its caller keeps only while it needs it."""
         row = np.array(sorted(range(len(self)), key=self.ids.__getitem__), np.intp)
-        by_id = StoreUniverse(_columns=(
+        indexes: tuple[dict[str, int], ...] = ({}, {}, {})
+        return StoreUniverse(_columns=(
             map(self.ids.__getitem__, row.tolist()),
             [column[row] for column in (self.latitude, self.longitude, self.revenue)],
-            [column[row] for column in (self.chain, self.name, self.format)],
-            (self.chain_ids, self.chain_names, self.formats),
+            [_codes(list(map(strings.__getitem__, codes[row].tolist())), index)
+             for (codes, strings), index in zip(self._coded, indexes)],
+            indexes,
         ))
+
+    @cached_property
+    def columns(self) -> StoreColumns:
+        """:meth:`by_id` and its latitude index."""
+        by_id = self.by_id()
         lat = np.radians(by_id.latitude)
         by_latitude = np.argsort(lat, kind="stable")
         return StoreColumns(by_id, lat, np.cos(lat), by_latitude, lat[by_latitude])
@@ -337,9 +352,9 @@ def analyze_local(
     columns = universe.columns
     parties = []
     for party in (merger.acquirer, merger.target):
-        if party not in universe.chain_ids:
+        if party not in columns.by_id.chain_ids:
             raise DataError(f"merging chain {party!r} has no stores in the universe")
-        parties.append(universe.chain_ids.index(party))
+        parties.append(columns.by_id.chain_ids.index(party))
     radius_km = miles_to_km(radius_miles)
     bit_of = {label: i for i, label in enumerate(ms.members)}
     # One entry per store, shared by every circle that holds it.

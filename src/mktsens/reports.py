@@ -174,17 +174,18 @@ class StateReport:
 
 
 def _state_lattice(
-    config: RunConfig, universe: StoreUniverse
+    config: RunConfig, by_id: StoreUniverse
 ) -> tuple[Market, tuple[np.ndarray, ...], np.ndarray, AnnotatedHasseDiagram]:
-    """The statewide chain market, its outcome columns and presumption flags
-    by exclusion mask, and the annotated Hasse diagram built from them."""
-    market = Market(universe.sales(), "state")
+    """The statewide chain market of the universe ``by_id``, in store-id
+    order, its outcome columns and presumption flags by exclusion mask, and
+    the annotated Hasse diagram built from them."""
+    market = Market(by_id.sales(), "state")
     for party in config.merging_chains:
         market.require(party)
     ms = MarginalSet(config.marginal_formats)
-    _check_formats(config, universe)
+    _check_formats(config, by_id)
     columns = _outcome_columns(
-        universe.entries(dict(zip(ms.members, range(ms.n)))), ms, config.merger
+        by_id.entries(dict(zip(ms.members, range(ms.n)))), ms, config.merger
     )
     flags = presumption(*columns, config.rule)
     flags.flags.writeable = False
@@ -194,7 +195,7 @@ def _state_lattice(
 
 def state_diagram(config: RunConfig, universe: StoreUniverse) -> AnnotatedHasseDiagram:
     """The diagram of :func:`run_state`, without its Shapley and SSPI."""
-    return _state_lattice(config, universe)[3]
+    return _state_lattice(config, universe.by_id())[3]
 
 
 def run_state(
@@ -211,7 +212,8 @@ def run_state(
     switches the Shapley computation to the seeded Monte Carlo estimator
     from the configuration's seed and permutation count.
     """
-    market, (post, _, _), flags, diagram = _state_lattice(config, universe)
+    by_id = universe.by_id()
+    market, (post, _, _), flags, diagram = _state_lattice(config, by_id)
     game = CoalitionalGame.from_table(post - post[0])
     if sampled:
         sv = shapley_sampled(game, config.permutations, config.seed)
@@ -222,7 +224,7 @@ def run_state(
     return StateReport(
         config=config,
         market=market,
-        chain_names=universe.chains(),
+        chain_names=by_id.chains(),
         diagram=diagram,
         shapley=sv,
         sspi_values=sspi(sspi_game),
@@ -260,7 +262,8 @@ def run_firm_level(config: RunConfig, universe: StoreUniverse) -> FirmReport:
     """
     if not config.marginal_firms:
         raise ConfigError("firm-level analysis requires marginal_firms")
-    market = Market(universe.sales(), "state")
+    by_id = universe.by_id()
+    market = Market(by_id.sales(), "state")
     for party in config.merging_chains:
         market.require(party)
     for firm in config.marginal_firms:
@@ -278,7 +281,7 @@ def run_firm_level(config: RunConfig, universe: StoreUniverse) -> FirmReport:
     return FirmReport(
         config=config,
         market=market,
-        chain_names=universe.chains(),
+        chain_names=by_id.chains(),
         marginal_firms=firms,
         sspi_values=sspi(game),
         sspi_game=game,

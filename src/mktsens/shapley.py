@@ -129,7 +129,9 @@ def _result(values: Sequence[float], grand: float, mode: str,
 
 
 def shapley_exact(game: CoalitionalGame) -> ShapleyResult:
-    """Exact Shapley values by factorial-weighted subset summation."""
+    """Exact Shapley values by factorial-weighted subset summation: one
+    ``np.dot`` per player.  mktsens pins OpenBLAS to one thread by default, so
+    the rounding depends on the numpy and BLAS build, not on the core count."""
     n = game.n
     fact = [math.factorial(k) for k in range(n + 1)]
     weights = np.array(

@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mktsens import Store, iter_json, jsontext, reports
 from mktsens.cli import main
@@ -457,3 +461,87 @@ def test_reports_match_golden_digests(tmp_path):
                 digests[f"{name}/{path.name}"] = hashlib.sha256(
                     path.read_bytes()).hexdigest()
     assert digests == GOLDEN_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# Row-order independence: every report depends on the set of rows in the
+# store CSV, not on their order.
+# ---------------------------------------------------------------------------
+
+def cli_reports(stores, config_doc) -> dict[str, int | bytes]:
+    """The exit code of every golden run on ``stores``, and the bytes of
+    every report file that it writes."""
+    with tempfile.TemporaryDirectory() as work:
+        reports: dict[str, int | bytes] = {}
+        for name, argv in GOLDEN_RUNS.items():
+            reports[name], out = run_cli(Path(work), argv[0], stores, config_doc,
+                                         *argv[1:], out=name)
+            reports.update({f"{name}/{path.name}": path.read_bytes()
+                            for path in out.glob("*")})
+        return reports
+
+
+def respelled_golden_stores() -> list[Store]:
+    """The golden stores, with fern's name spelled two ways: "Fern" at its
+    first store in store-id order and "Fern & Co" at its later ones."""
+    stores = list(golden_stores())
+    ferns = [k for k, store in enumerate(stores) if store.chain_id == "fern"]
+    for k in ferns[1::2]:
+        stores[k] = dataclasses.replace(stores[k], chain_name="Fern & Co")
+    return stores
+
+
+@st.composite
+def small_universes(draw) -> list[Store]:
+    """A few stores of four chains in a box of about 4 x 5 miles, each
+    merging chain and marginal firm with an always-in store, and dune's
+    name spelled two ways.  A circle may be left without revenue by some
+    exclusion set, and then local exits 3 whatever the row order."""
+    chains = ("acme", "bolt", "cato", "dune")
+    count = draw(st.integers(len(chains), 16))
+    ids = draw(st.lists(st.text("ab0123456789", min_size=1, max_size=3),
+                        min_size=count, max_size=count, unique=True))
+    stores = []
+    for k, store_id in enumerate(ids):
+        chain = chains[k] if k < len(chains) else draw(st.sampled_from(chains))
+        name = draw(st.sampled_from(("Dune", "Dune Inc"))) if chain == "dune" else chain
+        stores.append(Store(
+            store_id, chain, name,
+            "supermarket" if k < len(chains)
+            else draw(st.sampled_from(("supermarket", "club", "natural"))),
+            45.0 + draw(st.integers(0, 600)) / 1e4,
+            -122.0 + draw(st.integers(0, 1000)) / 1e4,
+            draw(st.integers(1, 4000)) / 100,
+        ))
+    return stores
+
+
+SMALL_CONFIG = base_config_doc(
+    always_in_formats=["supermarket"],
+    marginal_formats=["club", "natural"],
+    marginal_firms=["cato", "dune"],
+    radius_miles=2.0,
+    seed=3,
+    permutations=50,
+)
+
+
+class TestRowOrder:
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=3, deadline=None)
+    def test_golden_universe(self, rng):
+        want = cli_reports(respelled_golden_stores(), GOLDEN_CONFIG)
+        assert {want[name] for name in GOLDEN_RUNS} == {0}
+        shuffled = respelled_golden_stores()
+        rng.shuffle(shuffled)
+        assert cli_reports(shuffled, GOLDEN_CONFIG) == want
+        shares = want["state/shares.csv"].decode().splitlines()
+        assert [line for line in shares if line.startswith("fern,")][0].startswith(
+            "fern,Fern,")
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_small_universes(self, data):
+        stores = data.draw(small_universes())
+        shuffled = data.draw(st.permutations(stores))
+        assert cli_reports(shuffled, SMALL_CONFIG) == cli_reports(stores, SMALL_CONFIG)
