@@ -14,10 +14,11 @@ whose member entries total at most :data:`LOCAL_CHUNK_ENTRIES`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,20 +70,22 @@ class Store:
         return (self.latitude, self.longitude)
 
 
-def _codes(values: Sequence[str], index: dict[str, int]) -> np.ndarray:
-    """Codes of ``values`` in ``index``, which numbers strings as they first come."""
+def _codes(values: Sequence[Hashable], index: dict) -> np.ndarray:
+    """Codes of ``values`` in ``index``, which numbers values as they first come."""
     for value in dict.fromkeys(values):
         index.setdefault(value, len(index))
     return np.fromiter(map(index.__getitem__, values), np.intp, len(values))
 
 
 class StoreUniverse:
-    """All stores under analysis, as columns in file order: ``ids``; float64
-    ``latitude``, ``longitude`` (degrees) and ``revenue``; and ``chain``,
-    ``name`` and ``format``, codes of the strings ``chain_ids``,
-    ``chain_names`` and ``formats`` in order of first store.  A
+    """All stores under analysis, as columns in store-id order: ``ids``;
+    float64 ``latitude``, ``longitude`` (degrees) and ``revenue``; and
+    ``chain``, ``name`` and ``format``, codes of the strings ``chain_ids``,
+    ``chain_names`` and ``formats`` in order of first store.  The universe
+    depends on the set of stores only, not on the order they come in.  A
     :class:`Store` is a row view, built only where one is handed out.
-    ``_columns`` takes checked columns: (ids, numbers, codes, strings)."""
+    ``_columns`` takes checked columns in any row order: (ids, numbers, codes,
+    strings), each ``strings`` dict numbering the values of its codes."""
 
     def __init__(self, stores: Iterable[Store] = (),
                  _columns: tuple | None = None) -> None:
@@ -96,23 +99,28 @@ class StoreUniverse:
             _columns = (ids, [np.array(column, np.float64) for column in text[3:]],
                         list(map(_codes, text[:3], strings)), strings)
         ids, numbers, codes, strings = _columns
-        self.ids: tuple[str, ...] = tuple(ids)
-        self.latitude, self.longitude, self.revenue = numbers
-        self.chain, self.name, self.format = codes
-        self.chain_ids, self.chain_names, self.formats = map(tuple, strings)
-        for array in (*numbers, *codes):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.ids: tuple[str, ...] = tuple(map(ids.__getitem__, order))
+        row = np.array(order, np.intp)
+        del order  # one int object per store: free them before the gathers
+        self.latitude, self.longitude, self.revenue = (c[row] for c in numbers)
+        # Renumber each string column's codes by first store in id order.
+        renumbered: tuple[dict[int, int], ...] = ({}, {}, {})
+        self.chain, self.name, self.format = (
+            _codes(c[row].tolist(), index) for c, index in zip(codes, renumbered))
+        self.chain_ids, self.chain_names, self.formats = (
+            tuple(map(list(old).__getitem__, index))
+            for old, index in zip(strings, renumbered))
+        for array in (self.latitude, self.longitude, self.revenue,
+                      self.chain, self.name, self.format):
             array.flags.writeable = False
 
-    @property
-    def _coded(self) -> tuple[tuple[np.ndarray, tuple[str, ...]], ...]:
-        """(codes, strings) of the chain ids, chain names and formats."""
-        return ((self.chain, self.chain_ids), (self.name, self.chain_names),
-                (self.format, self.formats))
-
     def _stores(self, rows: list[int]) -> tuple[Store, ...]:
-        """The stores at ``rows`` (file order), as :class:`Store` objects."""
+        """The stores at ``rows``, as :class:`Store` objects."""
         text = (map(strings.__getitem__, codes[rows].tolist())
-                for codes, strings in self._coded)
+                for codes, strings in ((self.chain, self.chain_ids),
+                                       (self.name, self.chain_names),
+                                       (self.format, self.formats)))
         numbers = (column[rows].tolist()
                    for column in (self.latitude, self.longitude, self.revenue))
         return tuple(map(Store, map(self.ids.__getitem__, rows), *text, *numbers))
@@ -128,14 +136,15 @@ class StoreUniverse:
         return len(self.ids)
 
     def store(self, store_id: str) -> Store:
-        if store_id not in self.ids:
+        row = bisect_left(self.ids, store_id)
+        if row == len(self) or self.ids[row] != store_id:
             raise DataError(f"unknown store id {store_id!r}")
-        return self._stores([self.ids.index(store_id)])[0]
+        return self._stores([row])[0]
 
     def chains(self) -> dict[str, str]:
-        """chain_id -> chain_name, the spelling of the chain's first row wins:
-        chain codes count up in row order, so that row is where their maximum
-        steps.  On :meth:`by_id`, the first row is the first in store-id order."""
+        """chain_id -> chain_name, the spelling of the chain's first store
+        wins: chain codes count up in store-id order, so that store is where
+        their maximum steps."""
         first = np.flatnonzero(np.diff(np.maximum.accumulate(self.chain), prepend=-1))
         return dict(zip(self.chain_ids,
                         map(self.chain_names.__getitem__, self.name[first].tolist())))
@@ -145,9 +154,8 @@ class StoreUniverse:
         return self._stores(np.flatnonzero(np.isin(self.chain, codes)).tolist())
 
     def sales(self) -> dict[str, float]:
-        """Revenue by chain id in order of first row, each chain's stores
-        added in row order, as :func:`chain_market` adds them; on
-        :meth:`by_id`, both orders are store-id order."""
+        """Revenue by chain id in order of first store, each chain's stores
+        added in store-id order, as :func:`chain_market` adds them."""
         return dict(zip(self.chain_ids, np.bincount(
             self.chain, self.revenue, len(self.chain_ids)).tolist()))
 
@@ -158,33 +166,17 @@ class StoreUniverse:
         return list(zip(map(self.chain_ids.__getitem__, self.chain.tolist()),
                         bits[self.format].tolist(), self.revenue.tolist()))
 
-    def by_id(self) -> StoreUniverse:
-        """The stores in store-id order, their strings numbered by first store
-        in that order: a universe that depends on the set of rows only.  Each
-        call builds one, which its caller keeps only while it needs it."""
-        row = np.array(sorted(range(len(self)), key=self.ids.__getitem__), np.intp)
-        indexes: tuple[dict[str, int], ...] = ({}, {}, {})
-        return StoreUniverse(_columns=(
-            map(self.ids.__getitem__, row.tolist()),
-            [column[row] for column in (self.latitude, self.longitude, self.revenue)],
-            [_codes(list(map(strings.__getitem__, codes[row].tolist())), index)
-             for (codes, strings), index in zip(self._coded, indexes)],
-            indexes,
-        ))
-
     @cached_property
-    def columns(self) -> StoreColumns:
-        """:meth:`by_id` and its latitude index."""
-        by_id = self.by_id()
-        lat = np.radians(by_id.latitude)
+    def latitude_index(self) -> LatitudeIndex:
+        """The stores' latitudes in radians, sorted for window searches."""
+        lat = np.radians(self.latitude)
         by_latitude = np.argsort(lat, kind="stable")
-        return StoreColumns(by_id, lat, np.cos(lat), by_latitude, lat[by_latitude])
+        return LatitudeIndex(lat, np.cos(lat), by_latitude, lat[by_latitude])
 
 
-class StoreColumns(NamedTuple):
-    """The universe in store-id order, ``by_id``, and its latitude index."""
+class LatitudeIndex(NamedTuple):
+    """A universe's latitudes, for the windows of circle selection."""
 
-    by_id: StoreUniverse
     latitude: np.ndarray  # radians
     cos_latitude: np.ndarray
     by_latitude: np.ndarray  # rows in ascending latitude order
@@ -237,9 +229,9 @@ def _position(universe: StoreUniverse, row: int) -> tuple[float, float]:
     return float(universe.latitude[row]), float(universe.longitude[row])
 
 
-def _circle_rows(columns: StoreColumns, anchor: tuple[float, float],
+def _circle_rows(universe: StoreUniverse, anchor: tuple[float, float],
                  radius_km: float) -> np.ndarray:
-    """Rows of ``columns`` at most ``radius_km`` from ``anchor``, ascending.
+    """Rows of ``universe`` at most ``radius_km`` from ``anchor``, ascending.
 
     A great-circle distance is at least the Earth's radius times the
     latitude difference, so only the stores in the latitude window of
@@ -253,19 +245,20 @@ def _circle_rows(columns: StoreColumns, anchor: tuple[float, float],
     band = 1e-9 * max(radius_km, 1.0)
     phi = math.radians(anchor[0])
     reach = (radius_km + band) / EARTH_RADIUS_KM
-    window = columns.by_latitude[
-        columns.sorted_latitude.searchsorted(phi - reach, "left"):
-        columns.sorted_latitude.searchsorted(phi + reach, "right")
+    index = universe.latitude_index
+    window = index.by_latitude[
+        index.sorted_latitude.searchsorted(phi - reach, "left"):
+        index.sorted_latitude.searchsorted(phi + reach, "right")
     ]
-    dlam = np.radians(columns.by_id.longitude[window] - anchor[1])
+    dlam = np.radians(universe.longitude[window] - anchor[1])
     h = (
-        np.sin((columns.latitude[window] - phi) / 2.0) ** 2
-        + math.cos(phi) * columns.cos_latitude[window] * np.sin(dlam / 2.0) ** 2
+        np.sin((index.latitude[window] - phi) / 2.0) ** 2
+        + math.cos(phi) * index.cos_latitude[window] * np.sin(dlam / 2.0) ** 2
     )
     distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(h, 1.0)))
     keep = distance <= radius_km
     for i in np.flatnonzero(np.abs(distance - radius_km) <= band).tolist():
-        keep[i] = haversine(anchor, _position(columns.by_id, window[i])) <= radius_km
+        keep[i] = haversine(anchor, _position(universe, window[i])) <= radius_km
     return np.sort(window[keep])
 
 
@@ -280,9 +273,8 @@ def circle_market(
     The center is always a member; members are sorted by store id.
     """
     anchor = universe.store(center) if isinstance(center, str) else center
-    columns = universe.columns
-    rows = _circle_rows(columns, anchor.position, miles_to_km(radius_miles))
-    return CircleMarket(anchor, radius_miles, columns.by_id._stores(rows.tolist()))
+    rows = _circle_rows(universe, anchor.position, miles_to_km(radius_miles))
+    return CircleMarket(anchor, radius_miles, universe._stores(rows.tolist()))
 
 
 def chain_market(
@@ -334,7 +326,7 @@ def analyze_local(
 
     Centers are the merging chains' stores, in store-id order.  Each circle
     is selected in its center's latitude window of the universe's
-    :attr:`~StoreUniverse.columns`.  A circle is analyzed only when both
+    :attr:`~StoreUniverse.latitude_index`.  A circle is analyzed only when both
     merging chains have at least one member store; single-party circles
     carry no competitive overlap and are skipped.  A merging chain whose
     in-circle revenue disappears under some exclusion set still evaluates,
@@ -349,19 +341,18 @@ def analyze_local(
         if isinstance(marginal_formats, MarginalSet)
         else MarginalSet(marginal_formats)
     )
-    columns = universe.columns
     parties = []
     for party in (merger.acquirer, merger.target):
-        if party not in columns.by_id.chain_ids:
+        if party not in universe.chain_ids:
             raise DataError(f"merging chain {party!r} has no stores in the universe")
-        parties.append(columns.by_id.chain_ids.index(party))
+        parties.append(universe.chain_ids.index(party))
     radius_km = miles_to_km(radius_miles)
     bit_of = {label: i for i, label in enumerate(ms.members)}
     # One entry per store, shared by every circle that holds it.
-    entries = columns.by_id.entries(bit_of)
+    entries = universe.entries(bit_of)
     power: dict[bytes, tuple[float, ...] | None] = {}
     results = []
-    for chunk in _two_party_chunks(columns, parties, radius_km):
+    for chunk in _two_party_chunks(universe, parties, radius_km):
         post, delta, share = merger_outcome_table(
             [[entries[i] for i in rows.tolist()] for _, rows in chunk],
             ms.n,
@@ -372,14 +363,14 @@ def analyze_local(
             row = int(np.flatnonzero(empty.any(axis=1))[0])
             subset = first_marked(empty[row], ms.n)
             raise DataError(
-                f"circle around store {columns.by_id.ids[chunk[row][0]]!r} "
+                f"circle around store {universe.ids[chunk[row][0]]!r} "
                 f"has no revenue left after excluding {sorted(ms.labels_of(subset))}"
             )
         table = np.stack((post, delta, share), axis=-1)
         flags = presumption(post, delta, share, rule)
         for array in (table, flags):
             array.flags.writeable = False
-        centers = columns.by_id._stores([center for center, _ in chunk])
+        centers = universe._stores([center for center, _ in chunk])
         for center, (_, rows), outcomes, flagged in zip(centers, chunk, table, flags):
             key = flagged.tobytes()
             if key not in power:
@@ -393,7 +384,7 @@ def analyze_local(
 
 
 def _two_party_chunks(
-    columns: StoreColumns, parties: Sequence[int], radius_km: float
+    universe: StoreUniverse, parties: Sequence[int], radius_km: float
 ) -> Iterator[list[tuple[int, np.ndarray]]]:
     """The circles around the stores of the ``parties`` chain codes that hold
     both parties, as (center row, member rows) pairs in center order, in
@@ -401,9 +392,9 @@ def _two_party_chunks(
     circle goes alone)."""
     chunk: list[tuple[int, np.ndarray]] = []
     held = 0
-    for center in np.flatnonzero(np.isin(columns.by_id.chain, parties)).tolist():
-        rows = _circle_rows(columns, _position(columns.by_id, center), radius_km)
-        chains = columns.by_id.chain[rows]
+    for center in np.flatnonzero(np.isin(universe.chain, parties)).tolist():
+        rows = _circle_rows(universe, _position(universe, center), radius_km)
+        chains = universe.chain[rows]
         if not all((chains == party).any() for party in parties):
             continue
         if chunk and held + len(rows) > LOCAL_CHUNK_ENTRIES:

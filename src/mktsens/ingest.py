@@ -54,8 +54,8 @@ def load_stores(
     reads its last copy.  Formats are lowercased; a ``region`` argument keeps
     only rows whose ``region`` column matches and requires that column to
     exist.  All validation failures are reported together, each with the
-    number of the line on which its row ends.  Local analysis centres its
-    circles on the stores of the run's merging chains.
+    number of the line on which its row ends.  The universe holds the kept
+    stores in store-id order, whatever the order of the rows.
     """
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
@@ -148,4 +148,6 @@ def load_stores(
                 f"{dropped_by_region} outside region)"
                 if drop or region is not None else "")
     columns = [np.concatenate(part) for part in parts]
+    # Free the id set and the blocks before the universe sorts the columns.
+    del seen, parts
     return StoreUniverse(_columns=(ids, columns[:3], columns[3:], strings))

@@ -59,12 +59,7 @@ from .lattice import (
     iter_json,
     subset_label,
 )
-from .metrics import (
-    Market,
-    MergerSpec,
-    merger_outcome_table,
-    presumption,
-)
+from .metrics import Market, merger_outcome_table, presumption
 from .shapley import (
     CoalitionalGame,
     ShapleyResult,
@@ -127,12 +122,13 @@ def _display_total(cells: Sequence[str]) -> str:
 
 
 def _outcome_columns(
-    entries: Sequence[tuple[str, int, float]], ms: MarginalSet, merger: MergerSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    entries: Sequence[tuple[str, int, float]], ms: MarginalSet, config: RunConfig
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Post HHI, delta HHI and merged share per exclusion mask of the market
-    of :func:`merger_outcome_table` entries ``(chain_id, bit, revenue)``;
-    refuses a lattice in which some candidate market has no sales left."""
-    columns = tuple(c[0] for c in merger_outcome_table([entries], ms.n, merger))
+    of :func:`merger_outcome_table` entries ``(chain_id, bit, revenue)``, and
+    their read-only presumption flags; refuses a lattice in which some
+    candidate market has no sales left."""
+    columns = tuple(c[0] for c in merger_outcome_table([entries], ms.n, config.merger))
     empty = np.isnan(columns[2])
     if empty.any():
         subset = first_marked(empty, ms.n)
@@ -140,7 +136,9 @@ def _outcome_columns(
             f"candidate market excluding {subset_label(ms, subset)} has zero "
             "total sales; its outcomes are undefined"
         )
-    return columns
+    flags = presumption(*columns, config.rule)
+    flags.flags.writeable = False
+    return columns, flags
 
 
 def _check_formats(config: RunConfig, universe: StoreUniverse) -> None:
@@ -174,28 +172,26 @@ class StateReport:
 
 
 def _state_lattice(
-    config: RunConfig, by_id: StoreUniverse
+    config: RunConfig, universe: StoreUniverse
 ) -> tuple[Market, tuple[np.ndarray, ...], np.ndarray, AnnotatedHasseDiagram]:
-    """The statewide chain market of the universe ``by_id``, in store-id
-    order, its outcome columns and presumption flags by exclusion mask, and
-    the annotated Hasse diagram built from them."""
-    market = Market(by_id.sales(), "state")
+    """The statewide chain market of the universe, its outcome columns and
+    presumption flags by exclusion mask, and the annotated Hasse diagram
+    built from them."""
+    market = Market(universe.sales(), "state")
     for party in config.merging_chains:
         market.require(party)
     ms = MarginalSet(config.marginal_formats)
-    _check_formats(config, by_id)
-    columns = _outcome_columns(
-        by_id.entries(dict(zip(ms.members, range(ms.n)))), ms, config.merger
+    _check_formats(config, universe)
+    columns, flags = _outcome_columns(
+        universe.entries(dict(zip(ms.members, range(ms.n)))), ms, config
     )
-    flags = presumption(*columns, config.rule)
-    flags.flags.writeable = False
     diagram = hasse_from_table(ms, METRIC_NAMES, np.column_stack(columns), flags)
     return market, columns, flags, diagram
 
 
 def state_diagram(config: RunConfig, universe: StoreUniverse) -> AnnotatedHasseDiagram:
     """The diagram of :func:`run_state`, without its Shapley and SSPI."""
-    return _state_lattice(config, universe.by_id())[3]
+    return _state_lattice(config, universe)[3]
 
 
 def run_state(
@@ -212,8 +208,7 @@ def run_state(
     switches the Shapley computation to the seeded Monte Carlo estimator
     from the configuration's seed and permutation count.
     """
-    by_id = universe.by_id()
-    market, (post, _, _), flags, diagram = _state_lattice(config, by_id)
+    market, (post, _, _), flags, diagram = _state_lattice(config, universe)
     game = CoalitionalGame.from_table(post - post[0])
     if sampled:
         sv = shapley_sampled(game, config.permutations, config.seed)
@@ -224,7 +219,7 @@ def run_state(
     return StateReport(
         config=config,
         market=market,
-        chain_names=by_id.chains(),
+        chain_names=universe.chains(),
         diagram=diagram,
         shapley=sv,
         sspi_values=sspi(sspi_game),
@@ -262,8 +257,7 @@ def run_firm_level(config: RunConfig, universe: StoreUniverse) -> FirmReport:
     """
     if not config.marginal_firms:
         raise ConfigError("firm-level analysis requires marginal_firms")
-    by_id = universe.by_id()
-    market = Market(by_id.sales(), "state")
+    market = Market(universe.sales(), "state")
     for party in config.merging_chains:
         market.require(party)
     for firm in config.marginal_firms:
@@ -272,16 +266,14 @@ def run_firm_level(config: RunConfig, universe: StoreUniverse) -> FirmReport:
     firms = config.marginal_firms
     ms = MarginalSet(firms)
     bit_of = dict(zip(firms, range(ms.n)))
-    columns = _outcome_columns([(chain, bit_of.get(chain, -1), revenue)
-                                for chain, revenue in market.sales.items()],
-                               ms, config.merger)
-    flags = presumption(*columns, config.rule)
-    flags.flags.writeable = False
+    _, flags = _outcome_columns([(chain, bit_of.get(chain, -1), revenue)
+                                 for chain, revenue in market.sales.items()],
+                                ms, config)
     game = SimpleGame(ms.n, flags)
     return FirmReport(
         config=config,
         market=market,
-        chain_names=by_id.chains(),
+        chain_names=universe.chains(),
         marginal_firms=firms,
         sspi_values=sspi(game),
         sspi_game=game,

@@ -86,6 +86,13 @@ class TestStoreUniverse:
         assert [s.store_id for s in u.of_chains(["acme"])] == ["s1", "s3"]
         assert len(u) == 3
 
+    @pytest.mark.parametrize("store_id", ["s0", "s2", "s9"])
+    def test_unknown_ids_around_the_stores_are_refused(self, store_id):
+        u = StoreUniverse((_store("s5"), _store("s1"), _store("s3")))
+        assert [u.store(i).store_id for i in ("s1", "s3", "s5")] == ["s1", "s3", "s5"]
+        with pytest.raises(DataError, match="unknown store id"):
+            u.store(store_id)
+
     def test_first_chain_name_spelling_wins(self):
         u = StoreUniverse((
             Store("s1", "acme", "Acme Markets", "supermarket", 0, 0, 1.0),

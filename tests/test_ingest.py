@@ -15,7 +15,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mktsens import ConfigError, DataError, PresumptionRule, RunConfig, load_stores
+from mktsens import (
+    ConfigError,
+    DataError,
+    PresumptionRule,
+    RunConfig,
+    Store,
+    StoreUniverse,
+    load_stores,
+)
 from mktsens import ingest
 from mktsens.config import load_config
 from tests.conftest import (
@@ -271,8 +279,50 @@ def test_every_block_size_reads_the_same_universe(tmp_path):
         with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
             universe = load_stores(path)
         assert universe.stores == expected
-        assert universe.chains() == {"acme": "Acme", "bolt": "Bolt,\nInc.",
+        assert universe.chains() == {"acme": "Acme Markets", "bolt": "Bolt,\nInc.",
                                      "cyan": "Cyan"}
+
+
+@st.composite
+def store_sets(draw) -> list[Store]:
+    """Up to a dozen stores of three chains, each name spelled two ways,
+    in ascending store-id order; every field survives a CSV round trip."""
+    ids = sorted(draw(st.lists(st.text("ab01", min_size=1, max_size=3),
+                               max_size=12, unique=True)))
+    stores = []
+    for store_id in ids:
+        chain = draw(st.sampled_from(("acme", "bolt", "cato")))
+        stores.append(Store(
+            store_id, chain, draw(st.sampled_from((chain.title(), chain.upper()))),
+            draw(st.sampled_from(("club", "natural", "supermarket"))),
+            draw(st.integers(-900, 900)) / 10, draw(st.integers(-1800, 1800)) / 10,
+            draw(st.integers(0, 4000)) / 100))
+    return stores
+
+
+def _universe_view(universe: StoreUniverse) -> tuple:
+    """Everything a pipeline can read of ``universe``."""
+    return (universe.ids,
+            *(column.tolist() for column in (
+                universe.latitude, universe.longitude, universe.revenue,
+                universe.chain, universe.name, universe.format)),
+            universe.chain_ids, universe.chain_names, universe.formats,
+            universe.chains(), universe.sales(), universe.entries({"club": 0}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_any_row_order_builds_the_same_universe(data):
+    stores = data.draw(store_sets())
+    want = _universe_view(StoreUniverse(stores))
+    assert want[0] == tuple(store.store_id for store in stores)
+    shuffled = data.draw(st.permutations(stores))
+    assert _universe_view(StoreUniverse(shuffled)) == want
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "stores.csv"
+        path.write_text(stores_csv_text(data.draw(st.permutations(stores))),
+                        encoding="utf-8")
+        assert _universe_view(load_stores(path)) == want
 
 
 class TestRunConfig:
