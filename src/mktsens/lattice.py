@@ -5,10 +5,10 @@ contested) induces the Boolean lattice of its 2^n subsets ordered by
 inclusion.  Each subset is an "exclusion set": the labels removed from the
 candidate market.  This module enumerates that lattice and evaluates an
 outcome function once per subset.  A diagram is a (nodes × metrics) outcome
-table with a flag per node plus one int32 (lower row, upper row) pair per
-edge; for the full lattice the edges are the bit flips that add one label.
-DOT and JSON are rendered straight from those arrays, a block of nodes or
-edges at a time.
+table with a flag per node; its edges, the covering relation of its nodes,
+are derived a block at a time when read and never stored.  On the full
+lattice they are the bit flips that add one label.  DOT and JSON are
+rendered straight from those arrays, a block of nodes or edges at a time.
 
 Canonical order everywhere is (cardinality ascending, then bitmask ascending),
 so identical inputs always produce byte-identical artifacts.
@@ -18,7 +18,7 @@ so identical inputs always produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -39,9 +39,6 @@ from .jsontext import (
 )
 
 EXACT_ENUMERATION_MAX = 24
-
-# Edges checked at a time; with 4,096 the n = 20 diagram built about 10% slower.
-EDGE_CHECK_BLOCK = 65_536
 
 T = TypeVar("T")
 OutcomeFn = Callable[["ExclusionSet"], Mapping[str, float]]
@@ -255,12 +252,12 @@ def _frozen_array(
     return array
 
 
-def _node_rows(masks: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Row of each bitmask of ``wanted`` in the node ``masks``, or -1 where
-    it is not a node: a binary search in the masks' numeric order."""
-    order = np.argsort(masks)
-    rows = np.append(order, -1)[masks[order].searchsorted(wanted)]
-    return np.where(np.append(masks, -1)[rows] == wanted, rows, -1)
+def _find_rows(values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Row of each of ``wanted`` in the distinct ``values``, or -1 where it
+    is absent: a binary search in the values' numeric order."""
+    order = np.argsort(values)
+    rows = np.append(order, -1)[values[order].searchsorted(wanted)]
+    return np.where(np.append(values, -1)[rows] == wanted, rows, -1)
 
 
 def _edge_deltas(table: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -270,6 +267,36 @@ def _edge_deltas(table: np.ndarray, edges: np.ndarray) -> np.ndarray:
         return table[edges[:, 1]] - table[edges[:, 0]]
 
 
+def _edge_blocks(diagram: AnnotatedHasseDiagram) -> Iterator[np.ndarray]:
+    """The covering relation of the diagram's nodes as int32 (lower row,
+    upper row) blocks of at most ``EMIT_BLOCK`` edges, by lower row and then
+    upper row.  On all 2^n nodes the covers are the bit flips, each at its
+    mask's canonical rank; otherwise a search over every pair of each node's
+    supersets finds them, quadratic to cubic in the nodes.
+    """
+    masks, n = diagram.masks, diagram.marginal_set.n
+    full = len(masks) == 1 << n
+    if full:
+        rank = np.empty(len(masks), dtype=np.int32)
+        rank[masks] = np.arange(len(masks), dtype=np.int32)
+    for rows in blocks(len(masks), max(n // 2, 1)):  # n / 2 covers a row on average
+        if full:
+            lower, bit = np.nonzero(masks[rows, None] & 1 << np.arange(n) == 0)
+            upper = rank[masks[rows][lower] | 1 << bit]
+            lower += rows.start
+        else:
+            lower, upper = [], []
+            for i in range(*rows.indices(len(masks))):
+                # Strict supersets come later in canonical order.
+                above = i + 1 + np.flatnonzero(masks[i + 1:] & masks[i] == masks[i])
+                inside = masks[above][:, None] & ~masks[above][None, :] == 0
+                covering = above[np.count_nonzero(inside, axis=0) == 1].tolist()
+                lower += [i] * len(covering)
+                upper += covering
+        pairs = np.array((lower, upper), dtype=np.int32).T
+        yield from map(pairs.__getitem__, blocks(len(pairs)))
+
+
 @dataclass(frozen=True, eq=False)
 class AnnotatedHasseDiagram:
     """An exclusion-set lattice with per-node outcome vectors, held as arrays.
@@ -277,11 +304,10 @@ class AnnotatedHasseDiagram:
     ``masks`` lists the node subsets as bitmasks in canonical order;
     ``table`` holds one float64 row of outcomes (in ``metric_names`` order)
     per node and ``flags`` marks the nodes that trigger the decision rule.
-    ``edges`` holds one (lower row, upper row) pair of node rows per edge,
-    as int32, sorted by lower row and then by upper row; each lower node is
-    a strict subset of its upper node.  An edge's bitmasks are derived
-    (:attr:`edge_masks`), and its deltas are always the upper row minus
-    the lower row (:meth:`edge_deltas`).
+    Its edges, the covering relation of the nodes, are not stored:
+    :attr:`edges` and the emitters derive them on each read.  An edge's
+    bitmasks are :attr:`edge_masks`, and its deltas are always the upper row
+    minus the lower row (:meth:`edge_deltas`).
 
     It freezes copies of the arrays it is given, unless ``_owned``: this
     module's producers hand over arrays that nothing else holds.
@@ -292,8 +318,7 @@ class AnnotatedHasseDiagram:
     masks: np.ndarray
     table: np.ndarray
     flags: np.ndarray
-    edges: np.ndarray
-    _owned: InitVar[bool] = False
+    _owned: InitVar[bool] = field(default=False, kw_only=True)
 
     def __post_init__(self, _owned: bool) -> None:
         n = self.marginal_set.n
@@ -305,36 +330,18 @@ class AnnotatedHasseDiagram:
             "outcome table",
         )
         flags = frozen(self.flags, bool, (count,), "flags")
-        edges = frozen(self.edges, np.int32, (None, 2), "edge rows", count)
         if np.any(np.diff(_canonical_keys(masks, n)) <= 0):
             raise ValueError("diagram nodes must be distinct and in canonical order")
-        for name, value in (("masks", masks), ("table", table), ("flags", flags),
-                            ("edges", edges)):
+        for name, value in (("masks", masks), ("table", table), ("flags", flags)):
             object.__setattr__(self, name, value)
-        # A slice of edges at a time; each order check starts one edge back.
-        for start in range(1, len(edges), EDGE_CHECK_BLOCK):
-            lower, upper = edges[start - 1:start + EDGE_CHECK_BLOCK].T
-            step = np.diff(lower)
-            unordered = np.flatnonzero((step < 0) | (step == 0) & (np.diff(upper) <= 0))
-            if unordered.size:
-                raise ValueError(f"{self._edge_name(start + unordered[0])} is "
-                                 "repeated or out of canonical order")
-        # lower ⊆ upper iff lower | upper == upper; equal rows are a self-loop.
-        for start in range(0, len(edges), EDGE_CHECK_BLOCK):
-            lower, upper = edges[start:start + EDGE_CHECK_BLOCK].T
-            joined, above = masks[lower], masks[upper]
-            joined |= above
-            crossed = np.flatnonzero((joined != above) | (lower == upper))
-            if crossed.size:
-                raise ValueError(f"{self._edge_name(start + crossed[0])} does "
-                                 "not lead from a subset to a strict superset")
 
-    def _edge_name(self, edge: int) -> str:
-        lower, upper = (
-            subset_label(self.marginal_set, ExclusionSet(self.marginal_set.n, bits))
-            for bits in self.masks[self.edges[edge]].tolist()
-        )
-        return f"edge {lower} -> {upper}"
+    @property
+    def edges(self) -> np.ndarray:
+        """Each edge as an int32 (lower row, upper row) pair, in canonical edge
+        order; derived on each read, read-only."""
+        edges = np.concatenate((np.empty((0, 2), dtype=np.int32), *_edge_blocks(self)))
+        edges.flags.writeable = False
+        return edges
 
     @property
     def edge_masks(self) -> np.ndarray:
@@ -348,7 +355,7 @@ class AnnotatedHasseDiagram:
         subsets = list(subsets)
         if any(subset.n != self.marginal_set.n for subset in subsets):
             raise ValueError("subset width does not match the diagram")
-        rows = _node_rows(self.masks, np.array([s.bits for s in subsets], np.int64))
+        rows = _find_rows(self.masks, np.array([s.bits for s in subsets], np.int64))
         if (rows < 0).any():
             absent = subsets[int(np.argmin(rows))]
             raise KeyError(f"subset {subset_label(self.marginal_set, absent)} "
@@ -383,9 +390,9 @@ def hasse_from_table(
 ) -> AnnotatedHasseDiagram:
     """The diagram of the full lattice of ``ms`` from arrays indexed by mask.
 
-    ``table`` is (2^n × metrics) and ``flags`` has 2^n entries.  The edges
-    come from bit flips: each node in canonical order, then each bit it
-    lacks in increasing order, which is already canonical edge order.
+    ``table`` is (2^n × metrics) and ``flags`` has 2^n entries; the diagram
+    holds their rows in canonical order.  It stores no edges: those of the
+    full lattice are the bit flips, derived whenever they are read.
     """
     n = ms.n
     table = np.asarray(table, dtype=np.float64)
@@ -393,18 +400,8 @@ def hasse_from_table(
     if len(table) != 1 << n or len(flags) != 1 << n:
         raise ValueError(f"outcome table and flags need 2^{n} rows")
     masks = canonical_masks(n)
-    rank = np.empty(1 << n, dtype=np.int32)
-    rank[masks] = np.arange(1 << n, dtype=np.int32)
-    # The edges of each row are contiguous; ``at`` is where its next goes.
-    lacking = n - subset_sizes(n)[masks].astype(np.int64)
-    at = np.cumsum(lacking) - lacking
-    edges = np.empty((int(lacking.sum()), 2), dtype=np.int32)
-    for bit in range(n):
-        rows = np.flatnonzero(masks >> bit & 1 == 0)
-        edges[at[rows]] = np.column_stack((rows, rank[masks[rows] | 1 << bit]))
-        at[rows] += 1
     return AnnotatedHasseDiagram(
-        ms, tuple(metric_names), masks, table[masks], flags[masks], edges, _owned=True
+        ms, tuple(metric_names), masks, table[masks], flags[masks], _owned=True
     )
 
 
@@ -448,13 +445,13 @@ def build_hasse(
 def restrict(
     diagram: AnnotatedHasseDiagram, keep: Iterable[ExclusionSet]
 ) -> AnnotatedHasseDiagram:
-    """Induced sub-diagram on ``keep``, with the covering relation recomputed.
+    """Induced sub-diagram on ``keep``: the kept nodes' rows.
 
-    Two kept subsets are joined iff one contains the other and no third kept
-    subset sits strictly between them, so chains through dropped nodes
-    collapse to single edges.  The cover search compares every pair of kept
-    supersets of each kept node, so it is quadratic to cubic in the nodes
-    kept.
+    Its edges, derived when read, join two kept subsets iff one contains the
+    other and no third kept subset sits strictly between them, so chains
+    through dropped nodes collapse to single edges.  Unless every node is
+    kept, the cover search that finds them, quadratic to cubic in the nodes
+    kept, runs again each time the diagram is emitted.
     """
     try:
         rows = np.sort(diagram._rows(keep))
@@ -462,17 +459,9 @@ def restrict(
         raise ValueError(*exc.args) from None
     # Drop repeats; np.unique would import numpy.ma.
     rows = rows[np.diff(rows, prepend=-1) != 0]
-    masks = diagram.masks[rows]
-    pairs = [np.empty((0, 2), dtype=np.int64)]
-    for i, lower in enumerate(masks.tolist()):
-        # Strict supersets come later in canonical order.
-        above = i + 1 + np.flatnonzero(masks[i + 1:] & lower == lower)
-        inside = masks[above][:, None] & ~masks[above][None, :] == 0
-        uppers = above[np.count_nonzero(inside, axis=0) == 1]
-        pairs.append(np.stack((np.full_like(uppers, i), uppers), axis=1))
     return AnnotatedHasseDiagram(
-        diagram.marginal_set, diagram.metric_names, masks, diagram.table[rows],
-        diagram.flags[rows], np.concatenate(pairs), _owned=True,
+        diagram.marginal_set, diagram.metric_names, diagram.masks[rows],
+        diagram.table[rows], diagram.flags[rows], _owned=True,
     )
 
 
@@ -527,8 +516,8 @@ def iter_dot(
         yield join_records(f'  {SLOT} [label="{SLOT}\\n{shown_slots}{SLOT}', [
             ids[rows], names[rows], *(shown[k::width] for k in range(width)), tails])
     del names
-    for rows in blocks(len(diagram.edges)):
-        lower, upper = diagram.edges[rows].T
+    for pairs in _edge_blocks(diagram):
+        lower, upper = pairs.T
         below, above = floors(lower), floors(upper)
         # Signed numbers need no DOT escaping.
         deltas = [list(map("{:+d}".format, map(int.__sub__, above[k::width],
@@ -572,8 +561,7 @@ def iter_json(diagram: AnnotatedHasseDiagram) -> Iterator[str]:
         return join_records(node, [subsets[rows], *json_columns(diagram.table[rows]),
                                    *json_columns(diagram.flags[rows])])
 
-    def edges(rows: slice) -> str:
-        pairs = diagram.edges[rows]
+    def edges(pairs: np.ndarray) -> str:
         lower, upper = pairs.T.tolist()
         return join_records(edge, [list(map(subsets.__getitem__, lower)),
                                    list(map(subsets.__getitem__, upper)),
@@ -581,7 +569,7 @@ def iter_json(diagram: AnnotatedHasseDiagram) -> Iterator[str]:
 
     yield from iter_json_list(map(nodes, blocks(len(subsets))), 1)
     yield ',\n  "edges": '
-    yield from iter_json_list(map(edges, blocks(len(diagram.edges))), 1)
+    yield from iter_json_list(map(edges, _edge_blocks(diagram)), 1)
     yield "\n}\n"
 
 
@@ -590,82 +578,93 @@ def to_json(diagram: AnnotatedHasseDiagram) -> str:
     return "".join(iter_json(diagram))
 
 
-def diagram_from_json(text: str) -> AnnotatedHasseDiagram:
-    """Inverse of :func:`to_json`; validates structure as it reads.
+def _json_values(value: object, kind: type | tuple[type, ...], what: str) -> list:
+    """``value`` if it is a JSON array of ``kind`` items; true and false are
+    booleans only, never numbers."""
+    if isinstance(value, list) and all(isinstance(item, kind) and isinstance(
+            item, bool) == (kind is bool) for item in value):
+        return value
+    name = {str: "strings", int: "integers", bool: "booleans"}.get(kind, "numbers")
+    raise TypeError(f"{what} must be a list of {name}, not {value!r:.60}")
 
-    Nodes and edges may come in any order and are read into canonical
-    order, but must be distinct; every edge must lead from a node to a
-    node that is a strict superset of it, and its deltas must equal the
-    difference of their outcomes.
+
+def diagram_from_json(text: str) -> AnnotatedHasseDiagram:
+    """Inverse of :func:`to_json`; validates structure and JSON types as it reads.
+
+    Nodes and edges may come in any order, but must be distinct.  The edges
+    must be exactly the covering relation of the nodes, which the diagram
+    derives again rather than stores, and each edge's deltas must equal the
+    difference of its nodes' outcomes.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"diagram JSON is not valid JSON: {exc}") from exc
     try:
-        ms = MarginalSet(doc["marginal_set"])
-        metric_names = tuple(str(m) for m in doc["metrics"])
-        nodes = [
-            (ExclusionSet.from_indices(ms.n, entry["subset"]),
-             [float(v) for v in entry["outcomes"]],
-             bool(entry["flagged"]))
-            for entry in doc["nodes"]
-        ]
-        edges = [
-            (ExclusionSet.from_indices(ms.n, entry["from"]),
-             ExclusionSet.from_indices(ms.n, entry["to"]),
-             [float(v) for v in entry["deltas"]])
-            for entry in doc["edges"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        ms = MarginalSet(_json_values(doc["marginal_set"], str, "marginal_set"))
+        metric_names = tuple(_json_values(doc["metrics"], str, "metrics"))
+
+        def read_subset(indices: object) -> ExclusionSet:
+            return ExclusionSet.from_indices(ms.n, _json_values(indices, int, "subset"))
+
+        def read_numbers(values: object, what: str) -> list[float]:
+            return list(map(float, _json_values(values, (int, float), what)))
+
+        nodes = [(read_subset(entry["subset"]),
+                  read_numbers(entry["outcomes"], "outcomes"))
+                 for entry in doc["nodes"]]
+        flags = _json_values([entry["flagged"] for entry in doc["nodes"]], bool,
+                             "flagged")
+        edges = [(read_subset(entry["from"]), read_subset(entry["to"]),
+                  read_numbers(entry["deltas"], "deltas")) for entry in doc["edges"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"diagram JSON is malformed: {exc}") from exc
     width = len(metric_names)
-    if any(len(outcomes) != width for _, outcomes, _ in nodes):
+    if any(len(outcomes) != width for _, outcomes in nodes):
         raise DataError("diagram JSON node outcome width does not match metrics")
     if any(len(deltas) != width for _, _, deltas in edges):
         raise DataError("diagram JSON edge delta width does not match metrics")
-    masks = np.array([subset.bits for subset, _, _ in nodes], dtype=np.int64)
+    masks = np.array([subset.bits for subset, _ in nodes], dtype=np.int64)
     order = np.argsort(_canonical_keys(masks, ms.n))
     masks = masks[order]
     twice = masks[1:][np.diff(masks) == 0]
     if twice.size:
         subset = subset_label(ms, ExclusionSet(ms.n, int(twice[0])))
         raise DataError(f"diagram JSON lists node {subset} twice")
+    table = np.array([outcomes for _, outcomes in nodes], dtype=np.float64)
+    diagram = AnnotatedHasseDiagram(
+        ms, metric_names, masks, table.reshape(len(nodes), width)[order],
+        np.array(flags, dtype=bool)[order], _owned=True,
+    )
+
+    def refuse(pairs: np.ndarray, faulty: np.ndarray, problem: str) -> None:
+        """Refuse the first (lower, upper) mask pair that ``faulty`` marks."""
+        if faulty.any():
+            lower, upper = (subset_label(ms, ExclusionSet(ms.n, bits))
+                            for bits in pairs[np.argmax(faulty)].tolist())
+            raise DataError(f"diagram JSON is inconsistent: edge {lower} -> "
+                            f"{upper} {problem}")
+
     pairs = np.array([(lower.bits, upper.bits) for lower, upper, _ in edges],
                      dtype=np.int64).reshape(len(edges), 2)
-    ends = _node_rows(masks, pairs)
-    missing = np.flatnonzero((ends < 0).any(axis=1))
-    if missing.size:
-        lower, upper, _ = edges[missing[0]]
-        raise DataError(
-            f"diagram JSON is inconsistent: edge {subset_label(ms, lower)} -> "
-            f"{subset_label(ms, upper)} has an endpoint that is not a node"
-        )
-    edge_order = np.lexsort((ends[:, 1], ends[:, 0]))
-    try:
-        diagram = AnnotatedHasseDiagram(
-            ms,
-            metric_names,
-            masks,
-            np.array([outcomes for _, outcomes, _ in nodes],
-                     dtype=np.float64).reshape(len(nodes), width)[order],
-            np.array([flagged for _, _, flagged in nodes], dtype=bool)[order],
-            ends[edge_order], _owned=True,
-        )
-    except ValueError as exc:
-        raise DataError(f"diagram JSON is inconsistent: {exc}") from exc
+    ends = _find_rows(masks, pairs)
+    refuse(pairs, (ends < 0).any(axis=1), "has an endpoint that is not a node")
+    # The stated edges must be the derived ones, each once; an edge's key
+    # is its lower row times the node count plus its upper row.
+    derived = diagram.edges.astype(np.int64)
+    found = _find_rows(*(rows[:, 0] * len(masks) + rows[:, 1]
+                         for rows in (derived, ends)))
+    refuse(pairs, found < 0, "does not lead from a node to one that covers it")
+    listed = np.bincount(found, minlength=len(derived))
+    refuse(pairs, listed[found] > 1, "is repeated")
+    refuse(masks[derived], listed == 0, "is a cover, but is not listed")
     stated = np.array([deltas for _, _, deltas in edges],
-                      dtype=np.float64).reshape(len(edges), width)[edge_order]
-    derived = diagram.edge_deltas()
+                      dtype=np.float64).reshape(len(edges), width)
+    derived = _edge_deltas(diagram.table, ends)
     # 0.0 and -0.0 compare equal but print differently, so signs count too.
     same = ((stated == derived) & (np.signbit(stated) == np.signbit(derived))
             | np.isnan(stated) & np.isnan(derived))
-    wrong = np.flatnonzero(~same.all(axis=1))
-    if wrong.size:
-        lower, upper, deltas = edges[edge_order[wrong[0]]]
-        raise DataError(
-            f"diagram JSON edge {subset_label(ms, lower)} -> "
-            f"{subset_label(ms, upper)} has deltas {deltas}, but its nodes "
-            f"differ by {derived[wrong[0]].tolist()}"
-        )
+    wrong = ~same.all(axis=1)
+    refuse(pairs, wrong, f"has deltas {stated[wrong][:1].ravel().tolist()}, but "
+           f"its nodes differ by {derived[wrong][:1].ravel().tolist()}")
     return diagram

@@ -1,9 +1,9 @@
 """Table-backed Hasse diagrams against the object-based oracle in conftest.
 
-The emitters render from the outcome table and the edge array; these tests
-require the same bytes as the per-node, per-edge object walk they replaced,
-over awkward labels, non-finite outcomes, chosen label metrics and
-restricted diagrams.
+The emitters render from the outcome table and the covering relation that
+the diagram derives from its node masks; these tests require the same bytes
+as the per-node, per-edge object walk they replaced, over awkward labels,
+non-finite outcomes, chosen label metrics and restricted diagrams.
 """
 
 from __future__ import annotations
@@ -169,14 +169,16 @@ def test_diagrams_keep_their_own_arrays():
     table = np.array([[0.0], [1.0], [2.0], [3.0]])
     flags = np.array([False, True, False, True])
     built = hasse_from_table(ms, ("x",), table, flags)
-    masks, edges = built.masks.copy(), built.edges.copy()
-    direct = AnnotatedHasseDiagram(ms, ("x",), masks, table, flags, edges)
+    masks = built.masks.copy()
+    direct = AnnotatedHasseDiagram(ms, ("x",), masks, table, flags)
+    # Edges are derived, so an edge array is no argument.
+    with pytest.raises(TypeError):
+        AnnotatedHasseDiagram(ms, ("x",), masks, table, flags, built.edges)
     for diagram in (built, direct):
         assert diagram.table is not table and diagram.flags is not flags
     table[:] = -1.0
     flags[:] = ~flags
     masks[:] = 0
-    edges[:] = 0
     for diagram in (built, direct):
         assert diagram.masks.tolist() == [0, 1, 2, 3]
         assert diagram.table.tolist() == [[0.0], [1.0], [2.0], [3.0]]
@@ -247,7 +249,7 @@ def test_sparse_wide_diagram_finds_rows_without_lattice_sized_tables():
     top = 1 | 1 << 23
     diagram = AnnotatedHasseDiagram(
         ms, ("x",), [0, 1, 1 << 23, top], [[0.0], [1.0], [2.0], [3.0]],
-        [False, True, False, True], [(0, 1), (0, 2), (1, 3), (2, 3)],
+        [False, True, False, True],
     )
     ends = [ExclusionSet(n, top), ExclusionSet(n, 0), ExclusionSet(n, top)]
     for call in (lambda: diagram.outcome(ends[0], "x"),
@@ -284,11 +286,10 @@ def test_table_and_flags_must_cover_the_lattice():
 
 
 def test_full_lattice_diagram_memory_at_n16():
-    """Edges are stored once, as int32 row pairs, and built without
-    edge-sized int64 temporaries: masks, a three-metric table, flags and
-    524,288 edges keep about 6 MiB.  The edge checks run a slice at a time,
-    and the arrays built are handed to the diagram without a copy, so the
-    peak stays near 10 MiB."""
+    """No edges are stored: masks, a three-metric table and flags keep about
+    2 MiB, and the arrays built are handed to the diagram without a copy,
+    so the peak stays under 4 MiB.  The 524,288 edges, int32 row pairs,
+    are derived when they are read."""
     n = 16
     rng = np.random.default_rng(0)
     ms = MarginalSet(tuple(f"m{i}" for i in range(n)))
@@ -307,5 +308,5 @@ def test_full_lattice_diagram_memory_at_n16():
             tracemalloc.stop()
     assert diagram.edges.dtype == np.int32
     assert len(diagram.edges) == n << (n - 1)
-    assert kept < 10 * 2**20
-    assert peak < 11 * 2**20
+    assert kept < 3 * 2**20
+    assert peak < 4 * 2**20

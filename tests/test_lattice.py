@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mktsens import (
-    AnnotatedHasseDiagram,
     CapacityError,
     DataError,
     ExclusionSet,
@@ -459,54 +457,92 @@ class TestJsonRoundTrip:
             diagram_from_json(json.dumps(doc))
 
 
-class TestDiagramArrays:
-    """The constructor's checks on edge rows, for library callers."""
+    def test_edge_that_is_not_a_cover_rejected(self):
+        import json
 
-    def _parts(self):
+        doc = json.loads(to_json(_textbook_diagram()))
+        outcomes = {tuple(node["subset"]): node["outcomes"] for node in doc["nodes"]}
+        doc["edges"].append({"from": [], "to": [0, 1], "deltas": [
+            outcomes[(0, 1)][0] - outcomes[()][0]]})
+        with pytest.raises(DataError, match=r"edge \{\} -> \{1, 2\} does not lead"):
+            diagram_from_json(json.dumps(doc))
+
+    def test_missing_cover_rejected(self):
+        import json
+
+        doc = json.loads(to_json(_textbook_diagram()))
+        del doc["edges"][5]
+        with pytest.raises(DataError, match=r"edge \{2\} -> \{1, 2\} is a cover"):
+            diagram_from_json(json.dumps(doc))
+        # A partial diagram: {} -> {1, 2} -> {1, 2, 3} without its first edge.
         diagram = _textbook_diagram()
-        return (diagram.marginal_set, diagram.metric_names, diagram.masks,
-                diagram.table, diagram.flags)
+        ms = diagram.marginal_set
+        keep = [ms.subset_of(()), ms.subset_of(("1", "2")),
+                ms.subset_of(("1", "2", "3"))]
+        doc = json.loads(to_json(restrict(diagram, keep)))
+        del doc["edges"][0]
+        with pytest.raises(DataError, match=r"edge \{\} -> \{1, 2\} is a cover"):
+            diagram_from_json(json.dumps(doc))
 
-    def test_row_too_large_for_int32_is_not_wrapped(self):
-        # 2^32 + 1 would wrap to row 1, making a valid edge {} -> {1}.
-        with pytest.raises(ValueError, match="edge rows out of range"):
-            AnnotatedHasseDiagram(*self._parts(), [[0, 2**32 + 1]])
-        with pytest.raises(ValueError, match="edge rows out of range"):
-            AnnotatedHasseDiagram(*self._parts(), [[-1, 1]])
+    def test_marginal_set_must_be_a_list_of_strings(self):
+        import json
 
-    def test_edges_out_of_canonical_order_rejected(self):
-        with pytest.raises(ValueError, match="out of canonical order"):
-            AnnotatedHasseDiagram(*self._parts(), [[0, 2], [0, 1]])
+        doc = json.loads(to_json(_textbook_diagram()))
+        doc["marginal_set"] = "123"
+        with pytest.raises(DataError, match="marginal_set must be a list"):
+            diagram_from_json(json.dumps(doc))
 
-    def test_edge_to_a_non_superset_rejected(self):
-        with pytest.raises(ValueError, match=r"edge \{1\} -> \{2\} does not"):
-            AnnotatedHasseDiagram(*self._parts(), [[1, 2]])
+    def test_metrics_must_be_strings(self):
+        import json
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 5])
-    def test_edge_checks_run_in_slices(self, monkeypatch, block):
-        # Each fault is found, and named, wherever it falls against the
-        # slice boundaries; an order check reaches back across one.
-        monkeypatch.setattr(lattice, "EDGE_CHECK_BLOCK", block)
-        parts = self._parts()
-        ms, masks = parts[0], parts[2].tolist()
-        edges = _textbook_diagram().edges.tolist()
-        AnnotatedHasseDiagram(*parts, edges)
+        ms = MarginalSet(("a",))
+        doc = json.loads(to_json(build_hasse(ms, lambda s: {"7": 1.0})))
+        doc["metrics"] = [7]
+        with pytest.raises(DataError, match="metrics must be a list of strings"):
+            diagram_from_json(json.dumps(doc))
 
-        def name(edge):
-            lower, upper = (subset_label(ms, ExclusionSet(ms.n, masks[row]))
-                            for row in edge)
-            return re.escape(f"edge {lower} -> {upper}")
+    def test_flagged_must_be_a_json_boolean(self):
+        import json
 
-        for k in range(1, len(edges)):
-            swapped = edges[:k - 1] + [edges[k], edges[k - 1]] + edges[k + 1:]
-            with pytest.raises(ValueError,
-                               match=f"^{name(edges[k - 1])} is repeated"):
-                AnnotatedHasseDiagram(*parts, swapped)
-        crossing = [[i, j] for i, j in itertools.combinations(range(len(masks)), 2)
-                    if masks[i] & ~masks[j]]
-        for edge in crossing:
-            with pytest.raises(ValueError, match=f"^{name(edge)} does not lead"):
-                AnnotatedHasseDiagram(*parts, sorted(edges + [edge]))
+        doc = json.loads(to_json(_textbook_diagram()))
+        assert doc["nodes"][0]["flagged"] is False
+        doc["nodes"][0]["flagged"] = "false"
+        with pytest.raises(DataError, match="flagged must be a list of booleans"):
+            diagram_from_json(json.dumps(doc))
+
+    def test_subset_indices_must_be_integers(self):
+        import json
+
+        text = to_json(_textbook_diagram())
+        doc = json.loads(text)
+        # true would be read as index 1, so {2} would stay {2}.
+        assert doc["nodes"][2]["subset"] == [1]
+        doc["nodes"][2]["subset"] = [True]
+        with pytest.raises(DataError, match="subset must be a list of integers"):
+            diagram_from_json(json.dumps(doc))
+        doc = json.loads(text)
+        doc["edges"][1]["from"] = [False]
+        with pytest.raises(DataError, match="subset must be a list of integers"):
+            diagram_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("value, message", [
+        ("1.0", "must be a list of numbers"), (True, "must be a list of numbers"),
+        (10**400, "too large to convert to float")], ids=["string", "bool", "huge-int"])
+    def test_outcomes_and_deltas_must_be_numbers(self, value, message):
+        import json
+
+        ms = MarginalSet(("a",))
+        text = to_json(build_hasse(ms, lambda s: {"x": float(s.size)}))
+        doc = json.loads(text)
+        doc["nodes"][1]["outcomes"] = [1]
+        assert to_json(diagram_from_json(json.dumps(doc))) == text
+        doc["nodes"][1]["outcomes"] = [value]
+        with pytest.raises(DataError, match=message):
+            diagram_from_json(json.dumps(doc))
+        doc = json.loads(text)
+        doc["edges"][0]["deltas"] = [value]
+        with pytest.raises(DataError, match=message):
+            diagram_from_json(json.dumps(doc))
 
 
 class TestSubsetLabel:
