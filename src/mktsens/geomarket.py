@@ -7,8 +7,8 @@ view of the universe: a store farther in latitude than the radius cannot be
 in the circle, so each centre computes distances only inside its latitude
 window, found by binary search in the latitude-sorted stores.
 :func:`merger_outcome_table` then evaluates every exclusion set of the
-circles, as it does for the state and firm lattices, over chunks of circles
-whose member entries total at most :data:`LOCAL_CHUNK_ENTRIES`.
+circles from the universe's columns, as it does for the state and firm
+lattices, in chunks of circles of at most :data:`LOCAL_CHUNK_ENTRIES` members.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import attrgetter
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -159,12 +159,11 @@ class StoreUniverse:
         return dict(zip(self.chain_ids, np.bincount(
             self.chain, self.revenue, len(self.chain_ids)).tolist()))
 
-    def entries(self, bit_of: Mapping[str, int]) -> list[tuple[str, int, float]]:
-        """The :func:`merger_outcome_table` entries (chain id, bit, revenue)
-        of the stores in order, each bit its format's in ``bit_of`` or -1."""
-        bits = np.array([bit_of.get(f, -1) for f in self.formats], np.intp)
-        return list(zip(map(self.chain_ids.__getitem__, self.chain.tolist()),
-                        bits[self.format].tolist(), self.revenue.tolist()))
+    def format_bits(self, marginal: Sequence[str]) -> np.ndarray:
+        """Each store's :func:`merger_outcome_table` bit: its format's index
+        in ``marginal``, or -1 for a format that is not marginal."""
+        return np.array([marginal.index(f) if f in marginal else -1
+                         for f in self.formats], np.intp)[self.format]
 
     @cached_property
     def latitude_index(self) -> LatitudeIndex:
@@ -333,8 +332,10 @@ def analyze_local(
     as a zero-sales firm.  The analyzed circles go to
     :func:`merger_outcome_table` and :func:`presumption` in chunks whose
     member entries total at most :data:`LOCAL_CHUNK_ENTRIES` (a larger
-    circle goes alone); the results do not depend on the chunking.  Circles
-    with the same flags share one :func:`sspi` call.
+    circle goes alone), as the member rows of the universe's chain, format
+    bit and revenue columns, one circle after another; the results do not
+    depend on the chunking.  Circles with the same flags share one
+    :func:`sspi` call.
     """
     ms = (
         marginal_formats
@@ -347,17 +348,14 @@ def analyze_local(
             raise DataError(f"merging chain {party!r} has no stores in the universe")
         parties.append(universe.chain_ids.index(party))
     radius_km = miles_to_km(radius_miles)
-    bit_of = {label: i for i, label in enumerate(ms.members)}
-    # One entry per store, shared by every circle that holds it.
-    entries = universe.entries(bit_of)
+    bits = universe.format_bits(ms.members)
     power: dict[bytes, tuple[float, ...] | None] = {}
     results = []
     for chunk in _two_party_chunks(universe, parties, radius_km):
+        members = np.concatenate([rows for _, rows in chunk])
         post, delta, share = merger_outcome_table(
-            [[entries[i] for i in rows.tolist()] for _, rows in chunk],
-            ms.n,
-            merger,
-        )
+            universe.chain[members], bits[members], universe.revenue[members],
+            [len(rows) for _, rows in chunk], ms.n, parties)
         empty = np.isnan(share)
         if empty.any():
             row = int(np.flatnonzero(empty.any(axis=1))[0])

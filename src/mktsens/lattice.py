@@ -182,7 +182,7 @@ def canonical_masks(n: int) -> np.ndarray:
     """All 2^n bitmasks of width ``n`` in canonical order, as int64."""
     _check_width(n)
     # A stable sort keeps masks of one size in ascending order.
-    return np.argsort(subset_sizes(n), kind="stable").astype(np.int64)
+    return np.argsort(subset_sizes(n), kind="stable").astype(np.int64, copy=False)
 
 
 def first_marked(marked: np.ndarray, n: int) -> ExclusionSet:

@@ -298,24 +298,18 @@ def merger_outcomes(m: Market, g: MergerSpec) -> tuple[float, float, float]:
     return post, delta, sa + sb
 
 
-def _by_position(per_market: list[Sequence], fill) -> np.ndarray:
-    """(longest × markets) array whose row k holds item k (a number, or a
-    tuple like ``fill``) of each market's sequence, or ``fill`` past its end."""
-    out = np.full((max(map(len, per_market)), len(per_market)) + np.shape(fill), fill)
-    for market, items in enumerate(per_market):
-        out[:len(items), market] = items
-    return out
-
-
 def merger_outcome_table(
-    markets: Sequence[Sequence[tuple[str, int, float]]], n: int, g: MergerSpec
+    chain: np.ndarray, bit: np.ndarray, revenue: np.ndarray,
+    sizes: Sequence[int], n: int, parties: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Post HHI, delta HHI and merged share of each market under all 2^n
     exclusion masks, as three (markets × 2^n) arrays.
 
-    Each market lists ``(chain_id, bit, revenue)`` entries in market order.
-    Mask ``m`` keeps every entry whose bit is not set in ``m``; ``bit = -1``
-    is never excluded.  Cell ``[i, m]`` equals, bit for bit, what
+    The markets are consecutive runs, of the given ``sizes``, of three
+    equal-length columns: each entry's int chain code, bit and revenue.
+    ``parties`` are the acquirer's and the target's codes; codes are labels
+    only.  Mask ``m`` keeps every entry whose bit is not set in ``m``;
+    ``bit = -1`` is never excluded.  Cell ``[i, m]`` equals, bit for bit, what
     :func:`merger_outcomes` returns on the market that sums market ``i``'s
     kept entries by chain in entry order.  To be exact the table repeats that
     path's floating-point steps: it adds every entry's revenue times 0.0 or
@@ -325,7 +319,7 @@ def merger_outcome_table(
     power, which differs from ``x * x`` in the last bit for some inputs.  A
     mask whose market has no sales reads NaN in all three arrays, where
     :func:`merger_outcomes` raises.  Markets are evaluated side by side, one
-    entry position at a time.
+    entry position at a time, each over rows for its own chains.
 
     A lead is an entry that can be its chain's first kept entry: the first
     entry of each (chain, bit) pair, with none after the chain's first bit
@@ -335,56 +329,70 @@ def merger_outcome_table(
     the nonzero terms are dict order's, in its order.  Every term is >= +0.0
     or NaN, so the zeros are exact (a product with 0.0 would make inf NaN).
     """
-    count, size = len(markets), 1 << n
+    chain, bit = np.asarray(chain), np.asarray(bit)
+    revenue, sizes = np.asarray(revenue, np.float64), np.asarray(sizes, np.int64)
+    if not len(chain) == len(bit) == len(revenue):
+        raise ValueError("chain, bit and revenue columns differ in length")
+    if (sizes < 0).any() or sizes.sum() != len(chain):
+        raise ValueError("market sizes must be nonnegative and add up to the entries")
+    if len(bit) and not -1 <= bit.min() <= bit.max() < n:
+        bad = bit[(bit < -1) | (bit >= n)][0]
+        raise ValueError(f"entry bit {bad} out of range for width {n}")
+    count, size = len(sizes), 1 << n
     post, delta, share = (np.empty((count, size)) for _ in range(3))
     if not count:
         return post, delta, share
-    chains, bits, revenues, leads, parties, width = [], [], [], [], [], 0
-    for market in markets:
-        chain, bit, revenue = zip(*market) if market else ((), (), ())
-        if bit and not -1 <= min(bit) <= max(bit) < n:
-            bad = next(b for b in bit if not -1 <= b < n)
-            raise ValueError(f"entry bit {bad} out of range for width {n}")
-        columns = {c: i for i, c in enumerate(dict.fromkeys(chain))}
-        chains.append(list(map(columns.__getitem__, chain)))
-        bits.append(bit)
-        revenues.append(list(map(float, revenue)))
-        # Lead (row, need, prior) comes first where a mask's bits in ``need``
-        # are ``prior``, its chain's earlier leads' bits (bit n is bit -1).  A
+    codes, bits, ends = chain.tolist(), bit.tolist(), np.cumsum(sizes).tolist()
+    rows_of, leads, lead_counts, party_rows, width = [], [], [], [], 0
+    for lo, hi in zip([0] + ends, ends):
+        # Each market numbers its own chains, by first entry.  Lead (row,
+        # need, prior) comes first where a mask's bits in ``need`` are
+        # ``prior``, its chain's earlier leads' bits (bit n is bit -1).  A
         # chain's last lead leaves out its own bit; without it the chain is empty.
-        found, earlier = [], {}
-        for row, b in dict.fromkeys(zip(chains[-1], bit)):
+        market = codes[lo:hi]
+        columns, found, earlier = {}, [], {}
+        for code, b in dict.fromkeys(zip(market, bits[lo:hi])):
+            row = columns.setdefault(code, len(columns))
             prior = earlier.get(row, 0)
             if not prior >> n:
                 earlier[row] = prior | 1 << (n if b < 0 else b)
                 found.append((row, earlier[row], prior))
-        leads.append(np.array([(row, prior if need == earlier[row] else need, prior)
-                               for row, need, prior in found], np.int64).reshape(-1, 3))
+        rows_of.extend(map(columns.__getitem__, market))
+        leads += [(row, prior if need == earlier[row] else need, prior)
+                  for row, need, prior in found]
+        lead_counts.append(len(found))
         # A merging chain with no entries reads the all-zero row past the
         # market's chains.
-        parties.append((columns.get(g.acquirer, len(columns)),
-                        columns.get(g.target, len(columns))))
+        party_rows.append([columns.get(p, len(columns)) for p in parties])
         width = max(width, len(columns))
     rows = width + 1
     every = np.arange(count)
-    acquirer, target = np.array(parties).T
+    acquirer, target = np.array(party_rows).T
     # Step k adds entry k, or reads lead k, of every market at its (row, market) cell.
     if count == 1:
         # Python scalars keep each step of a lone market basic indexing.
-        adds = [((row, 0), value, bit)
-                for row, value, bit in zip(chains[0], revenues[0], bits[0])]
-        steps = [(row, need or None, prior) for row, need, prior in leads[0].tolist()]
+        adds = [((row, 0), value, b)
+                for row, value, b in zip(rows_of, revenue.tolist(), bits)]
+        steps = [(row, need or None, prior) for row, need, prior in leads]
     else:
+        def by_position(items: Sequence, counts: Sequence[int], fill) -> np.ndarray:
+            """(longest × markets) array whose row k holds the k-th of each
+            market's ``counts`` consecutive ``items``, or ``fill`` past its end."""
+            k, last = np.arange(max(counts))[:, None], np.cumsum(counts)
+            at = np.where(k < counts, last - counts + k, last[-1])
+            return np.append(items, [fill], axis=0)[at]
+
         # A shorter market adds 0.0 to its last row, which no chain uses,
         # and reads its missing leads from there.
-        adds = [((row, every), value, bit) for row, value, bit in zip(
-            _by_position(chains, rows - 1),
-            _by_position(revenues, 0.0)[:, :, None],
-            _by_position(bits, -1),
+        adds = [((row, every), value, b) for row, value, b in zip(
+            by_position(rows_of, sizes, rows - 1),
+            by_position(revenue, sizes, 0.0)[:, :, None],
+            by_position(bit, sizes, -1),
         )]
         steps = [((row, every), need[:, None] if need.any() else None, prior[:, None])
-                 for row, need, prior
-                 in _by_position(leads, (rows - 1, 0, 0)).transpose(0, 2, 1)]
+                 for row, need, prior in by_position(
+                     np.array(leads, np.int64).reshape(-1, 3), lead_counts,
+                     (rows - 1, 0, 0)).transpose(0, 2, 1)]
     shifts = np.arange(n)[:, None]
     step = max(1, OUTCOME_BLOCK // count)
     for start in range(0, size, step):
@@ -404,8 +412,8 @@ def merger_outcome_table(
         # Sums may overflow to inf, as Python floats do; inf / inf and 0 / 0 read NaN.
         with np.errstate(over="ignore", invalid="ignore"):
             sales = np.zeros((rows, count, masks.size))
-            for at, value, bit in adds:
-                sales[at] += value * kept[bit]
+            for at, value, b in adds:
+                sales[at] += value * kept[b]
             s = sales / lead_sum(sales)
             base = HHI_SCALE * lead_sum(s * s)
         sa = s[acquirer, every]

@@ -122,13 +122,16 @@ def _display_total(cells: Sequence[str]) -> str:
 
 
 def _outcome_columns(
-    entries: Sequence[tuple[str, int, float]], ms: MarginalSet, config: RunConfig
+    universe: StoreUniverse, chain: np.ndarray, bit: np.ndarray,
+    revenue: np.ndarray, ms: MarginalSet, config: RunConfig
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Post HHI, delta HHI and merged share per exclusion mask of the market
-    of :func:`merger_outcome_table` entries ``(chain_id, bit, revenue)``, and
-    their read-only presumption flags; refuses a lattice in which some
-    candidate market has no sales left."""
-    columns = tuple(c[0] for c in merger_outcome_table([entries], ms.n, config.merger))
+    of :func:`merger_outcome_table` columns (codes of the universe's chains,
+    bits and revenues), and their read-only presumption flags; refuses a
+    lattice in which some candidate market has no sales left."""
+    parties = [universe.chain_ids.index(p) for p in config.merging_chains]
+    columns = tuple(c[0] for c in merger_outcome_table(
+        chain, bit, revenue, [len(chain)], ms.n, parties))
     empty = np.isnan(columns[2])
     if empty.any():
         subset = first_marked(empty, ms.n)
@@ -183,8 +186,8 @@ def _state_lattice(
     ms = MarginalSet(config.marginal_formats)
     _check_formats(config, universe)
     columns, flags = _outcome_columns(
-        universe.entries(dict(zip(ms.members, range(ms.n)))), ms, config
-    )
+        universe, universe.chain, universe.format_bits(ms.members),
+        universe.revenue, ms, config)
     diagram = hasse_from_table(ms, METRIC_NAMES, np.column_stack(columns), flags)
     return market, columns, flags, diagram
 
@@ -265,10 +268,10 @@ def run_firm_level(config: RunConfig, universe: StoreUniverse) -> FirmReport:
             raise DataError(f"marginal firm {firm!r} has no stores in the universe")
     firms = config.marginal_firms
     ms = MarginalSet(firms)
-    bit_of = dict(zip(firms, range(ms.n)))
-    _, flags = _outcome_columns([(chain, bit_of.get(chain, -1), revenue)
-                                 for chain, revenue in market.sales.items()],
-                                ms, config)
+    _, flags = _outcome_columns(
+        universe, np.arange(len(market.sales)),
+        np.array([firms.index(c) if c in firms else -1 for c in market.sales]),
+        np.array(list(market.sales.values())), ms, config)
     game = SimpleGame(ms.n, flags)
     return FirmReport(
         config=config,

@@ -37,6 +37,7 @@ from mktsens import (
     exclude,
     haversine,
     hhi,
+    merger_outcome_table,
     merger_outcomes,
     miles_to_km,
     presumption,
@@ -224,6 +225,29 @@ def scalar_circle_ids(universe, center: Store,
         s.store_id for s in universe
         if haversine(center.position, s.position) <= radius_km
     ))
+
+
+def entry_columns(markets, merger: MergerSpec):
+    """merger_outcome_table's columns, sizes and party codes for ``markets``
+    given as lists of (chain id, bit, revenue) entries: chain ids are coded
+    in order of first entry, and a party that no market holds gets a code
+    past them."""
+    entries = [entry for market in markets for entry in market]
+    codes: dict[str, int] = {}
+    chain = [codes.setdefault(c, len(codes)) for c, _, _ in entries]
+    parties = [codes.setdefault(p, len(codes))
+               for p in (merger.acquirer, merger.target)]
+    return (np.array(chain, np.int64),
+            np.array([bit for _, bit, _ in entries], np.int64),
+            np.array([revenue for _, _, revenue in entries], np.float64),
+            [len(market) for market in markets]), parties
+
+
+def entry_outcome_table(markets, n: int, merger: MergerSpec):
+    """merger_outcome_table over ``markets`` of (chain id, bit, revenue)
+    entries, through entry_columns."""
+    columns, parties = entry_columns(markets, merger)
+    return merger_outcome_table(*columns, n, parties)
 
 
 def scalar_state_outcomes(universe, ms: MarginalSet, merger: MergerSpec):

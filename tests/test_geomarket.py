@@ -681,9 +681,9 @@ class TestLocalChunks:
 
         calls = []
 
-        def kernel(markets, n, g):
-            calls.append([len(market) for market in markets])
-            return merger_outcome_table(markets, n, g)
+        def kernel(chain, bit, revenue, sizes, n, parties):
+            calls.append(list(sizes))
+            return merger_outcome_table(chain, bit, revenue, sizes, n, parties)
 
         monkeypatch.setattr(geomarket, "merger_outcome_table", kernel)
         monkeypatch.setattr(geomarket, "LOCAL_CHUNK_ENTRIES", bound)

@@ -307,7 +307,7 @@ def _universe_view(universe: StoreUniverse) -> tuple:
                 universe.latitude, universe.longitude, universe.revenue,
                 universe.chain, universe.name, universe.format)),
             universe.chain_ids, universe.chain_names, universe.formats,
-            universe.chains(), universe.sales(), universe.entries({"club": 0}))
+            universe.chains(), universe.sales())
 
 
 @settings(max_examples=100, deadline=None)

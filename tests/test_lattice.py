@@ -28,6 +28,7 @@ from mktsens import (
     to_json,
 )
 from tests.conftest import TEXTBOOK_HHI, TEXTBOOK_MARGINAL
+from tests.test_hasse_table import _traced_peak
 
 
 class TestMarginalSet:
@@ -117,6 +118,11 @@ class TestEnumeration:
             assert canonical_masks(n).dtype == np.int64
             assert canonical_masks(n).tolist() == expected
             assert [s.bits for s in enumerate_subsets(n)] == expected
+
+    def test_canonical_masks_keeps_one_copy(self):
+        # argsort already returns int64 masks: no second array of them.
+        result = canonical_masks(16).nbytes
+        assert _traced_peak(lambda: canonical_masks(16)) < 1.5 * result
 
     def test_first_marked_is_first_in_canonical_order(self):
         # {0, 1} has the lower mask, but {2} is smaller and comes first.

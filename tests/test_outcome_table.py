@@ -41,11 +41,14 @@ from mktsens.cli import main
 from tests.conftest import (
     STATE_MERGING,
     base_config_doc,
+    entry_columns,
+    entry_outcome_table,
     scalar_firm_outcomes,
     scalar_flags,
     scalar_state_outcomes,
     write_inputs,
 )
+from tests.test_hasse_table import _traced_peak
 
 MERGER = MergerSpec(*STATE_MERGING)
 RIVALS = ("cato", "dune", "elmo", "fig", "gala")
@@ -85,7 +88,7 @@ def assert_firm_matches_scalar(universe, config):
     expected = scalar_firm_outcomes(market, ms, config)
     entries = [(chain, ms.members.index(chain) if chain in ms.members else -1,
                 revenue) for chain, revenue in market.sales.items()]
-    for got, want in zip(merger_outcome_table([entries], ms.n, config.merger),
+    for got, want in zip(entry_outcome_table([entries], ms.n, config.merger),
                          expected):
         assert np.array_equal(got, [want])
     report = run_firm_level(config, universe)
@@ -209,10 +212,10 @@ def market_lists(draw):
 def assert_cells_match_scalar(markets, n):
     """Every cell of the table over ``markets``, and of each market's table
     alone, equals scalar_market_outcomes."""
-    together = merger_outcome_table(markets, n, MERGER)
+    together = entry_outcome_table(markets, n, MERGER)
     assert all(column.shape == (len(markets), 1 << n) for column in together)
     for i, entries in enumerate(markets):
-        alone = merger_outcome_table([entries], n, MERGER)
+        alone = entry_outcome_table([entries], n, MERGER)
         want = np.array([scalar_market_outcomes(entries, bits)
                          for bits in range(1 << n)]).T
         for got, single, expected in zip(together, alone, want):
@@ -227,7 +230,7 @@ class TestMarketAxis:
         assert_cells_match_scalar(*drawn)
 
     def test_no_markets(self):
-        for column in merger_outcome_table([], 2, MERGER):
+        for column in entry_outcome_table([], 2, MERGER):
             assert column.shape == (0, 4)
 
     def test_sales_that_overflow_to_inf(self):
@@ -237,11 +240,59 @@ class TestMarketAxis:
                    ("cato", 1, 1e308), ("dune", 1, 2.0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            post, delta, share = merger_outcome_table([entries], 2, MERGER)
+            post, delta, share = entry_outcome_table([entries], 2, MERGER)
         assert np.array_equal(post, [[np.nan, 1e4, 1e4, 1e4]], equal_nan=True)
         assert delta.tolist() == [[0.0, 0.0, 0.0, 4687.5]]
         assert share.tolist() == [[0.0, 7.999999999999999e-308,
                                    7.999999999999999e-308, 1.0]]
+
+
+@st.composite
+def relabelled_market_lists(draw):
+    """market_lists' markets and a merger whose target may be a chain that
+    no market holds, with their entry columns, and the same columns again
+    with every chain code sent to a distinct sparse, large or negative int."""
+    markets, n = draw(market_lists())
+    merger = MergerSpec("acme", draw(st.sampled_from(["bolt", "zeta"])))
+    (chain, *rest), parties = entry_columns(markets, merger)
+    labels = draw(st.lists(
+        st.one_of(st.integers(-2**63, -1), st.integers(0, 9),
+                  st.integers(2**40, 2**63 - 1)),
+        min_size=len(STATE_MERGING + RIVALS) + 1,
+        max_size=len(STATE_MERGING + RIVALS) + 1, unique=True))
+    relabelled = np.array(labels, np.int64)
+    return ((chain, *rest), parties,
+            (relabelled[chain], *rest), relabelled[parties].tolist(), n)
+
+
+class TestColumns:
+    @given(relabelled_market_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_chain_codes_are_labels_only(self, drawn):
+        columns, parties, relabelled, moved, n = drawn
+        for got, want in zip(merger_outcome_table(*relabelled, n, moved),
+                             merger_outcome_table(*columns, n, parties)):
+            assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("chain, bit, revenue, sizes, message", [
+        ([0, 1], [0], [1.0, 2.0], [2], "differ in length"),
+        ([0, 1], [0, 0], [1.0, 2.0], [3, -1], "nonnegative"),
+        ([0, 1], [0, 0], [1.0, 2.0], [1], "add up to"),
+    ], ids=["lengths", "negative-size", "sizes-sum"])
+    def test_malformed_columns(self, chain, bit, revenue, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            merger_outcome_table(chain, bit, revenue, sizes, 1, (0, 1))
+
+    def test_each_market_numbers_its_own_chains(self):
+        # 256 markets of 40 entries over 8 chains of their own and the two
+        # parties: rows for the union of all chains peak at about 49 MiB.
+        rng = np.random.default_rng(3)
+        chain = np.concatenate([rng.choice([0, 1, *range(2 + 8 * k, 10 + 8 * k)], 40)
+                                for k in range(256)])
+        bit = rng.integers(-1, 3, chain.size)
+        revenue = rng.uniform(1.0, 10.0, chain.size)
+        assert _traced_peak(lambda: merger_outcome_table(
+            chain, bit, revenue, [40] * 256, 3, (0, 1))) < 4 * 2**20
 
 
 class SortReached(Exception):
@@ -349,7 +400,7 @@ class TestFixedOrder:
         entries = [(chain, ms.members.index(chain) if chain in ms.members
                     else -1, revenue) for chain, revenue in market.sales.items()]
         with sort_forbidden():
-            columns = merger_outcome_table([entries], ms.n, MERGER)
+            columns = entry_outcome_table([entries], ms.n, MERGER)
             report = run_firm_level(config, universe)
         wins = report.sspi_game.wins
         for mask in [0, (1 << 20) - 1] + rng.sample(range(1, (1 << 20) - 1),
@@ -436,13 +487,13 @@ class TestEmptyCandidateMarkets:
     def test_table_reads_nan_where_the_market_is_empty(self):
         entries = [(c, {"club": 0, "natural": 1}[f], r)
                    for c, f, r in ALL_MARGINAL]
-        post, delta, share = merger_outcome_table([entries], 2, MERGER)
+        post, delta, share = entry_outcome_table([entries], 2, MERGER)
         for column in (post, delta, share):
             assert np.isnan(column[0, 3]) and not np.isnan(column[0, :3]).any()
 
     def test_entry_bit_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            merger_outcome_table([[("acme", 2, 1.0)]], 2, MERGER)
+            entry_outcome_table([[("acme", 2, 1.0)]], 2, MERGER)
 
     def test_state_names_the_empty_subset(self):
         config = RunConfig(merging_chains=STATE_MERGING)
