@@ -1,15 +1,18 @@
 """Run configuration: a strict JSON document mapped onto a frozen dataclass.
 
-Unknown keys are rejected rather than ignored so that a typo in a threshold
-name cannot silently fall back to a default.
+Each JSON object (the top level, ``rule`` and ``rounding``) is read through
+one table of key readers.  A key without a reader, or given twice, is rejected
+rather than ignored, so that a typo cannot silently fall back to a default.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import ConfigError
 from .metrics import MergerSpec, PresumptionRule
@@ -19,28 +22,6 @@ DEFAULT_MARGINAL = ("club", "natural", "limited")
 DEFAULT_RADIUS_MILES = 5.0
 DEFAULT_SEED = 0
 DEFAULT_PERMUTATIONS = 100_000
-
-_RULE_KEYS = {
-    "post_hhi_threshold",
-    "delta_hhi_threshold",
-    "merged_share_threshold",
-    "use_share_criterion",
-}
-_ROUNDING_KEYS = {"sspi", "shares"}
-_TOP_KEYS = {
-    "merging_chains",
-    "always_in_formats",
-    "marginal_formats",
-    "marginal_firms",
-    "rule",
-    "radius_miles",
-    "region_filter",
-    "drop_formats",
-    "rounding",
-    "seed",
-    "permutations",
-}
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -75,6 +56,24 @@ def _integer(value: Any, key: str) -> int:
         f"{key} must be an integer",
     )
     return value
+
+
+def _read(doc: Any, what: str,
+          readers: Mapping[str, Callable[[Any], dict[str, Any]]], *,
+          kind: str = "an object", required: tuple[str, ...] = ()) -> dict[str, Any]:
+    """Refuse a ``doc`` that is not an object, then keys without a reader,
+    then a missing ``required`` key; then map each key present, in the order
+    of ``readers``, through its reader to the fields it sets, and return them."""
+    _require(isinstance(doc, Mapping), f"{what} must be {kind}")
+    unknown = set(doc) - set(readers)
+    _require(not unknown, f"unknown {what} keys: {sorted(unknown)}")
+    for key in required:
+        _require(key in doc, f"{key} is required")
+    fields: dict[str, Any] = {}
+    for key, read in readers.items():
+        if key in doc:
+            fields.update(read(doc[key]))
+    return fields
 
 
 @dataclass(frozen=True)
@@ -126,84 +125,65 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, doc: Mapping[str, Any]) -> "RunConfig":
-        _require(isinstance(doc, Mapping), "configuration must be a JSON object")
-        unknown = set(doc) - _TOP_KEYS
-        _require(not unknown, f"unknown configuration keys: {sorted(unknown)}")
-        _require("merging_chains" in doc, "merging_chains is required")
+        """Read a parsed JSON document; ConfigError names its first fault."""
+        def read(check: Callable[[Any, str], Any], name: str,
+                 into: str | None = None) -> Callable[[Any], dict[str, Any]]:
+            # The field defaults to the key, the last part of the dotted name.
+            return lambda value: {into or name.rpartition(".")[2]: check(value, name)}
 
-        merging = _string_items(doc["merging_chains"], "merging_chains")
-        _require(len(merging) == 2, "merging_chains must name exactly two chains")
+        formats = partial(_string_items, lower=True)
 
-        kwargs: dict[str, Any] = {"merging_chains": (merging[0], merging[1])}
-        if "always_in_formats" in doc:
-            kwargs["always_in_formats"] = _string_items(
-                doc["always_in_formats"], "always_in_formats", lower=True
-            )
-        if "marginal_formats" in doc:
-            kwargs["marginal_formats"] = _string_items(
-                doc["marginal_formats"], "marginal_formats", lower=True
-            )
-        if "marginal_firms" in doc:
-            kwargs["marginal_firms"] = _string_items(
-                doc["marginal_firms"], "marginal_firms"
-            )
-        if "rule" in doc:
-            kwargs["rule"] = cls._parse_rule(doc["rule"])
-        if "radius_miles" in doc:
-            kwargs["radius_miles"] = _number(doc["radius_miles"], "radius_miles")
-        if "region_filter" in doc:
-            region = doc["region_filter"]
-            _require(
-                region is None or (isinstance(region, str) and region.strip()),
-                "region_filter must be a nonempty string or null",
-            )
-            kwargs["region_filter"] = region.strip() if region else None
-        if "drop_formats" in doc:
-            kwargs["drop_formats"] = _string_items(
-                doc["drop_formats"], "drop_formats", lower=True
-            )
-        if "rounding" in doc:
-            rounding = doc["rounding"]
-            _require(
-                isinstance(rounding, Mapping), "rounding must be an object"
-            )
-            unknown = set(rounding) - _ROUNDING_KEYS
-            _require(not unknown, f"unknown rounding keys: {sorted(unknown)}")
-            if "sspi" in rounding:
-                kwargs["sspi_decimals"] = _integer(rounding["sspi"], "rounding.sspi")
-            if "shares" in rounding:
-                kwargs["share_decimals"] = _integer(
-                    rounding["shares"], "rounding.shares"
-                )
-        if "seed" in doc:
-            kwargs["seed"] = _integer(doc["seed"], "seed")
-        if "permutations" in doc:
-            kwargs["permutations"] = _integer(doc["permutations"], "permutations")
-        return cls(**kwargs)
+        def merging_chains(value: Any) -> dict[str, Any]:
+            merging = _string_items(value, "merging_chains")
+            _require(len(merging) == 2, "merging_chains must name exactly two chains")
+            return {"merging_chains": (merging[0], merging[1])}
 
-    @staticmethod
-    def _parse_rule(raw: Any) -> PresumptionRule:
-        _require(isinstance(raw, Mapping), "rule must be an object")
-        unknown = set(raw) - _RULE_KEYS
-        _require(not unknown, f"unknown rule keys: {sorted(unknown)}")
-        kwargs: dict[str, Any] = {}
-        for key in (
-            "post_hhi_threshold",
-            "delta_hhi_threshold",
-            "merged_share_threshold",
-        ):
-            if key in raw:
-                kwargs[key] = _number(raw[key], f"rule.{key}")
-        if "use_share_criterion" in raw:
-            _require(
-                isinstance(raw["use_share_criterion"], bool),
-                "rule.use_share_criterion must be a boolean",
-            )
-            kwargs["use_share_criterion"] = raw["use_share_criterion"]
-        try:
-            return PresumptionRule(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"invalid rule: {exc}") from exc
+        def use_share_criterion(value: Any) -> dict[str, Any]:
+            _require(isinstance(value, bool),
+                     "rule.use_share_criterion must be a boolean")
+            return {"use_share_criterion": value}
+
+        def rule(value: Any) -> dict[str, Any]:
+            fields = _read(value, "rule", {
+                "post_hhi_threshold": read(_number, "rule.post_hhi_threshold"),
+                "delta_hhi_threshold": read(_number, "rule.delta_hhi_threshold"),
+                "merged_share_threshold": read(_number, "rule.merged_share_threshold"),
+                "use_share_criterion": use_share_criterion,
+            })
+            try:
+                return {"rule": PresumptionRule(**fields)}
+            except ValueError as exc:
+                raise ConfigError(f"invalid rule: {exc}") from exc
+
+        def region_filter(value: Any) -> dict[str, Any]:
+            _require(value is None or (isinstance(value, str) and value.strip()),
+                     "region_filter must be a nonempty string or null")
+            return {"region_filter": value.strip() if value else None}
+
+        return cls(**_read(doc, "configuration", {
+            "merging_chains": merging_chains,
+            "always_in_formats": read(formats, "always_in_formats"),
+            "marginal_formats": read(formats, "marginal_formats"),
+            "marginal_firms": read(_string_items, "marginal_firms"),
+            "rule": rule,
+            "radius_miles": read(_number, "radius_miles"),
+            "region_filter": region_filter,
+            "drop_formats": read(formats, "drop_formats"),
+            "rounding": lambda value: _read(value, "rounding", {
+                "sspi": read(_integer, "rounding.sspi", "sspi_decimals"),
+                "shares": read(_integer, "rounding.shares", "share_decimals"),
+            }),
+            "seed": read(_integer, "seed"),
+            "permutations": read(_integer, "permutations"),
+        }, kind="a JSON object", required=("merging_chains",)))
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object from its key-value pairs; a key given twice is refused."""
+    counts = Counter(key for key, _ in pairs)
+    twice = sorted(key for key, count in counts.items() if count > 1)
+    _require(not twice, f"configuration keys given more than once: {twice}")
+    return dict(pairs)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -213,10 +193,7 @@ def load_config(path: str | Path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration {path} is not valid JSON: {exc}") from exc
-    try:
-        return RunConfig.from_mapping(doc)
-    except ValueError as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+    return RunConfig.from_mapping(doc)

@@ -330,8 +330,13 @@ class AnnotatedHasseDiagram:
             "outcome table",
         )
         flags = frozen(self.flags, bool, (count,), "flags")
-        if np.any(np.diff(_canonical_keys(masks, n)) <= 0):
-            raise ValueError("diagram nodes must be distinct and in canonical order")
+        # A block of rows at a time, each with the row before it: the keys of
+        # every node at once would set the peak of the diagram's producers.
+        for start in range(0, count, 1 << 16):
+            keys = _canonical_keys(masks[max(start - 1, 0):start + (1 << 16)], n)
+            if np.any(np.diff(keys) <= 0):
+                raise ValueError(
+                    "diagram nodes must be distinct and in canonical order")
         for name, value in (("masks", masks), ("table", table), ("flags", flags)):
             object.__setattr__(self, name, value)
 

@@ -16,6 +16,7 @@ printed arithmetic always adds up.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import os
@@ -91,6 +92,13 @@ def _staged(out_dir: Path):
 
     try:
         yield write
+        # os.replace cannot put a file over a directory: refuse before the
+        # first move, so that no old file is replaced either.
+        for name in names:
+            target = out_dir / name
+            if target.is_dir() and not target.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                        str(target))
         for name in names:
             os.replace(staging / name, out_dir / name)
     finally:

@@ -235,6 +235,22 @@ class TestFailureModes:
         assert code == 2
         assert "unknown configuration keys" in capsys.readouterr().err
 
+    def test_repeated_config_key(self, tmp_path, capsys):
+        stores_path, config_path = write_inputs(
+            tmp_path, state_stores(), base_config_doc()
+        )
+        config_path.write_text(
+            '{"merging_chains": ["acme", "bolt"], "seed": -1, "seed": 3}',
+            encoding="utf-8")
+        code = main(["state", "--stores", str(stores_path),
+                     "--config", str(config_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            "configuration error: configuration keys given more than once: "
+            "['seed']")
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_store_rows(self, tmp_path, capsys):
         stores_path, config_path = write_inputs(
             tmp_path, state_stores(), base_config_doc()

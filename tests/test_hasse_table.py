@@ -23,6 +23,7 @@ from mktsens import (
     AnnotatedHasseDiagram,
     ExclusionSet,
     MarginalSet,
+    canonical_masks,
     diagram_from_json,
     hasse_from_table,
     iter_dot,
@@ -310,3 +311,45 @@ def test_full_lattice_diagram_memory_at_n16():
     assert len(diagram.edges) == n << (n - 1)
     assert kept < 3 * 2**20
     assert peak < 4 * 2**20
+
+
+def test_canonical_order_check_holds_a_block_of_keys_at_n18():
+    """The diagram checks its nodes' canonical order a block of rows at a
+    time: keys for all 2^18 nodes at once, 2 MiB of popcounts and 2 MiB of
+    keys, would lift hasse_from_table's peak 4 MiB above what it keeps."""
+    n = 18
+    rng = np.random.default_rng(0)
+    ms = MarginalSet(tuple(f"m{i}" for i in range(n)))
+    table = rng.random((1 << n, 3))
+    flags = rng.random(1 << n) < 0.5
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        diagram = hasse_from_table(ms, ("a", "b", "c"), table, flags)
+        kept, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(diagram.masks) == 1 << n
+    assert peak < kept + 2 * 2**20
+
+
+@pytest.mark.parametrize("row,moved", [
+    (1, "swapped"), (65535, "swapped"), (65535, "repeated"), (131070, "swapped"),
+])
+def test_nodes_out_of_canonical_order_are_refused(row, moved):
+    """Node ``row`` swapped with, or repeated as, the next node: inside a
+    block of the order check, and across the boundary between two blocks."""
+    n = 17
+    ms = MarginalSet(tuple(f"m{i}" for i in range(n)))
+    masks = canonical_masks(n)
+    if moved == "swapped":
+        masks[[row, row + 1]] = masks[[row + 1, row]]
+    else:
+        masks[row + 1] = masks[row]
+    with pytest.raises(ValueError, match="distinct and in canonical order"):
+        AnnotatedHasseDiagram(ms, ("x",), masks, np.zeros((1 << n, 1)),
+                              np.zeros(1 << n, bool))

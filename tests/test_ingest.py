@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -431,6 +432,71 @@ class TestFromMapping:
         )
         assert config.region_filter is None
 
+    @pytest.mark.parametrize("doc,message", [
+        (["merging_chains"], "configuration must be a JSON object"),
+        ({"merging_chains": ["a"]}, "merging_chains must name exactly two chains"),
+        ({"merging_chains": ["a", "b"], "rule": []}, "rule must be an object"),
+        ({"merging_chains": ["a", "b"], "rounding": 3}, "rounding must be an object"),
+        ({"merging_chains": ["a", "b"], "rounding": {"x": 1}},
+         "unknown rounding keys: ['x']"),
+        ({"merging_chains": ["a", "b"], "rule": {"use_share_criterion": 1}},
+         "rule.use_share_criterion must be a boolean"),
+        ({"merging_chains": ["a", "b"], "region_filter": ""},
+         "region_filter must be a nonempty string or null"),
+        ({"merging_chains": ["a", "b"], "rounding": {"sspi": 1.5}},
+         "rounding.sspi must be an integer"),
+        # Precedence: unknown keys, then a missing merging_chains, then the
+        # keys in reading order, whatever their order in the document.
+        ({"seed": "x"}, "merging_chains is required"),
+        ({"seed": "x", "oops": 1}, "unknown configuration keys: ['oops']"),
+        ({"seed": "x", "radius_miles": "y", "merging_chains": ["a", "b"]},
+         "radius_miles must be a number"),
+        ({"merging_chains": ["a", "b"], "rounding": {"shares": "x", "sspi": "y"}},
+         "rounding.sspi must be an integer"),
+    ])
+    def test_messages(self, doc, message):
+        with pytest.raises(ConfigError) as error:
+            RunConfig.from_mapping(doc)
+        assert str(error.value) == message
+
+    def test_every_key_takes_effect(self):
+        config = RunConfig.from_mapping({
+            "merging_chains": ["bolt", "acme"],
+            "always_in_formats": ["Supermarket"],
+            "marginal_formats": ["Club", "Natural"],
+            "marginal_firms": ["grandway"],
+            "rule": {"post_hhi_threshold": 2500, "delta_hhi_threshold": 200.5,
+                     "merged_share_threshold": 0.4, "use_share_criterion": True},
+            "radius_miles": 3,
+            "region_filter": " west ",
+            "drop_formats": ["Liquor"],
+            "rounding": {"sspi": 4, "shares": 2},
+            "seed": 7,
+            "permutations": 1000,
+        })
+        assert config == RunConfig(
+            merging_chains=("bolt", "acme"),
+            always_in_formats=("supermarket",),
+            marginal_formats=("club", "natural"),
+            marginal_firms=("grandway",),
+            rule=PresumptionRule(post_hhi_threshold=2500.0,
+                                 delta_hhi_threshold=200.5,
+                                 merged_share_threshold=0.4,
+                                 use_share_criterion=True),
+            radius_miles=3.0,
+            region_filter="west",
+            drop_formats=("liquor",),
+            sspi_decimals=4,
+            share_decimals=2,
+            seed=7,
+            permutations=1000,
+        )
+        defaults = RunConfig(merging_chains=("acme", "bolt"))
+        for name in (f.name for f in dataclasses.fields(RunConfig)):
+            assert getattr(config, name) != getattr(defaults, name), name
+        for name in (f.name for f in dataclasses.fields(PresumptionRule)):
+            assert getattr(config.rule, name) != getattr(defaults.rule, name), name
+
 
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):
@@ -449,3 +515,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
 
+    @pytest.mark.parametrize("text,keys", [
+        ('{"merging_chains": ["a", "b"], "seed": -1, "seed": 3}', "['seed']"),
+        ('{"merging_chains": ["a", "b"], "rule": {"post_hhi_threshold": 2500,'
+         ' "post_hhi_threshold": 1800}}', "['post_hhi_threshold']"),
+        ('{"seed": 1, "merging_chains": ["a", "b"], "rounding": {}, "seed": 1,'
+         ' "rounding": {}}', "['rounding', 'seed']"),
+    ])
+    def test_repeated_keys_refused(self, tmp_path, text, keys):
+        """json.loads keeps the last value of a repeated key; the earlier
+        one would be dropped unread."""
+        path = tmp_path / "run.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as error:
+            load_config(path)
+        assert str(error.value) == f"configuration keys given more than once: {keys}"

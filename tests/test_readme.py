@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
+
+from mktsens import RunConfig, config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,3 +17,23 @@ def test_first_python_example_runs(capsys):
     exec(compile(example, str(README), "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1].startswith("1669.817")
+
+
+def test_config_block_names_every_key(monkeypatch):
+    """The run-configuration block sets every key that the reader accepts,
+    at the top level and in ``rule`` and ``rounding``, each to its default."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^Run configuration.*?^```json\n(.*?)^```", text,
+                      re.M | re.S).group(1)
+    doc = json.loads(block)
+    accepted = {}
+    read = config._read
+
+    def spy(obj, what, readers, **options):
+        accepted[what] = set(readers)
+        return read(obj, what, readers, **options)
+
+    monkeypatch.setattr(config, "_read", spy)
+    assert RunConfig.from_mapping(doc) == RunConfig(merging_chains=("acme", "bolt"))
+    assert accepted == {"configuration": set(doc), "rule": set(doc["rule"]),
+                        "rounding": set(doc["rounding"])}

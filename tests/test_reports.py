@@ -424,6 +424,21 @@ class TestStagedWrites:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(old)
         assert tree_bytes(tmp_path) == old
 
+    def test_directory_in_the_way_moves_nothing(self, local_config,
+                                                local_universe, tmp_path):
+        """A target that os.replace cannot replace is refused before the
+        first file moves, so the old local_counts.csv, which is staged
+        before local_markets.json, is kept."""
+        (tmp_path / "local_counts.csv").write_bytes(b"old local_counts.csv\n")
+        (tmp_path / "local_markets.json").mkdir()
+        report = run_local(local_config, local_universe)
+        with pytest.raises(IsADirectoryError, match="local_markets.json"):
+            write_local_report(report, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "local_counts.csv", "local_markets.json"]
+        assert (tmp_path / "local_counts.csv").read_bytes() == b"old local_counts.csv\n"
+        assert not any((tmp_path / "local_markets.json").iterdir())
+
     def test_interleaved_writers_do_not_share_temp_files(self, tmp_path):
         with _staged(tmp_path) as first:
             with _staged(tmp_path) as second:
