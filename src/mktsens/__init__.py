@@ -63,6 +63,7 @@ from .metrics import (
     diversion_ratio,
     exclude,
     hhi,
+    merger_outcome_blocks,
     merger_outcome_table,
     merger_outcomes,
     post_merger_hhi,
@@ -142,6 +143,7 @@ __all__ = [
     "hhi",
     "load_config",
     "load_stores",
+    "merger_outcome_blocks",
     "merger_outcome_table",
     "merger_outcomes",
     "miles_to_km",

@@ -47,7 +47,10 @@ def _number(value: Any, key: str) -> float:
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f"{key} must be a number",
     )
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} is too large for a float") from None
 
 
 def _integer(value: Any, key: str) -> int:
@@ -186,6 +189,13 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return dict(pairs)
 
 
+def _parse_int(text: str) -> int:
+    # Python 3.11's int() refuses more digits than this; so does every version.
+    if len(text.lstrip("-")) > 4300:
+        raise ValueError("an integer has more than 4300 digits")
+    return int(text)
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Read and validate a JSON run configuration."""
     try:
@@ -193,7 +203,9 @@ def load_config(path: str | Path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, object_pairs_hook=_unique_keys,
+                         parse_int=_parse_int)
+    except (ValueError, RecursionError) as exc:
+        # Bad syntax, an integer of too many digits, or nesting too deep.
         raise ConfigError(f"configuration {path} is not valid JSON: {exc}") from exc
     return RunConfig.from_mapping(doc)

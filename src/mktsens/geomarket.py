@@ -353,10 +353,10 @@ def analyze_local(
     results = []
     for chunk in _two_party_chunks(universe, parties, radius_km):
         members = np.concatenate([rows for _, rows in chunk])
-        post, delta, share = merger_outcome_table(
+        table = merger_outcome_table(
             universe.chain[members], bits[members], universe.revenue[members],
             [len(rows) for _, rows in chunk], ms.n, parties)
-        empty = np.isnan(share)
+        empty = np.isnan(table[:, :, 2])
         if empty.any():
             row = int(np.flatnonzero(empty.any(axis=1))[0])
             subset = first_marked(empty[row], ms.n)
@@ -364,8 +364,7 @@ def analyze_local(
                 f"circle around store {universe.ids[chunk[row][0]]!r} "
                 f"has no revenue left after excluding {sorted(ms.labels_of(subset))}"
             )
-        table = np.stack((post, delta, share), axis=-1)
-        flags = presumption(post, delta, share, rule)
+        flags = presumption(*np.moveaxis(table, 2, 0), rule)
         for array in (table, flags):
             array.flags.writeable = False
         centers = universe._stores([center for center, _ in chunk])

@@ -185,11 +185,11 @@ def canonical_masks(n: int) -> np.ndarray:
     return np.argsort(subset_sizes(n), kind="stable").astype(np.int64, copy=False)
 
 
-def first_marked(marked: np.ndarray, n: int) -> ExclusionSet:
+def first_marked(marked: np.ndarray, n: int, start: int = 0) -> ExclusionSet:
     """The first subset in canonical order that ``marked``, a boolean array
-    indexed by bitmask, marks; it must mark one."""
-    masks = canonical_masks(n)
-    return ExclusionSet(n, int(masks[marked[masks]][0]))
+    indexed by bitmask from mask ``start`` on, marks; it must mark one."""
+    masks = np.flatnonzero(marked) + start
+    return ExclusionSet(n, int(masks[np.argmin(_canonical_keys(masks, n))]))
 
 
 def enumerate_subsets(n: int) -> list[ExclusionSet]:

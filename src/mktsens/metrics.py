@@ -4,9 +4,9 @@ A :class:`Market` is a named set of firms with nonnegative sales.  On top of
 it this module provides shares, HHI on the 0..10000 scale, merger deltas,
 concentration ratios, logit diversion, upward pricing pressure, compensating
 marginal cost reductions, and the structural-presumption decision rule.
-:func:`merger_outcome_table` evaluates :func:`merger_outcomes` for every
-exclusion set of a lattice, over any number of markets at once, bit for bit;
-the state, firm and local pipelines all use it.
+:func:`merger_outcome_blocks` evaluates :func:`merger_outcomes` for every
+exclusion set of a lattice, over any number of markets at once, bit for bit,
+a block of masks at a time; the state, firm and local pipelines all use it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .errors import DataError, DegenerateMarketError
 
 HHI_SCALE = 10_000.0
 
-# Cells (markets x masks) evaluated together by merger_outcome_table.  It
-# bounds the (markets x chains x masks) working arrays, and so peak memory.
+# Cells (markets x masks) in each block of merger_outcome_blocks.  It bounds
+# the (markets x chains x masks) working arrays, and so peak memory.
 OUTCOME_BLOCK = 1024
 
 
@@ -301,9 +301,24 @@ def merger_outcomes(m: Market, g: MergerSpec) -> tuple[float, float, float]:
 def merger_outcome_table(
     chain: np.ndarray, bit: np.ndarray, revenue: np.ndarray,
     sizes: Sequence[int], n: int, parties: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Post HHI, delta HHI and merged share of each market under all 2^n
-    exclusion masks, as three (markets × 2^n) arrays.
+    exclusion masks, as one (markets × 2^n × 3) array: the blocks of
+    :func:`merger_outcome_blocks` put together."""
+    table = np.empty((len(sizes), 1 << n, 3))
+    for block, outcomes in merger_outcome_blocks(chain, bit, revenue, sizes,
+                                                 n, parties):
+        table[:, block] = outcomes
+    return table
+
+
+def merger_outcome_blocks(
+    chain: np.ndarray, bit: np.ndarray, revenue: np.ndarray,
+    sizes: Sequence[int], n: int, parties: Sequence[int],
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Post HHI, delta HHI and merged share of each market under the 2^n
+    exclusion masks: yields each block's slice of masks, in mask order, and
+    its (markets × block × 3) outcomes.
 
     The markets are consecutive runs, of the given ``sizes``, of three
     equal-length columns: each entry's int chain code, bit and revenue.
@@ -317,7 +332,7 @@ def merger_outcome_table(
     left to right in the order of each chain's first kept entry (that
     market's dict order), and squares the merged share with Python's float
     power, which differs from ``x * x`` in the last bit for some inputs.  A
-    mask whose market has no sales reads NaN in all three arrays, where
+    mask whose market has no sales reads NaN in all three outcomes, where
     :func:`merger_outcomes` raises.  Markets are evaluated side by side, one
     entry position at a time, each over rows for its own chains.
 
@@ -339,9 +354,8 @@ def merger_outcome_table(
         bad = bit[(bit < -1) | (bit >= n)][0]
         raise ValueError(f"entry bit {bad} out of range for width {n}")
     count, size = len(sizes), 1 << n
-    post, delta, share = (np.empty((count, size)) for _ in range(3))
     if not count:
-        return post, delta, share
+        return
     codes, bits, ends = chain.tolist(), bit.tolist(), np.cumsum(sizes).tolist()
     rows_of, leads, lead_counts, party_rows, width = [], [], [], [], 0
     for lo, hi in zip([0] + ends, ends):
@@ -368,11 +382,11 @@ def merger_outcome_table(
     rows = width + 1
     every = np.arange(count)
     acquirer, target = np.array(party_rows).T
-    # Step k adds entry k, or reads lead k, of every market at its (row, market) cell.
+    # Step k adds entry k, or reads lead k, of every market at its (row, market)
+    # cell.  Python scalars keep each step of a lone market basic indexing.
+    lane = 0 if count == 1 else every
     if count == 1:
-        # Python scalars keep each step of a lone market basic indexing.
-        adds = [((row, 0), value, b)
-                for row, value, b in zip(rows_of, revenue.tolist(), bits)]
+        adds = rows_of, revenue.tolist(), bits
         steps = [(row, need or None, prior) for row, need, prior in leads]
     else:
         def by_position(items: Sequence, counts: Sequence[int], fill) -> np.ndarray:
@@ -384,11 +398,9 @@ def merger_outcome_table(
 
         # A shorter market adds 0.0 to its last row, which no chain uses,
         # and reads its missing leads from there.
-        adds = [((row, every), value, b) for row, value, b in zip(
-            by_position(rows_of, sizes, rows - 1),
-            by_position(revenue, sizes, 0.0)[:, :, None],
-            by_position(bit, sizes, -1),
-        )]
+        adds = (by_position(rows_of, sizes, rows - 1),
+                by_position(revenue, sizes, 0.0)[:, :, None],
+                by_position(bit, sizes, -1))
         steps = [((row, every), need[:, None] if need.any() else None, prior[:, None])
                  for row, need, prior in by_position(
                      np.array(leads, np.int64).reshape(-1, 3), lead_counts,
@@ -412,8 +424,8 @@ def merger_outcome_table(
         # Sums may overflow to inf, as Python floats do; inf / inf and 0 / 0 read NaN.
         with np.errstate(over="ignore", invalid="ignore"):
             sales = np.zeros((rows, count, masks.size))
-            for at, value, b in adds:
-                sales[at] += value * kept[b]
+            for row, value, b in zip(*adds):
+                sales[row, lane] += value * kept[b]
             s = sales / lead_sum(sales)
             base = HHI_SCALE * lead_sum(s * s)
         sa = s[acquirer, every]
@@ -422,10 +434,6 @@ def merger_outcome_table(
         # Python's float power (C pow), as the scalar path squares.
         merged_squared = np.fromiter(map(pow, merged.ravel().tolist(), repeat(2)),
                                      np.float64, merged.size).reshape(merged.shape)
-        block = slice(start, start + masks.size)
-        post[:, block] = (
-            base - HHI_SCALE * (sa * sa + sb * sb) + HHI_SCALE * merged_squared
-        )
-        delta[:, block] = HHI_SCALE * 2.0 * sa * sb
-        share[:, block] = merged
-    return post, delta, share
+        post = base - HHI_SCALE * (sa * sa + sb * sb) + HHI_SCALE * merged_squared
+        yield slice(start, start + masks.size), np.stack(
+            (post, HHI_SCALE * 2.0 * sa * sb, merged), axis=-1)

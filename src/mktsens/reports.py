@@ -60,7 +60,7 @@ from .lattice import (
     iter_json,
     subset_label,
 )
-from .metrics import Market, merger_outcome_table, presumption
+from .metrics import Market, merger_outcome_blocks, presumption
 from .shapley import (
     CoalitionalGame,
     ShapleyResult,
@@ -129,27 +129,34 @@ def _display_total(cells: Sequence[str]) -> str:
     return f"{total:.{exponent}f}" if exponent > 0 else str(total)
 
 
-def _outcome_columns(
+def _lattice_flags(
     universe: StoreUniverse, chain: np.ndarray, bit: np.ndarray,
-    revenue: np.ndarray, ms: MarginalSet, config: RunConfig
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Post HHI, delta HHI and merged share per exclusion mask of the market
-    of :func:`merger_outcome_table` columns (codes of the universe's chains,
-    bits and revenues), and their read-only presumption flags; refuses a
-    lattice in which some candidate market has no sales left."""
+    revenue: np.ndarray, ms: MarginalSet, config: RunConfig,
+    table: np.ndarray | None = None,
+) -> np.ndarray:
+    """Read-only presumption flags by exclusion mask of the market of
+    :func:`merger_outcome_blocks` columns (codes of the universe's chains,
+    bits and revenues), and its outcomes into ``table`` if given.  Refuses
+    a lattice with an empty candidate market, naming the first in canonical
+    order."""
     parties = [universe.chain_ids.index(p) for p in config.merging_chains]
-    columns = tuple(c[0] for c in merger_outcome_table(
-        chain, bit, revenue, [len(chain)], ms.n, parties))
-    empty = np.isnan(columns[2])
-    if empty.any():
-        subset = first_marked(empty, ms.n)
+    flags = np.empty(1 << ms.n, dtype=bool)
+    empty = []
+    for block, (outcomes,) in merger_outcome_blocks(
+            chain, bit, revenue, [len(chain)], ms.n, parties):
+        marked = np.isnan(outcomes[:, 2])
+        if marked.any():
+            empty.append(first_marked(marked, ms.n, block.start))
+        flags[block] = presumption(*outcomes.T, config.rule)
+        if table is not None:
+            table[block] = outcomes
+    if empty:
         raise OutcomeEvaluationError(
-            f"candidate market excluding {subset_label(ms, subset)} has zero "
-            "total sales; its outcomes are undefined"
+            f"candidate market excluding {subset_label(ms, min(empty))} has "
+            "zero total sales; its outcomes are undefined"
         )
-    flags = presumption(*columns, config.rule)
     flags.flags.writeable = False
-    return columns, flags
+    return flags
 
 
 def _check_formats(config: RunConfig, universe: StoreUniverse) -> None:
@@ -161,17 +168,8 @@ def _check_formats(config: RunConfig, universe: StoreUniverse) -> None:
                           f"marginal_formats: {unlisted}")
 
 
-@dataclass(frozen=True)
-class StateReport:
-    """State-level sensitivity analysis over marginal formats."""
-
-    config: RunConfig
-    market: Market
-    chain_names: dict[str, str]
-    diagram: AnnotatedHasseDiagram
-    shapley: ShapleyResult
-    sspi_values: tuple[float, ...]
-    sspi_game: SimpleGame
+class _PowerIndices:
+    """What a report's ``sspi_game`` says of the lattice as a whole."""
 
     @property
     def sensitive(self) -> bool:
@@ -182,22 +180,36 @@ class StateReport:
         return self.sspi_game.degenerate_at_origin
 
 
+@dataclass(frozen=True)
+class StateReport(_PowerIndices):
+    """State-level sensitivity analysis over marginal formats."""
+
+    config: RunConfig
+    market: Market
+    chain_names: dict[str, str]
+    diagram: AnnotatedHasseDiagram
+    shapley: ShapleyResult
+    sspi_values: tuple[float, ...]
+    sspi_game: SimpleGame
+
+
 def _state_lattice(
     config: RunConfig, universe: StoreUniverse
-) -> tuple[Market, tuple[np.ndarray, ...], np.ndarray, AnnotatedHasseDiagram]:
-    """The statewide chain market of the universe, its outcome columns and
-    presumption flags by exclusion mask, and the annotated Hasse diagram
-    built from them."""
+) -> tuple[Market, np.ndarray, np.ndarray, AnnotatedHasseDiagram]:
+    """The statewide chain market of the universe, its (2^n × 3) outcome
+    table and read-only presumption flags by exclusion mask, and the
+    annotated Hasse diagram built from them."""
     market = Market(universe.sales(), "state")
     for party in config.merging_chains:
         market.require(party)
     ms = MarginalSet(config.marginal_formats)
     _check_formats(config, universe)
-    columns, flags = _outcome_columns(
+    table = np.empty((1 << ms.n, 3))
+    flags = _lattice_flags(
         universe, universe.chain, universe.format_bits(ms.members),
-        universe.revenue, ms, config)
-    diagram = hasse_from_table(ms, METRIC_NAMES, np.column_stack(columns), flags)
-    return market, columns, flags, diagram
+        universe.revenue, ms, config, table)
+    diagram = hasse_from_table(ms, METRIC_NAMES, table, flags)
+    return market, table, flags, diagram
 
 
 def state_diagram(config: RunConfig, universe: StoreUniverse) -> AnnotatedHasseDiagram:
@@ -213,14 +225,14 @@ def run_state(
     Builds the annotated Hasse diagram of (post-HHI, delta-HHI, merged share)
     over the marginal formats, the Shapley attribution of post-merger HHI,
     and the presumption-rule power indices.  The outcomes of every subset
-    come from one :func:`merger_outcome_table` over the stores, each keyed
+    come from :func:`merger_outcome_blocks` over the stores, each keyed
     by its format, and one array of presumption flags marks both the
     diagram's nodes and the SSPI game's winning coalitions.  ``sampled``
     switches the Shapley computation to the seeded Monte Carlo estimator
     from the configuration's seed and permutation count.
     """
-    market, (post, _, _), flags, diagram = _state_lattice(config, universe)
-    game = CoalitionalGame.from_table(post - post[0])
+    market, table, flags, diagram = _state_lattice(config, universe)
+    game = CoalitionalGame.from_table(table[:, 0] - table[0, 0])
     if sampled:
         sv = shapley_sampled(game, config.permutations, config.seed)
     else:
@@ -239,7 +251,7 @@ def run_state(
 
 
 @dataclass(frozen=True)
-class FirmReport:
+class FirmReport(_PowerIndices):
     """Firm-level power analysis over named competitor chains."""
 
     config: RunConfig
@@ -249,22 +261,15 @@ class FirmReport:
     sspi_values: tuple[float, ...]
     sspi_game: SimpleGame
 
-    @property
-    def sensitive(self) -> bool:
-        return not self.sspi_game.constant
-
-    @property
-    def degenerate_at_origin(self) -> bool:
-        return self.sspi_game.degenerate_at_origin
-
 
 def run_firm_level(config: RunConfig, universe: StoreUniverse) -> FirmReport:
     """Presumption power indices over exclusion of named competitor chains.
 
     The marginal set is the configured chain list; the merging chains stay in
     every candidate market.  Excluding a chain removes all its revenue and
-    renormalizes shares.  The outcomes of every subset come from one
-    :func:`merger_outcome_table` over the chains of the statewide market.
+    renormalizes shares.  The outcomes of every subset come from
+    :func:`merger_outcome_blocks` over the chains of the statewide market,
+    and only their presumption flags are kept.
     """
     if not config.marginal_firms:
         raise ConfigError("firm-level analysis requires marginal_firms")
@@ -276,7 +281,7 @@ def run_firm_level(config: RunConfig, universe: StoreUniverse) -> FirmReport:
             raise DataError(f"marginal firm {firm!r} has no stores in the universe")
     firms = config.marginal_firms
     ms = MarginalSet(firms)
-    _, flags = _outcome_columns(
+    flags = _lattice_flags(
         universe, np.arange(len(market.sales)),
         np.array([firms.index(c) if c in firms else -1 for c in market.sales]),
         np.array(list(market.sales.values())), ms, config)

@@ -312,6 +312,27 @@ class TestFailureModes:
             "nonnegative numbers\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value, message", [
+        ("1" + "0" * 400, "radius_miles is too large for a float"),
+        ("5.0, \"seed\": 1" + "0" * 4400,
+         "an integer has more than 4300 digits"),
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["huge-radius", "long-seed", "deep-nesting"])
+    def test_unreadable_values(self, tmp_path, capsys, value, message):
+        stores_path, config_path = write_inputs(
+            tmp_path, state_stores(), base_config_doc())
+        config_path.write_text(
+            '{"merging_chains": ["acme", "bolt"], "radius_miles": ' + value + "}",
+            encoding="utf-8")
+        code = main(["state", "--stores", str(stores_path),
+                     "--config", str(config_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_required_argument(self):
         with pytest.raises(SystemExit) as err:
             main(["state", "--stores", "x.csv"])

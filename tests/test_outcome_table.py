@@ -37,6 +37,7 @@ from mktsens import (
     run_firm_level,
     run_state,
 )
+from mktsens import metrics, reports
 from mktsens.cli import main
 from tests.conftest import (
     STATE_MERGING,
@@ -88,9 +89,8 @@ def assert_firm_matches_scalar(universe, config):
     expected = scalar_firm_outcomes(market, ms, config)
     entries = [(chain, ms.members.index(chain) if chain in ms.members else -1,
                 revenue) for chain, revenue in market.sales.items()]
-    for got, want in zip(entry_outcome_table([entries], ms.n, config.merger),
-                         expected):
-        assert np.array_equal(got, [want])
+    assert np.array_equal(entry_outcome_table([entries], ms.n, config.merger),
+                          [np.column_stack(expected)])
     report = run_firm_level(config, universe)
     assert np.array_equal(report.sspi_game.wins,
                           scalar_flags(expected, config.rule))
@@ -184,6 +184,39 @@ class TestFirmLatticeOracle:
                            marginal_firms=chains[4:])
         assert_firm_matches_scalar(make_universe(rows), config)
 
+    @given(shuffled_universes(), rules, st.sampled_from([1, 2, 3, 1024]),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_block_flags_match_the_collected_table(self, drawn, rule, block,
+                                                   data):
+        """The flags that firm keeps block by block are presumption over
+        merger_outcome_table, whatever the block size."""
+        universe, _ = drawn
+        market = chain_market(universe, (), "state")
+        firms = tuple(data.draw(st.permutations(
+            [c for c in RIVALS if c in market.sales])))
+        config = RunConfig(merging_chains=STATE_MERGING,
+                           marginal_firms=firms, rule=rule)
+        entries = [(chain, firms.index(chain) if chain in firms else -1,
+                    revenue) for chain, revenue in market.sales.items()]
+        (table,) = entry_outcome_table([entries], len(firms), config.merger)
+        with mock.patch.object(metrics, "OUTCOME_BLOCK", block):
+            wins = run_firm_level(config, universe).sspi_game.wins
+        assert np.array_equal(wins, presumption(*table.T, rule))
+
+    def test_keeps_no_float_table(self):
+        # 18 marginal firms: three float64 outcome columns by mask would hold
+        # 6 MiB (the run peaked at 9.0 MiB with them, 3.0 MiB without).  The
+        # rest is the 2^18 flags and sspi's working arrays.
+        rng = random.Random(18)
+        chains = STATE_MERGING + tuple(f"r{k:02d}" for k in range(18))
+        rows = [(chain, "supermarket", round(rng.lognormvariate(2.3, 0.5), 2))
+                for chain in chains for _ in range(3)]
+        universe = make_universe(rows)
+        config = RunConfig(merging_chains=STATE_MERGING,
+                           marginal_firms=chains[2:])
+        assert _traced_peak(lambda: run_firm_level(config, universe)) < 4 * 2**20
+
 
 def scalar_market_outcomes(entries, bits: int) -> tuple[float, float, float]:
     """merger_outcomes on the kept entries summed by chain in entry order,
@@ -213,14 +246,13 @@ def assert_cells_match_scalar(markets, n):
     """Every cell of the table over ``markets``, and of each market's table
     alone, equals scalar_market_outcomes."""
     together = entry_outcome_table(markets, n, MERGER)
-    assert all(column.shape == (len(markets), 1 << n) for column in together)
+    assert together.shape == (len(markets), 1 << n, 3)
     for i, entries in enumerate(markets):
         alone = entry_outcome_table([entries], n, MERGER)
         want = np.array([scalar_market_outcomes(entries, bits)
-                         for bits in range(1 << n)]).T
-        for got, single, expected in zip(together, alone, want):
-            assert np.array_equal(got[i], expected, equal_nan=True)
-            assert np.array_equal(single[0], expected, equal_nan=True)
+                         for bits in range(1 << n)])
+        assert np.array_equal(together[i], want, equal_nan=True)
+        assert np.array_equal(alone, [want], equal_nan=True)
 
 
 class TestMarketAxis:
@@ -230,8 +262,7 @@ class TestMarketAxis:
         assert_cells_match_scalar(*drawn)
 
     def test_no_markets(self):
-        for column in entry_outcome_table([], 2, MERGER):
-            assert column.shape == (0, 4)
+        assert entry_outcome_table([], 2, MERGER).shape == (0, 4, 3)
 
     def test_sales_that_overflow_to_inf(self):
         # cato's two 1e308 entries sum to inf where neither bit is excluded.
@@ -240,11 +271,11 @@ class TestMarketAxis:
                    ("cato", 1, 1e308), ("dune", 1, 2.0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            post, delta, share = entry_outcome_table([entries], 2, MERGER)
-        assert np.array_equal(post, [[np.nan, 1e4, 1e4, 1e4]], equal_nan=True)
-        assert delta.tolist() == [[0.0, 0.0, 0.0, 4687.5]]
-        assert share.tolist() == [[0.0, 7.999999999999999e-308,
-                                   7.999999999999999e-308, 1.0]]
+            post, delta, share = entry_outcome_table([entries], 2, MERGER)[0].T
+        assert np.array_equal(post, [np.nan, 1e4, 1e4, 1e4], equal_nan=True)
+        assert delta.tolist() == [0.0, 0.0, 0.0, 4687.5]
+        assert share.tolist() == [0.0, 7.999999999999999e-308,
+                                  7.999999999999999e-308, 1.0]
 
 
 @st.composite
@@ -270,9 +301,9 @@ class TestColumns:
     @settings(max_examples=200, deadline=None)
     def test_chain_codes_are_labels_only(self, drawn):
         columns, parties, relabelled, moved, n = drawn
-        for got, want in zip(merger_outcome_table(*relabelled, n, moved),
-                             merger_outcome_table(*columns, n, parties)):
-            assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(merger_outcome_table(*relabelled, n, moved),
+                              merger_outcome_table(*columns, n, parties),
+                              equal_nan=True)
 
     @pytest.mark.parametrize("chain, bit, revenue, sizes, message", [
         ([0, 1], [0], [1.0, 2.0], [2], "differ in length"),
@@ -400,7 +431,7 @@ class TestFixedOrder:
         entries = [(chain, ms.members.index(chain) if chain in ms.members
                     else -1, revenue) for chain, revenue in market.sales.items()]
         with sort_forbidden():
-            columns = entry_outcome_table([entries], ms.n, MERGER)
+            table = entry_outcome_table([entries], ms.n, MERGER)
             report = run_firm_level(config, universe)
         wins = report.sspi_game.wins
         for mask in [0, (1 << 20) - 1] + rng.sample(range(1, (1 << 20) - 1),
@@ -408,7 +439,7 @@ class TestFixedOrder:
             want = merger_outcomes(exclude(
                 market, ms.labels_of(ExclusionSet(20, mask)), STATE_MERGING),
                 MERGER)
-            got = tuple(float(column[0, mask]) for column in columns)
+            got = tuple(table[0, mask].tolist())
             assert [v.hex() for v in got] == [v.hex() for v in want]
             assert wins[mask] == presumption(*want, config.rule)
         assert report.sensitive
@@ -487,9 +518,8 @@ class TestEmptyCandidateMarkets:
     def test_table_reads_nan_where_the_market_is_empty(self):
         entries = [(c, {"club": 0, "natural": 1}[f], r)
                    for c, f, r in ALL_MARGINAL]
-        post, delta, share = entry_outcome_table([entries], 2, MERGER)
-        for column in (post, delta, share):
-            assert np.isnan(column[0, 3]) and not np.isnan(column[0, :3]).any()
+        (table,) = entry_outcome_table([entries], 2, MERGER)
+        assert np.isnan(table[3]).all() and not np.isnan(table[:3]).any()
 
     def test_entry_bit_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -507,6 +537,28 @@ class TestEmptyCandidateMarkets:
         with pytest.raises(OutcomeEvaluationError,
                            match=r"excluding \{cato, dune\}"):
             run_firm_level(config, make_universe(SILENT_PARTIES))
+
+    def test_firm_names_the_first_empty_subset_in_canonical_order(self):
+        """Blocks of two masks, and empty masks that form the up-set of
+        {elmo} (bit 2) and {cato, dune} (bits 0 and 1): mask 3 comes first in
+        mask order, in an earlier block, but {elmo} comes first in canonical
+        order.  No market of nonnegative sales has two minimal empty
+        subsets, so the kernel's outcomes are made NaN there."""
+        def with_holes(*args):
+            for block, outcomes in metrics.merger_outcome_blocks(*args):
+                masks = np.arange(block.start, block.stop)
+                outcomes[:, (masks & 4 > 0) | (masks & 3 == 3)] = np.nan
+                yield block, outcomes
+
+        config = RunConfig(merging_chains=STATE_MERGING,
+                           marginal_firms=("cato", "dune", "elmo"))
+        universe = make_universe([(chain, "supermarket", 1.0) for chain in
+                                  STATE_MERGING + config.marginal_firms])
+        with mock.patch.object(metrics, "OUTCOME_BLOCK", 2), \
+                mock.patch.object(reports, "merger_outcome_blocks", with_holes):
+            with pytest.raises(OutcomeEvaluationError,
+                               match=r"excluding \{elmo\} has zero"):
+                run_firm_level(config, universe)
 
     @pytest.mark.parametrize("command, rows, doc", [
         ("state", ALL_MARGINAL, base_config_doc()),
