@@ -64,10 +64,10 @@ from .metrics import (
     exclude,
     hhi,
     merger_outcome_blocks,
-    merger_outcome_table,
     merger_outcomes,
     post_merger_hhi,
     presumption,
+    presumption_flags,
     shares,
     upp,
 )
@@ -144,11 +144,11 @@ __all__ = [
     "load_config",
     "load_stores",
     "merger_outcome_blocks",
-    "merger_outcome_table",
     "merger_outcomes",
     "miles_to_km",
     "post_merger_hhi",
     "presumption",
+    "presumption_flags",
     "restrict",
     "run_firm_level",
     "run_local",

@@ -21,12 +21,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .errors import (
-    CapacityError,
-    ConfigError,
-    DataError,
-    OutcomeEvaluationError,
-)
+from .errors import CapacityError, ConfigError, DataError
 from .ingest import load_stores
 from .reports import (
     run_firm_level,
@@ -104,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 4
-    except (DataError, OutcomeEvaluationError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

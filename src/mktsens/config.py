@@ -115,6 +115,9 @@ class RunConfig:
         _require(self.radius_miles >= 0, "radius_miles must be nonnegative")
         _require(self.sspi_decimals >= 0, "rounding decimals must be nonnegative")
         _require(self.share_decimals >= 0, "rounding decimals must be nonnegative")
+        # 324 places print every digit of any float's str, down to 5e-324.
+        _require(max(self.sspi_decimals, self.share_decimals) <= 324,
+                 "rounding decimals must be at most 324")
         _require(self.permutations >= 1, "permutations must be at least 1")
         _require(self.seed >= 0, "seed must be nonnegative")
         _require(

@@ -25,7 +25,9 @@ class CapacityError(MktsensError):
 
 
 class DegenerateMarketError(DataError):
-    """A market operation was asked to divide by a zero total (empty market)."""
+    """A market has zero total sales, so its shares are undefined: a
+    :class:`~mktsens.metrics.Market` handed to a share-based metric, or a
+    candidate market that an exclusion set leaves empty in a pipeline."""
 
 
 class OutcomeEvaluationError(MktsensError):

@@ -6,8 +6,8 @@ the market and revenue aggregates by chain.  Selection works on a columnar
 view of the universe: a store farther in latitude than the radius cannot be
 in the circle, so each centre computes distances only inside its latitude
 window, found by binary search in the latitude-sorted stores.
-:func:`merger_outcome_table` then evaluates every exclusion set of the
-circles from the universe's columns, as it does for the state and firm
+:func:`~mktsens.metrics.presumption_flags` then evaluates every exclusion set
+of the circles from the universe's columns, as it does for the state and firm
 lattices, in chunks of circles of at most :data:`LOCAL_CHUNK_ENTRIES` members.
 """
 
@@ -24,21 +24,15 @@ import numpy as np
 
 from .display import round_half_up
 from .errors import DataError
-from .lattice import MarginalSet, first_marked
-from .metrics import (
-    Market,
-    MergerSpec,
-    PresumptionRule,
-    merger_outcome_table,
-    presumption,
-)
+from .lattice import MarginalSet
+from .metrics import Market, MergerSpec, PresumptionRule, presumption_flags
 from .shapley import SimpleGame, sspi
 
 EARTH_RADIUS_KM = 6371.0088
 MILES_TO_KM = 1.609344
 
-# Member entries (stores, summed over circles) per merger_outcome_table call
-# in analyze_local.  It bounds the kernel's padded per-entry arrays; results
+# Member entries (stores, summed over circles) per presumption_flags call in
+# analyze_local.  It bounds the kernel's padded per-entry arrays; results
 # do not depend on it.
 LOCAL_CHUNK_ENTRIES = 1 << 16
 
@@ -149,6 +143,16 @@ class StoreUniverse:
         return dict(zip(self.chain_ids,
                         map(self.chain_names.__getitem__, self.name[first].tolist())))
 
+    def chain_codes(self, chain_ids: Iterable[str], what: str) -> list[int]:
+        """The codes of ``chain_ids``; a chain with no stores is refused,
+        named as a ``what``."""
+        codes = []
+        for chain_id in chain_ids:
+            if chain_id not in self.chain_ids:
+                raise DataError(f"{what} {chain_id!r} has no stores in the universe")
+            codes.append(self.chain_ids.index(chain_id))
+        return codes
+
     def of_chains(self, chain_ids: Iterable[str]) -> tuple[Store, ...]:
         codes = [self.chain_ids.index(c) for c in set(chain_ids) if c in self.chain_ids]
         return self._stores(np.flatnonzero(np.isin(self.chain, codes)).tolist())
@@ -160,7 +164,7 @@ class StoreUniverse:
             self.chain, self.revenue, len(self.chain_ids)).tolist()))
 
     def format_bits(self, marginal: Sequence[str]) -> np.ndarray:
-        """Each store's :func:`merger_outcome_table` bit: its format's index
+        """Each store's :func:`merger_outcome_blocks` bit: its format's index
         in ``marginal``, or -1 for a format that is not marginal."""
         return np.array([marginal.index(f) if f in marginal else -1
                          for f in self.formats], np.intp)[self.format]
@@ -329,12 +333,13 @@ def analyze_local(
     merging chains have at least one member store; single-party circles
     carry no competitive overlap and are skipped.  A merging chain whose
     in-circle revenue disappears under some exclusion set still evaluates,
-    as a zero-sales firm.  The analyzed circles go to
-    :func:`merger_outcome_table` and :func:`presumption` in chunks whose
-    member entries total at most :data:`LOCAL_CHUNK_ENTRIES` (a larger
-    circle goes alone), as the member rows of the universe's chain, format
-    bit and revenue columns, one circle after another; the results do not
-    depend on the chunking.  Circles with the same flags share one
+    as a zero-sales firm, but a circle left with no sales at all by an
+    exclusion set is refused with :class:`DegenerateMarketError`.  The
+    analyzed circles go to :func:`~mktsens.metrics.presumption_flags` in
+    chunks whose member entries total at most :data:`LOCAL_CHUNK_ENTRIES` (a
+    larger circle goes alone), as the member rows of the universe's chain,
+    format bit and revenue columns, one circle after another; the results do
+    not depend on the chunking.  Circles with the same flags share one
     :func:`sspi` call.
     """
     ms = (
@@ -342,31 +347,19 @@ def analyze_local(
         if isinstance(marginal_formats, MarginalSet)
         else MarginalSet(marginal_formats)
     )
-    parties = []
-    for party in (merger.acquirer, merger.target):
-        if party not in universe.chain_ids:
-            raise DataError(f"merging chain {party!r} has no stores in the universe")
-        parties.append(universe.chain_ids.index(party))
+    parties = universe.chain_codes((merger.acquirer, merger.target),
+                                   "merging chain")
     radius_km = miles_to_km(radius_miles)
     bits = universe.format_bits(ms.members)
     power: dict[bytes, tuple[float, ...] | None] = {}
     results = []
     for chunk in _two_party_chunks(universe, parties, radius_km):
         members = np.concatenate([rows for _, rows in chunk])
-        table = merger_outcome_table(
+        table = np.empty((len(chunk), 1 << ms.n, 3))
+        flags = presumption_flags(
             universe.chain[members], bits[members], universe.revenue[members],
-            [len(rows) for _, rows in chunk], ms.n, parties)
-        empty = np.isnan(table[:, :, 2])
-        if empty.any():
-            row = int(np.flatnonzero(empty.any(axis=1))[0])
-            subset = first_marked(empty[row], ms.n)
-            raise DataError(
-                f"circle around store {universe.ids[chunk[row][0]]!r} "
-                f"has no revenue left after excluding {sorted(ms.labels_of(subset))}"
-            )
-        flags = presumption(*np.moveaxis(table, 2, 0), rule)
-        for array in (table, flags):
-            array.flags.writeable = False
+            [len(rows) for _, rows in chunk], ms, parties, rule,
+            [f"circle around store {universe.ids[c]!r}" for c, _ in chunk], table)
         centers = universe._stores([center for center, _ in chunk])
         for center, (_, rows), outcomes, flagged in zip(centers, chunk, table, flags):
             key = flagged.tobytes()

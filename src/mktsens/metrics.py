@@ -6,7 +6,9 @@ concentration ratios, logit diversion, upward pricing pressure, compensating
 marginal cost reductions, and the structural-presumption decision rule.
 :func:`merger_outcome_blocks` evaluates :func:`merger_outcomes` for every
 exclusion set of a lattice, over any number of markets at once, bit for bit,
-a block of masks at a time; the state, firm and local pipelines all use it.
+a block of masks at a time.  :func:`presumption_flags` turns those blocks
+into presumption flags: it is the one step from outcomes to flags of the
+state, firm and local pipelines.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, DegenerateMarketError
+from .lattice import MarginalSet, first_marked, subset_label
 
 HHI_SCALE = 10_000.0
 
@@ -31,7 +34,7 @@ def _ordered_sum(values: Iterable) -> float | np.ndarray:
     """Left-to-right float sum (the built-in ``sum`` compensates its rounding
     from Python 3.12).  On an array it adds the rows along the first axis,
     cell by cell in the same order, where ``np.sum`` may add pairwise; that
-    is how merger_outcome_table reproduces the scalar sums."""
+    is how merger_outcome_blocks reproduces the scalar sums."""
     total = 0.0
     for value in values:
         total += value
@@ -298,20 +301,6 @@ def merger_outcomes(m: Market, g: MergerSpec) -> tuple[float, float, float]:
     return post, delta, sa + sb
 
 
-def merger_outcome_table(
-    chain: np.ndarray, bit: np.ndarray, revenue: np.ndarray,
-    sizes: Sequence[int], n: int, parties: Sequence[int],
-) -> np.ndarray:
-    """Post HHI, delta HHI and merged share of each market under all 2^n
-    exclusion masks, as one (markets × 2^n × 3) array: the blocks of
-    :func:`merger_outcome_blocks` put together."""
-    table = np.empty((len(sizes), 1 << n, 3))
-    for block, outcomes in merger_outcome_blocks(chain, bit, revenue, sizes,
-                                                 n, parties):
-        table[:, block] = outcomes
-    return table
-
-
 def merger_outcome_blocks(
     chain: np.ndarray, bit: np.ndarray, revenue: np.ndarray,
     sizes: Sequence[int], n: int, parties: Sequence[int],
@@ -437,3 +426,38 @@ def merger_outcome_blocks(
         post = base - HHI_SCALE * (sa * sa + sb * sb) + HHI_SCALE * merged_squared
         yield slice(start, start + masks.size), np.stack(
             (post, HHI_SCALE * 2.0 * sa * sb, merged), axis=-1)
+
+
+def presumption_flags(
+    chain: np.ndarray, bit: np.ndarray, revenue: np.ndarray,
+    sizes: Sequence[int], ms: MarginalSet, parties: Sequence[int],
+    rule: PresumptionRule, names: Sequence[str],
+    table: np.ndarray | None = None,
+) -> np.ndarray:
+    """Read-only (markets × 2^n) presumption flags, by exclusion mask of
+    ``ms``, of the markets of :func:`merger_outcome_blocks` columns.  Their
+    outcomes go into ``table``, (markets × 2^n × 3), if given, which is then
+    read-only too.  A candidate market with no sales is refused: the error
+    names the first such market by its entry in ``names``, and its first
+    empty subset in canonical order."""
+    flags = np.empty((len(sizes), 1 << ms.n), dtype=bool)
+    empty = []
+    for block, outcomes in merger_outcome_blocks(chain, bit, revenue, sizes,
+                                                 ms.n, parties):
+        marked = np.isnan(outcomes[:, :, 2])
+        if marked.any():
+            # The block's first market with an empty mask: the least over
+            # all blocks is the first such market.
+            row = int(np.flatnonzero(marked.any(axis=1))[0])
+            empty.append((row, first_marked(marked[row], ms.n, block.start)))
+        flags[:, block] = presumption(*np.moveaxis(outcomes, 2, 0), rule)
+        if table is not None:
+            table[:, block] = outcomes
+    if empty:
+        row, subset = min(empty)
+        raise DegenerateMarketError(f"{names[row]} has zero total sales after "
+                                    f"excluding {subset_label(ms, subset)}")
+    for array in (flags, table):
+        if array is not None:
+            array.flags.writeable = False
+    return flags

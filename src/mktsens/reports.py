@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import RunConfig
 from .display import fmt_fixed, fmt_truncated, round_half_up_int
-from .errors import ConfigError, DataError, OutcomeEvaluationError
+from .errors import ConfigError
 from .geomarket import (
     LocalAnalysisResult,
     StoreUniverse,
@@ -54,13 +54,12 @@ from .lattice import (
     ExclusionSet,
     MarginalSet,
     canonical_masks,
-    first_marked,
     hasse_from_table,
     iter_dot,
     iter_json,
     subset_label,
 )
-from .metrics import Market, merger_outcome_blocks, presumption
+from .metrics import Market, presumption_flags
 from .shapley import (
     CoalitionalGame,
     ShapleyResult,
@@ -129,36 +128,6 @@ def _display_total(cells: Sequence[str]) -> str:
     return f"{total:.{exponent}f}" if exponent > 0 else str(total)
 
 
-def _lattice_flags(
-    universe: StoreUniverse, chain: np.ndarray, bit: np.ndarray,
-    revenue: np.ndarray, ms: MarginalSet, config: RunConfig,
-    table: np.ndarray | None = None,
-) -> np.ndarray:
-    """Read-only presumption flags by exclusion mask of the market of
-    :func:`merger_outcome_blocks` columns (codes of the universe's chains,
-    bits and revenues), and its outcomes into ``table`` if given.  Refuses
-    a lattice with an empty candidate market, naming the first in canonical
-    order."""
-    parties = [universe.chain_ids.index(p) for p in config.merging_chains]
-    flags = np.empty(1 << ms.n, dtype=bool)
-    empty = []
-    for block, (outcomes,) in merger_outcome_blocks(
-            chain, bit, revenue, [len(chain)], ms.n, parties):
-        marked = np.isnan(outcomes[:, 2])
-        if marked.any():
-            empty.append(first_marked(marked, ms.n, block.start))
-        flags[block] = presumption(*outcomes.T, config.rule)
-        if table is not None:
-            table[block] = outcomes
-    if empty:
-        raise OutcomeEvaluationError(
-            f"candidate market excluding {subset_label(ms, min(empty))} has "
-            "zero total sales; its outcomes are undefined"
-        )
-    flags.flags.writeable = False
-    return flags
-
-
 def _check_formats(config: RunConfig, universe: StoreUniverse) -> None:
     """Refuse store formats that the configuration leaves unclassified."""
     listed = {*config.always_in_formats, *config.marginal_formats}
@@ -200,16 +169,15 @@ def _state_lattice(
     table and read-only presumption flags by exclusion mask, and the
     annotated Hasse diagram built from them."""
     market = Market(universe.sales(), "state")
-    for party in config.merging_chains:
-        market.require(party)
+    parties = universe.chain_codes(config.merging_chains, "merging chain")
     ms = MarginalSet(config.marginal_formats)
     _check_formats(config, universe)
-    table = np.empty((1 << ms.n, 3))
-    flags = _lattice_flags(
-        universe, universe.chain, universe.format_bits(ms.members),
-        universe.revenue, ms, config, table)
-    diagram = hasse_from_table(ms, METRIC_NAMES, table, flags)
-    return market, table, flags, diagram
+    table = np.empty((1, 1 << ms.n, 3))
+    (flags,) = presumption_flags(
+        universe.chain, universe.format_bits(ms.members), universe.revenue,
+        [len(universe)], ms, parties, config.rule, ["market 'state'"], table)
+    diagram = hasse_from_table(ms, METRIC_NAMES, table[0], flags)
+    return market, table[0], flags, diagram
 
 
 def state_diagram(config: RunConfig, universe: StoreUniverse) -> AnnotatedHasseDiagram:
@@ -224,10 +192,10 @@ def run_state(
 
     Builds the annotated Hasse diagram of (post-HHI, delta-HHI, merged share)
     over the marginal formats, the Shapley attribution of post-merger HHI,
-    and the presumption-rule power indices.  The outcomes of every subset
-    come from :func:`merger_outcome_blocks` over the stores, each keyed
-    by its format, and one array of presumption flags marks both the
-    diagram's nodes and the SSPI game's winning coalitions.  ``sampled``
+    and the presumption-rule power indices.  :func:`presumption_flags`
+    evaluates every subset over the stores, each keyed by its format, and its
+    one array of flags marks both the diagram's nodes and the SSPI game's
+    winning coalitions.  ``sampled``
     switches the Shapley computation to the seeded Monte Carlo estimator
     from the configuration's seed and permutation count.
     """
@@ -267,24 +235,20 @@ def run_firm_level(config: RunConfig, universe: StoreUniverse) -> FirmReport:
 
     The marginal set is the configured chain list; the merging chains stay in
     every candidate market.  Excluding a chain removes all its revenue and
-    renormalizes shares.  The outcomes of every subset come from
-    :func:`merger_outcome_blocks` over the chains of the statewide market,
-    and only their presumption flags are kept.
+    renormalizes shares.  :func:`presumption_flags` evaluates every subset
+    over the chains of the statewide market, keeping only the flags.
     """
     if not config.marginal_firms:
         raise ConfigError("firm-level analysis requires marginal_firms")
     market = Market(universe.sales(), "state")
-    for party in config.merging_chains:
-        market.require(party)
-    for firm in config.marginal_firms:
-        if firm not in market.sales:
-            raise DataError(f"marginal firm {firm!r} has no stores in the universe")
+    parties = universe.chain_codes(config.merging_chains, "merging chain")
     firms = config.marginal_firms
+    bit = np.full(len(market.sales), -1)
+    bit[universe.chain_codes(firms, "marginal firm")] = range(len(firms))
     ms = MarginalSet(firms)
-    flags = _lattice_flags(
-        universe, np.arange(len(market.sales)),
-        np.array([firms.index(c) if c in firms else -1 for c in market.sales]),
-        np.array(list(market.sales.values())), ms, config)
+    (flags,) = presumption_flags(
+        np.arange(len(bit)), bit, np.array(list(market.sales.values())),
+        [len(bit)], ms, parties, config.rule, ["market 'state'"])
     game = SimpleGame(ms.n, flags)
     return FirmReport(
         config=config,

@@ -154,11 +154,18 @@ def shapley_sampled(
     averages each player's marginal contribution; identical inputs and seed
     reproduce the estimate bit for bit.  Standard errors use the sample
     standard deviation (ddof=1) over permutations and are zero when only one
-    permutation is drawn.
+    permutation is drawn.  More than 2^24 permutation-player cells raise
+    :class:`CapacityError` before anything is drawn.
     """
     if permutations < 1:
         raise ValueError("permutation count must be at least 1")
     n = game.n
+    # Each draw takes a row of every (permutations × n) working array: no
+    # more cells than the largest exact game table has.
+    if permutations * n > 1 << EXACT_ENUMERATION_MAX:
+        raise CapacityError(
+            f"{permutations} permutations of {n} players exceed the "
+            f"2^{EXACT_ENUMERATION_MAX} cells of sampling's working arrays")
     if n == 0:
         return _result((), 0.0, "sampled", (), permutations, seed)
     rng = np.random.default_rng(seed)
@@ -244,10 +251,10 @@ def sspi(game: SimpleGame) -> tuple[float, ...]:
     out = []
     # Pivots are -1, 0 or 1, so int8 holds every difference of wins.
     for sizes, pivots in _marginal_gains(game.wins.astype(np.int8), n):
-        # Float counts are exact: each is at most C(n-1, k) < 2^53.
-        counts = np.bincount(sizes, weights=pivots, minlength=n)
-        numerator = sum(
-            int(c) * fact[k] * fact[n - 1 - k] for k, c in enumerate(counts)
-        )
+        # The -1, 0 and +1 pivots of coalitions of each size k, at 3k to 3k + 2.
+        counts = np.bincount(sizes * np.int16(3) + pivots + np.int16(1),
+                             minlength=3 * n).reshape(n, 3).tolist()
+        numerator = sum((plus - minus) * fact[k] * fact[n - 1 - k]
+                        for k, (minus, _, plus) in enumerate(counts))
         out.append(float(Fraction(numerator, fact[n])))
     return tuple(out)

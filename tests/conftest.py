@@ -37,7 +37,7 @@ from mktsens import (
     exclude,
     haversine,
     hhi,
-    merger_outcome_table,
+    merger_outcome_blocks,
     merger_outcomes,
     miles_to_km,
     presumption,
@@ -227,8 +227,18 @@ def scalar_circle_ids(universe, center: Store,
     ))
 
 
+def outcome_table(chain, bit, revenue, sizes, n: int, parties) -> np.ndarray:
+    """The (markets × 2^n × 3) outcomes of every exclusion mask: the blocks
+    of merger_outcome_blocks put together."""
+    table = np.empty((len(sizes), 1 << n, 3))
+    for block, outcomes in merger_outcome_blocks(chain, bit, revenue, sizes,
+                                                 n, parties):
+        table[:, block] = outcomes
+    return table
+
+
 def entry_columns(markets, merger: MergerSpec):
-    """merger_outcome_table's columns, sizes and party codes for ``markets``
+    """outcome_table's columns, sizes and party codes for ``markets``
     given as lists of (chain id, bit, revenue) entries: chain ids are coded
     in order of first entry, and a party that no market holds gets a code
     past them."""
@@ -244,16 +254,16 @@ def entry_columns(markets, merger: MergerSpec):
 
 
 def entry_outcome_table(markets, n: int, merger: MergerSpec):
-    """merger_outcome_table over ``markets`` of (chain id, bit, revenue)
+    """outcome_table over ``markets`` of (chain id, bit, revenue)
     entries, through entry_columns."""
     columns, parties = entry_columns(markets, merger)
-    return merger_outcome_table(*columns, n, parties)
+    return outcome_table(*columns, n, parties)
 
 
 def scalar_state_outcomes(universe, ms: MarginalSet, merger: MergerSpec):
     """(post HHI, delta HHI, merged share) arrays by exclusion mask, from one
     chain_market and one merger_outcomes call per subset: the state path
-    that merger_outcome_table replaced."""
+    that the outcome kernel replaced."""
     return _scalar_outcomes(
         lambda subset: chain_market(universe, ms.labels_of(subset), "state"),
         ms.n, merger,
@@ -262,7 +272,7 @@ def scalar_state_outcomes(universe, ms: MarginalSet, merger: MergerSpec):
 
 def scalar_firm_outcomes(market: Market, ms: MarginalSet, config: RunConfig):
     """The same arrays from one exclude and one merger_outcomes call per
-    subset: the firm path that merger_outcome_table replaced."""
+    subset: the firm path that the outcome kernel replaced."""
     return _scalar_outcomes(
         lambda subset: exclude(market, ms.labels_of(subset),
                                config.merging_chains),
@@ -281,7 +291,7 @@ def scalar_local_outcomes(universe, merger: MergerSpec, ms: MarginalSet,
     """One record per analysed circle, in center order, from one
     chain_market, one merger_outcomes and one scalar presumption call per
     circle and exclusion set: the local path that analyze_local's chunked
-    merger_outcome_table calls replaced.  Members come from
+    presumption_flags calls replaced.  Members come from
     scalar_circle_ids.  Arrays are indexed by bitmask."""
     parties = {merger.acquirer, merger.target}
     records = []
@@ -298,9 +308,9 @@ def scalar_local_outcomes(universe, merger: MergerSpec, ms: MarginalSet,
             try:
                 outcomes = merger_outcomes(market, merger)
             except DegenerateMarketError as exc:
-                raise DataError(
-                    f"circle around store {center.store_id!r} has no revenue "
-                    f"left after excluding {sorted(ms.labels_of(subset))}"
+                raise DegenerateMarketError(
+                    f"circle around store {center.store_id!r} has zero total "
+                    f"sales after excluding {subset_label(ms, subset)}"
                 ) from exc
             rows.append((subset.bits, *outcomes,
                          presumption(*outcomes, rule)))

@@ -333,6 +333,49 @@ class TestFailureModes:
         assert err.count("\n") == 1 and message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("extra, doc, code, message", [
+        (("--sampled",), base_config_doc(permutations=10**18), 4,
+         "capacity error: 1000000000000000000 permutations of 3 players "
+         "exceed the 2^24 cells of sampling's working arrays"),
+        (("--sampled",), base_config_doc(permutations=10**30), 4,
+         f"capacity error: {10**30} permutations of 3 players exceed the "
+         "2^24 cells of sampling's working arrays"),
+        ((), base_config_doc(rounding={"sspi": 10**13}), 2,
+         "configuration error: rounding decimals must be at most 324"),
+    ], ids=["permutations-1e18", "permutations-1e30", "decimals-1e13"])
+    def test_requests_past_the_limits(self, tmp_path, capsys, extra, doc,
+                                      code, message):
+        # These used to end in ValueError, OverflowError and MemoryError.
+        got, out = run_cli(tmp_path, "state", state_stores(), doc, *extra)
+        assert got == code
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["state", "firm", "local", "hasse"])
+    @pytest.mark.parametrize("doc, message", [
+        (base_config_doc(merging_chains=["acme", "zeta"]),
+         "merging chain 'zeta' has no stores in the universe"),
+        (base_config_doc(merging_chains=["zeta", "acme"],
+                         marginal_firms=["nobody"]),
+         "merging chain 'zeta' has no stores in the universe"),
+    ], ids=["target", "acquirer"])
+    def test_missing_merging_chain_reads_the_same_everywhere(
+            self, tmp_path, capsys, command, doc, message):
+        if command == "firm":
+            doc = {"marginal_firms": ["grandway"], **doc}
+        got, out = run_cli(tmp_path, command, state_stores(), doc)
+        assert got == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists()
+
+    def test_missing_marginal_firm(self, tmp_path, capsys):
+        doc = base_config_doc(marginal_firms=["grandway", "nobody"])
+        got, out = run_cli(tmp_path, "firm", state_stores(), doc)
+        assert got == 3
+        assert capsys.readouterr().err == (
+            "data error: marginal firm 'nobody' has no stores in the universe\n")
+        assert not out.exists()
+
     def test_missing_required_argument(self):
         with pytest.raises(SystemExit) as err:
             main(["state", "--stores", "x.csv"])

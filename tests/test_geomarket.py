@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mktsens import (
     DataError,
+    DegenerateMarketError,
     ExclusionSet,
     MarginalSet,
     MergerSpec,
@@ -23,13 +24,13 @@ from mktsens import (
     circle_market,
     haversine,
     miles_to_km,
+    presumption_flags,
     run_local,
     sspi_structure_table,
 )
 from mktsens import geomarket
 from mktsens.cli import main
 from mktsens.geomarket import EARTH_RADIUS_KM, LOCAL_CHUNK_ENTRIES, MILES_TO_KM
-from mktsens.metrics import merger_outcome_table
 from tests.conftest import (
     LOCAL_CLUSTER_1,
     base_config_doc,
@@ -506,11 +507,11 @@ class TestAnalyzeLocal:
             _store("c1", "clubby", fmt="club", rev=10.0),
         )
         u = StoreUniverse(stores)
-        with pytest.raises(DataError) as error:
+        with pytest.raises(DegenerateMarketError) as error:
             analyze_local(u, merger, ("club",), radius_miles=5.0)
         assert str(error.value) == (
-            "circle around store 'a1' has no revenue left after excluding "
-            "['club']"
+            "circle around store 'a1' has zero total sales after excluding "
+            "{club}"
         )
 
     def test_first_empty_circle_and_exclusion_set_are_named(self, merger,
@@ -532,13 +533,13 @@ class TestAnalyzeLocal:
                 sid = f"a{k}" if chain == "acme" else f"x{k}{j}"
                 stores.append(_store(sid, chain, fmt=fmt, lat=lat, rev=rev))
         u = StoreUniverse(tuple(stores))
-        message = ("circle around store 'a2' has no revenue left after "
-                   "excluding ['club', 'natural']")
+        message = ("circle around store 'a2' has zero total sales after "
+                   "excluding {natural, club}")
         ms = MarginalSet(("natural", "club", "limited"))
-        with pytest.raises(DataError) as error:
+        with pytest.raises(DegenerateMarketError) as error:
             analyze_local(u, merger, ms, radius_miles=5.0)
         assert str(error.value) == message
-        with pytest.raises(DataError) as scalar:
+        with pytest.raises(DegenerateMarketError) as scalar:
             scalar_local_outcomes(u, merger, ms, PresumptionRule(), 5.0)
         assert str(scalar.value) == message
 
@@ -681,11 +682,11 @@ class TestLocalChunks:
 
         calls = []
 
-        def kernel(chain, bit, revenue, sizes, n, parties):
+        def kernel(chain, bit, revenue, sizes, *rest):
             calls.append(list(sizes))
-            return merger_outcome_table(chain, bit, revenue, sizes, n, parties)
+            return presumption_flags(chain, bit, revenue, sizes, *rest)
 
-        monkeypatch.setattr(geomarket, "merger_outcome_table", kernel)
+        monkeypatch.setattr(geomarket, "presumption_flags", kernel)
         monkeypatch.setattr(geomarket, "LOCAL_CHUNK_ENTRIES", bound)
         _assert_matches_scalar(analyze_local(u, merger, ms, radius_miles=5.0),
                                expected)

@@ -1,6 +1,6 @@
 """The lattice outcome kernel against the per-subset scalar path.
 
-``merger_outcome_table`` must reproduce ``merger_outcomes`` bit for bit on
+``merger_outcome_blocks`` must reproduce ``merger_outcomes`` bit for bit on
 every exclusion set, so every comparison here is exact (``np.array_equal``),
 never a tolerance.  The reference is the scalar path kept in conftest.
 """
@@ -24,26 +24,25 @@ from mktsens import (
     Market,
     MarginalSet,
     MergerSpec,
-    OutcomeEvaluationError,
     PresumptionRule,
     RunConfig,
     Store,
     StoreUniverse,
     chain_market,
     exclude,
-    merger_outcome_table,
     merger_outcomes,
     presumption,
     run_firm_level,
     run_state,
 )
-from mktsens import metrics, reports
+from mktsens import metrics
 from mktsens.cli import main
 from tests.conftest import (
     STATE_MERGING,
     base_config_doc,
     entry_columns,
     entry_outcome_table,
+    outcome_table,
     scalar_firm_outcomes,
     scalar_flags,
     scalar_state_outcomes,
@@ -190,7 +189,7 @@ class TestFirmLatticeOracle:
     def test_block_flags_match_the_collected_table(self, drawn, rule, block,
                                                    data):
         """The flags that firm keeps block by block are presumption over
-        merger_outcome_table, whatever the block size."""
+        the kernel's outcome table, whatever the block size."""
         universe, _ = drawn
         market = chain_market(universe, (), "state")
         firms = tuple(data.draw(st.permutations(
@@ -301,8 +300,8 @@ class TestColumns:
     @settings(max_examples=200, deadline=None)
     def test_chain_codes_are_labels_only(self, drawn):
         columns, parties, relabelled, moved, n = drawn
-        assert np.array_equal(merger_outcome_table(*relabelled, n, moved),
-                              merger_outcome_table(*columns, n, parties),
+        assert np.array_equal(outcome_table(*relabelled, n, moved),
+                              outcome_table(*columns, n, parties),
                               equal_nan=True)
 
     @pytest.mark.parametrize("chain, bit, revenue, sizes, message", [
@@ -312,7 +311,7 @@ class TestColumns:
     ], ids=["lengths", "negative-size", "sizes-sum"])
     def test_malformed_columns(self, chain, bit, revenue, sizes, message):
         with pytest.raises(ValueError, match=message):
-            merger_outcome_table(chain, bit, revenue, sizes, 1, (0, 1))
+            outcome_table(chain, bit, revenue, sizes, 1, (0, 1))
 
     def test_each_market_numbers_its_own_chains(self):
         # 256 markets of 40 entries over 8 chains of their own and the two
@@ -322,7 +321,7 @@ class TestColumns:
                                 for k in range(256)])
         bit = rng.integers(-1, 3, chain.size)
         revenue = rng.uniform(1.0, 10.0, chain.size)
-        assert _traced_peak(lambda: merger_outcome_table(
+        assert _traced_peak(lambda: outcome_table(
             chain, bit, revenue, [40] * 256, 3, (0, 1))) < 4 * 2**20
 
 
@@ -527,16 +526,18 @@ class TestEmptyCandidateMarkets:
 
     def test_state_names_the_empty_subset(self):
         config = RunConfig(merging_chains=STATE_MERGING)
-        with pytest.raises(OutcomeEvaluationError,
-                           match=r"excluding \{club, natural\}"):
+        with pytest.raises(DegenerateMarketError) as error:
             run_state(config, make_universe(ALL_MARGINAL))
+        assert str(error.value) == ("market 'state' has zero total sales "
+                                    "after excluding {club, natural}")
 
     def test_firm_names_the_empty_subset(self):
         config = RunConfig(merging_chains=STATE_MERGING,
                            marginal_firms=("cato", "dune"))
-        with pytest.raises(OutcomeEvaluationError,
-                           match=r"excluding \{cato, dune\}"):
+        with pytest.raises(DegenerateMarketError) as error:
             run_firm_level(config, make_universe(SILENT_PARTIES))
+        assert str(error.value) == ("market 'state' has zero total sales "
+                                    "after excluding {cato, dune}")
 
     def test_firm_names_the_first_empty_subset_in_canonical_order(self):
         """Blocks of two masks, and empty masks that form the up-set of
@@ -544,8 +545,10 @@ class TestEmptyCandidateMarkets:
         mask order, in an earlier block, but {elmo} comes first in canonical
         order.  No market of nonnegative sales has two minimal empty
         subsets, so the kernel's outcomes are made NaN there."""
+        kernel = metrics.merger_outcome_blocks
+
         def with_holes(*args):
-            for block, outcomes in metrics.merger_outcome_blocks(*args):
+            for block, outcomes in kernel(*args):
                 masks = np.arange(block.start, block.stop)
                 outcomes[:, (masks & 4 > 0) | (masks & 3 == 3)] = np.nan
                 yield block, outcomes
@@ -555,9 +558,9 @@ class TestEmptyCandidateMarkets:
         universe = make_universe([(chain, "supermarket", 1.0) for chain in
                                   STATE_MERGING + config.marginal_firms])
         with mock.patch.object(metrics, "OUTCOME_BLOCK", 2), \
-                mock.patch.object(reports, "merger_outcome_blocks", with_holes):
-            with pytest.raises(OutcomeEvaluationError,
-                               match=r"excluding \{elmo\} has zero"):
+                mock.patch.object(metrics, "merger_outcome_blocks", with_holes):
+            with pytest.raises(DegenerateMarketError,
+                               match=r"excluding \{elmo\}$"):
                 run_firm_level(config, universe)
 
     @pytest.mark.parametrize("command, rows, doc", [
@@ -571,5 +574,6 @@ class TestEmptyCandidateMarkets:
         code = main([command, "--stores", str(stores), "--config",
                      str(config), "--out", str(tmp_path / "out")])
         assert code == 3
-        assert "zero total sales" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "data error: market 'state' has zero total sales after excluding {")
         assert not (tmp_path / "out").exists()

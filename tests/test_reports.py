@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from mktsens import (
     StoreUniverse,
     canonical_masks,
 )
-from mktsens import jsontext, lattice, reports, shapley
+from mktsens import jsontext, lattice, metrics, reports, shapley
 from mktsens.reports import (
     LocalReport,
     _display_total,
@@ -138,7 +139,7 @@ class TestRunState:
             calls.append(args)
             return presumption(*args)
 
-        monkeypatch.setattr(reports, "presumption", counted)
+        monkeypatch.setattr(metrics, "presumption", counted)
         report = run_state(state_config, state_universe)
         write_state_report(report, tmp_path / "out")
         assert len(calls) == 1
@@ -333,6 +334,37 @@ class TestRunLocal:
         write_local_report(run_local(local_config, local_universe),
                            tmp_path / "two")
         assert tree_bytes(tmp_path / "one") == tree_bytes(tmp_path / "two")
+
+
+@pytest.mark.parametrize("pipeline", ["state", "firm", "local"])
+def test_presumption_is_reached_only_through_presumption_flags(
+    pipeline, state_universe, local_universe, local_config, monkeypatch
+):
+    """Every pipeline turns outcomes into flags in metrics.presumption_flags
+    alone: each name bound to presumption in any mktsens module records its
+    caller."""
+    original = metrics.presumption
+    callers = []
+
+    def recorded(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "mktsens":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recorded)
+    if pipeline == "state":
+        run_state(RunConfig(merging_chains=STATE_MERGING), state_universe)
+    elif pipeline == "firm":
+        run_firm_level(RunConfig(
+            merging_chains=STATE_MERGING,
+            marginal_firms=("grandway", "citygrocer", "dailymart"),
+        ), state_universe)
+    else:
+        run_local(local_config, local_universe)
+    assert callers and set(callers) == {"presumption_flags"}
 
 
 CELLS = st.one_of(
