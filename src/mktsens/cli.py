@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .config import load_config
 from .errors import CapacityError, ConfigError, DataError
-from .ingest import load_stores
+from .ingest import load_stores, logger as ingest_logger
 from .reports import (
     run_firm_level,
     run_local,
@@ -71,6 +71,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(message)s")
+    # Ingest's record waits until the run succeeds: a failure prints one line.
+    held: list[logging.LogRecord] = []
+    ingest_logger.addFilter(held.append)
     try:
         config = load_config(args.config)
         universe = load_stores(
@@ -105,6 +108,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        ingest_logger.removeFilter(held.append)
+    for record in held:
+        ingest_logger.handle(record)
     for path in paths:
         print(f"wrote {path}")
     return 0

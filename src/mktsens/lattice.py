@@ -498,11 +498,16 @@ def iter_dot(
     ids = subset_texts(diagram.masks, labels, '"empty"', f'"{SLOT}_{SLOT}"')
     names = subset_texts(diagram.masks, labels, "{}", f"{{{SLOT}, {SLOT}}}")
 
-    def floors(rows: slice | np.ndarray) -> list[int]:
-        """The shown values of ``rows``, row by row, floored to exact ints."""
-        shown = diagram.table[rows][:, positions]
-        return list(map(floor_int, shown.ravel().tolist()))
-
+    # Every node's shown values, floored once in row-major order, so that the
+    # first NaN or infinity raises as in a loop over them; int64 unless one
+    # is too large for the deltas.
+    values = diagram.table[:, positions]
+    floored = np.empty(values.size, np.int64 if (abs(values) < 2.0 ** 62).all()
+                       else object)
+    for cells in blocks(values.size):
+        floored[cells] = list(map(floor_int, values.ravel()[cells].tolist()))
+    floored = floored.reshape(values.shape)
+    del values
     # Rows [bounds[k], bounds[k + 1]) hold the subsets of size k.
     bounds = np.searchsorted(_popcounts(diagram.masks, len(labels)),
                              np.arange(len(labels) + 2)).tolist()
@@ -510,7 +515,7 @@ def iter_dot(
     yield ('digraph hasse {\n  rankdir=BT;\n'
            '  node [shape=box, style=filled, fillcolor=white];\n')
     for rows in blocks(len(ids)):
-        shown = list(map(str, floors(rows)))
+        shown = list(map(str, floored[rows].ravel().tolist()))
         tails = list(map(fills.__getitem__, diagram.flags[rows].tolist()))
         for low, high in zip(bounds, bounds[1:]):
             # A rank closes after the last node of its size.
@@ -523,14 +528,13 @@ def iter_dot(
     del names
     for pairs in _edge_blocks(diagram):
         lower, upper = pairs.T
-        below, above = floors(lower), floors(upper)
+        deltas = (floored[upper] - floored[lower]).T.tolist()
         # Signed numbers need no DOT escaping.
-        deltas = [list(map("{:+d}".format, map(int.__sub__, above[k::width],
-                                                below[k::width])))
-                  for k in range(width)]
+        signed = {delta: f"{delta:+d}" for delta in set().union(*deltas)}
         yield join_records(f'  {SLOT} -> {SLOT} [label="{shown_slots}"];\n', [
             list(map(ids.__getitem__, lower.tolist())),
-            list(map(ids.__getitem__, upper.tolist())), *deltas])
+            list(map(ids.__getitem__, upper.tolist())),
+            *(list(map(signed.__getitem__, column)) for column in deltas)])
     yield "}\n"
 
 

@@ -28,6 +28,9 @@ HHI_SCALE = 10_000.0
 # Cells (markets x masks) in each block of merger_outcome_blocks.  It bounds
 # the (markets x chains x masks) working arrays, and so peak memory.
 OUTCOME_BLOCK = 1024
+# Cells of the per-chain tables that merger_outcome_blocks folds a lone
+# market's entries into, which bounds their memory.
+TABLE_CELLS = 1 << 23
 
 
 def _ordered_sum(values: Iterable) -> float | np.ndarray:
@@ -149,6 +152,8 @@ def shares(m: Market) -> dict[str, float]:
         raise DegenerateMarketError(
             f"market {m.label!r} has zero total sales; shares are undefined"
         )
+    if total == math.inf:
+        raise DataError(f"market {m.label!r} has total sales too large for a float")
     return {firm: value / total for firm, value in m.sales.items()}
 
 
@@ -316,14 +321,23 @@ def merger_outcome_blocks(
     ``bit = -1`` is never excluded.  Cell ``[i, m]`` equals, bit for bit, what
     :func:`merger_outcomes` returns on the market that sums market ``i``'s
     kept entries by chain in entry order.  To be exact the table repeats that
-    path's floating-point steps: it adds every entry's revenue times 0.0 or
-    1.0 in entry order (adding 0.0 is exact), sums totals and squared shares
-    left to right in the order of each chain's first kept entry (that
-    market's dict order), and squares the merged share with Python's float
-    power, which differs from ``x * x`` in the last bit for some inputs.  A
-    mask whose market has no sales reads NaN in all three outcomes, where
-    :func:`merger_outcomes` raises.  Markets are evaluated side by side, one
-    entry position at a time, each over rows for its own chains.
+    path's floating-point steps: it adds the kept entries' revenues in entry
+    order, sums totals and squared shares left to right in the order of each
+    chain's first kept entry (that market's dict order), and squares the
+    merged share with Python's float power, which differs from ``x * x`` in
+    the last bit for some inputs.  A mask whose market has no sales reads NaN
+    in all three outcomes, where :func:`merger_outcomes` raises; a total that
+    overflows raises :class:`DataError`, as :func:`merger_outcomes` does.
+    Revenues must be finite.
+
+    A lone market folds each chain's entries once, in entry order, into a
+    table with a lane for each pattern of the chain's own bits, adding each
+    revenue to the lanes where its bit is kept, and each block reads its
+    sales from there.  The tables hold at most ``TABLE_CELLS`` cells: past
+    that, groups of masks that share their high bits are folded one at a
+    time over the bits below.  Several markets go side by side instead, one
+    entry position at a time, each over rows for its own chains: an excluded
+    entry adds its revenue times 0.0, which is exact, as +0.0 changes no sum.
 
     A lead is an entry that can be its chain's first kept entry: the first
     entry of each (chain, bit) pair, with none after the chain's first bit
@@ -339,6 +353,8 @@ def merger_outcome_blocks(
         raise ValueError("chain, bit and revenue columns differ in length")
     if (sizes < 0).any() or sizes.sum() != len(chain):
         raise ValueError("market sizes must be nonnegative and add up to the entries")
+    if not np.isfinite(revenue).all():
+        raise ValueError("entry revenues must be finite")
     if len(bit) and not -1 <= bit.min() <= bit.max() < n:
         bad = bit[(bit < -1) | (bit >= n)][0]
         raise ValueError(f"entry bit {bad} out of range for width {n}")
@@ -371,12 +387,33 @@ def merger_outcome_blocks(
     rows = width + 1
     every = np.arange(count)
     acquirer, target = np.array(party_rows).T
-    # Step k adds entry k, or reads lead k, of every market at its (row, market)
-    # cell.  Python scalars keep each step of a lone market basic indexing.
-    lane = 0 if count == 1 else every
+    low = n  # masks come in groups of 2^low that share their bits >= low
     if count == 1:
-        adds = rows_of, revenue.tolist(), bits
         steps = [(row, need or None, prior) for row, need, prior in leads]
+        pairs = dict.fromkeys(zip(rows_of, bits))
+        owns = [[] for _ in range(rows)]
+        for row, b in pairs:
+            if b >= 0:
+                owns[row].append(b)
+        while low and sum(1 << sum(b < low for b in own)
+                          for own in owns) > TABLE_CELLS:
+            low -= 1
+        # Row r's table has a lane for each pattern of its own bits below low,
+        # with its j-th lowest such bit as bit j.  Digit k of a mask in base
+        # 1024 adds lanes[k][r, digit] to r's lane.
+        owns = [sorted(b for b in own if b < low) for own in owns]
+        starts = np.cumsum([0] + [1 << len(own) for own in owns])
+        table = np.empty(starts[-1])
+        lanes = [np.zeros((rows, 1 << min(10, low - k)), np.int32)
+                 for k in range(0, low or 1, 10)]
+        views = {}
+        for row, b in pairs:
+            views[row, b] = table[starts[row]:starts[row + 1]]
+            if b in owns[row]:
+                j, part = owns[row].index(b), lanes[b // 10]
+                part[row] += (np.arange(part.shape[1]) >> b % 10 & 1) << j
+                views[row, b] = views[row, b].reshape(-1, 2, 1 << j)[:, 0]
+        revenues = revenue.tolist()
     else:
         def by_position(items: Sequence, counts: Sequence[int], fill) -> np.ndarray:
             """(longest × markets) array whose row k holds the k-th of each
@@ -385,8 +422,9 @@ def merger_outcome_blocks(
             at = np.where(k < counts, last - counts + k, last[-1])
             return np.append(items, [fill], axis=0)[at]
 
-        # A shorter market adds 0.0 to its last row, which no chain uses,
-        # and reads its missing leads from there.
+        # Step k adds entry k, or reads lead k, of every market at its (row,
+        # market) cell.  A shorter market adds 0.0 to its last row, which no
+        # chain uses, and reads its missing leads from there.
         adds = (by_position(rows_of, sizes, rows - 1),
                 by_position(revenue, sizes, 0.0)[:, :, None],
                 by_position(bit, sizes, -1))
@@ -394,38 +432,59 @@ def merger_outcome_blocks(
                  for row, need, prior in by_position(
                      np.array(leads, np.int64).reshape(-1, 3), lead_counts,
                      (rows - 1, 0, 0)).transpose(0, 2, 1)]
-    shifts = np.arange(n)[:, None]
     step = max(1, OUTCOME_BLOCK // count)
-    for start in range(0, size, step):
-        masks = np.arange(start, min(start + step, size))
-        # Row b says whether bit b's entries are kept; the last row serves
-        # bit -1 and is all ones.
-        kept = np.ones((n + 1, masks.size))
-        kept[:n] = (masks >> shifts) & 1 == 0
-        firsts = [(at, None if need is None else (masks & need) == prior)
-                  for at, need, prior in steps]
+    # A lone market's blocks stay inside spans of masks that share their group
+    # and their bits >= 10: only digit 0 varies across a block.
+    span = 1 << min(low, 10) if count == 1 else size
+    for window in range(0, size, span):
+        if count == 1 and not window % (1 << low):
+            # The group's entries, but for those whose bit it excludes.
+            table.fill(0.0)
+            with np.errstate(over="ignore"):
+                for view, value, b in zip(map(views.__getitem__, zip(rows_of, bits)),
+                                          revenues, bits):
+                    if b < low or not window >> b & 1:
+                        view += value
+        for start in range(window, window + span, step):
+            masks = np.arange(start, min(start + step, window + span))
+            firsts = [(at, None if need is None else (masks & need) == prior)
+                      for at, need, prior in steps]
 
-        def lead_sum(values: np.ndarray) -> np.ndarray:
-            return _ordered_sum(values[at] if first is None
-                                else np.where(first, values[at], 0.0)
-                                for at, first in firsts)
+            def lead_sum(values: np.ndarray) -> np.ndarray:
+                return _ordered_sum(values[at] if first is None
+                                    else np.where(first, values[at], 0.0)
+                                    for at, first in firsts)
 
-        # Sums may overflow to inf, as Python floats do; inf / inf and 0 / 0 read NaN.
-        with np.errstate(over="ignore", invalid="ignore"):
-            sales = np.zeros((rows, count, masks.size))
-            for row, value, b in zip(*adds):
-                sales[row, lane] += value * kept[b]
-            s = sales / lead_sum(sales)
-            base = HHI_SCALE * lead_sum(s * s)
-        sa = s[acquirer, every]
-        sb = s[target, every]
-        merged = sa + sb
-        # Python's float power (C pow), as the scalar path squares.
-        merged_squared = np.fromiter(map(pow, merged.ravel().tolist(), repeat(2)),
-                                     np.float64, merged.size).reshape(merged.shape)
-        post = base - HHI_SCALE * (sa * sa + sb * sb) + HHI_SCALE * merged_squared
-        yield slice(start, start + masks.size), np.stack(
-            (post, HHI_SCALE * 2.0 * sa * sb, merged), axis=-1)
+            # 0 / 0 reads NaN; a total that overflows is refused below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                if count == 1:
+                    lane = lanes[0][:, start % span:][:, :masks.size] + sum(
+                        (part[:, start >> 10 * k & part.shape[1] - 1, None]
+                         for k, part in enumerate(lanes) if k), starts[:-1, None])
+                    sales = table[lane][:, None]
+                else:
+                    # Row b says whether bit b's entries are kept; the last
+                    # row serves bit -1 and is all ones.
+                    kept = np.ones((n + 1, masks.size))
+                    kept[:n] = (masks >> np.arange(n)[:, None]) & 1 == 0
+                    sales = np.zeros((rows, count, masks.size))
+                    for row, value, b in zip(*adds):
+                        sales[row, every] += value * kept[b]
+                total = lead_sum(sales)
+                s = sales / total
+                base = HHI_SCALE * lead_sum(s * s)
+            if np.isinf(total).any():
+                raise DataError(
+                    "a candidate market has total sales too large for a float")
+            sa = s[acquirer, every]
+            sb = s[target, every]
+            merged = sa + sb
+            # Python's float power (C pow), as the scalar path squares.
+            merged_squared = np.fromiter(map(pow, merged.ravel().tolist(), repeat(2)),
+                                         np.float64, merged.size).reshape(merged.shape)
+            post = base - HHI_SCALE * (sa * sa + sb * sb) + HHI_SCALE * merged_squared
+            yield slice(start, start + masks.size), np.stack(
+                (post, HHI_SCALE * 2.0 * sa * sb, merged), axis=-1)
 
 
 def presumption_flags(

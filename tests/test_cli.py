@@ -368,6 +368,23 @@ class TestFailureModes:
         assert capsys.readouterr().err == f"data error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["state", "firm", "local", "hasse"])
+    def test_total_sales_that_overflow(self, tmp_path, capsys, command):
+        # Every store's revenue is finite; acme's and bolt's add up to inf.
+        stores = [Store("s1", "acme", "Acme", "supermarket", 45.5, -122.6, 1e308),
+                  Store("s2", "bolt", "Bolt", "supermarket", 45.5, -122.61, 1e308),
+                  Store("s3", "cato", "Cato", "club", 45.51, -122.6, 5.0)]
+        old = {"hasse.dot": b"old\n"}
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "hasse.dot").write_bytes(old["hasse.dot"])
+        code, out = run_cli(tmp_path, command, stores,
+                            base_config_doc(marginal_firms=["cato"]))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "data error: a candidate market has total sales too large for a "
+            "float\n")
+        assert_only_old_files(out, old)
+
     def test_missing_marginal_firm(self, tmp_path, capsys):
         doc = base_config_doc(marginal_firms=["grandway", "nobody"])
         got, out = run_cli(tmp_path, "firm", state_stores(), doc)
@@ -424,7 +441,27 @@ class TestConsoleScript:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.count("wrote ") == 8
+        assert result.stderr == (
+            f"loaded {len(state_stores())} stores from {stores_path}\n")
         assert (out_dir / "hasse.dot").exists()
+
+    @pytest.mark.parametrize("command", ["state", "firm", "local", "hasse"])
+    def test_subprocess_failure_prints_one_line(self, tmp_path, command):
+        # In process, pytest's log capture would hide ingest's line.
+        stores_path, config_path = write_inputs(
+            tmp_path, state_stores(),
+            base_config_doc(merging_chains=["acme", "zeta"],
+                            marginal_firms=["grandway"]))
+        result = subprocess.run(
+            [sys.executable, "-m", "mktsens.cli", command,
+             "--stores", str(stores_path), "--config", str(config_path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 3
+        assert result.stderr == (
+            "data error: merging chain 'zeta' has no stores in the universe\n")
+        assert result.stdout == ""
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,11 @@ class TestShares:
         with pytest.raises(DegenerateMarketError):
             shares(Market({"a": 0.0}))
 
+    def test_total_that_overflows_is_refused(self):
+        # Each firm's sales are finite; their sum is not.
+        with pytest.raises(DataError, match="too large for a float"):
+            shares(Market({"a": 1e308, "b": 1e308, "c": 5.0}))
+
     @given(positive_sales)
     @settings(max_examples=80, deadline=None)
     def test_sum_to_one(self, sales):

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mktsens import (
+    DataError,
     DegenerateMarketError,
     ExclusionSet,
     Market,
@@ -264,17 +265,27 @@ class TestMarketAxis:
         assert entry_outcome_table([], 2, MERGER).shape == (0, 4, 3)
 
     def test_sales_that_overflow_to_inf(self):
-        # cato's two 1e308 entries sum to inf where neither bit is excluded.
-        # Its second lead must add 0.0 there, not inf * 0.0 = NaN.
-        entries = [("acme", -1, 5.0), ("bolt", -1, 3.0), ("cato", 0, 1e308),
-                   ("cato", 1, 1e308), ("dune", 1, 2.0)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            post, delta, share = entry_outcome_table([entries], 2, MERGER)[0].T
-        assert np.array_equal(post, [np.nan, 1e4, 1e4, 1e4], equal_nan=True)
-        assert delta.tolist() == [0.0, 0.0, 0.0, 4687.5]
-        assert share.tolist() == [0.0, 7.999999999999999e-308,
-                                  7.999999999999999e-308, 1.0]
+        # cato's two 1e308 entries sum to inf where neither bit is excluded;
+        # acme's and bolt's sum to inf in every mask.  The kernel refuses
+        # each market, alone or beside another, where merger_outcomes
+        # refuses it, and warns of nothing.
+        overflowing = ([("acme", -1, 5.0), ("bolt", -1, 3.0), ("cato", 0, 1e308),
+                        ("cato", 1, 1e308), ("dune", 1, 2.0)],
+                       [("acme", -1, 1e308), ("bolt", -1, 1e308), ("cato", 0, 5.0)])
+        for entries in overflowing:
+            with pytest.raises(DataError):
+                scalar_market_outcomes(entries, 0)
+            for markets in ([entries], [[("acme", -1, 1.0)], entries]):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(DataError, match="too large for a float"):
+                        entry_outcome_table(markets, 2, MERGER)
+
+    def test_revenues_must_be_finite(self):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                entry_outcome_table([[("acme", -1, 1.0), ("bolt", 0, value)]],
+                                    1, MERGER)
 
 
 @st.composite
@@ -444,6 +455,82 @@ class TestFixedOrder:
         assert report.sensitive
         assert math.isclose(sum(report.sspi_values),
                             int(wins[-1]) - int(wins[0]), abs_tol=1e-12)
+
+
+# Revenues from subnormal to near the largest float: two of the largest
+# overflow in a sum.
+magnitudes = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e-300),
+    st.integers(1, 60).map(float),
+    st.floats(0.01, 1e6),
+    st.floats(1e300, 1.7e308),
+)
+
+
+@st.composite
+def lone_markets(draw):
+    """A lone market over 0-10 bits whose chains own 0 to n bits each: every
+    own bit has an entry, and further entries repeat own bits or carry bit
+    -1, each chain's in a drawn order, interleaved across chains."""
+    n = draw(st.integers(0, 10))
+    names = draw(st.lists(st.sampled_from(CHAINS), min_size=1, max_size=6,
+                          unique=True))
+    chains = []
+    for name in names:
+        own = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n, unique=True))
+        bits = own + draw(st.lists(st.sampled_from(own + [-1]), max_size=6))
+        chains.append([(name, bit, draw(magnitudes))
+                       for bit in draw(st.permutations(bits))])
+    return interleave(draw, chains), n
+
+
+class TestLoneMarketTables:
+    """A lone market's chains are folded once into tables over their own
+    bits, in groups of masks when the tables would pass TABLE_CELLS, and
+    read a block at a time: every cell is still the scalar path's."""
+
+    @given(lone_markets(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_cell_matches_the_scalar_path(self, drawn, data):
+        entries, n = drawn
+        size = 1 << n
+        block = data.draw(st.one_of(st.integers(1, 40), st.sampled_from(
+            [max(size - 1, 1), size, size + 1, 3 * size])), label="block")
+        cells = data.draw(st.integers(1, 8 * size), label="cells")
+        try:
+            want = np.array([scalar_market_outcomes(entries, bits)
+                             for bits in range(size)])
+        except DataError:
+            want = None
+        with mock.patch.multiple(metrics, OUTCOME_BLOCK=block, TABLE_CELLS=cells), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if want is None:
+                with pytest.raises(DataError, match="too large for a float"):
+                    entry_outcome_table([entries], n, MERGER)
+            else:
+                assert np.array_equal(entry_outcome_table([entries], n, MERGER),
+                                      [want], equal_nan=True)
+
+    def test_tables_stay_within_their_cells(self):
+        # 24 chains that each own all 12 bits: one table of 24 x 4,096
+        # cells, or, under a bound of 3,000 cells, 64 groups of masks over 6
+        # bits each.  Checked against the scalar path on sampled masks.
+        rng = random.Random(12)
+        entries = [(f"r{k:02d}", bit, rng.uniform(1.0, 9.0))
+                   for k in range(24) for bit in [-1, *range(12)]]
+        entries += [(chain, -1, 50.0) for chain in STATE_MERGING]
+        rng.shuffle(entries)
+        whole = entry_outcome_table([entries], 12, MERGER)
+        whole_peak = _traced_peak(lambda: entry_outcome_table([entries], 12, MERGER))
+        with mock.patch.object(metrics, "TABLE_CELLS", 3000):
+            assert np.array_equal(entry_outcome_table([entries], 12, MERGER), whole)
+            peak = _traced_peak(lambda: entry_outcome_table([entries], 12, MERGER))
+        assert peak + 24 * 4096 * 8 // 2 < whole_peak
+        for bits in [0, 4095] + rng.sample(range(1, 4095), 64):
+            want = scalar_market_outcomes(entries, bits)
+            assert whole[0, bits].tolist() == list(want)
 
 
 def exact_outcomes(sales: dict[str, int]) -> tuple[Fraction, Fraction]:
