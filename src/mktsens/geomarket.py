@@ -153,10 +153,6 @@ class StoreUniverse:
             codes.append(self.chain_ids.index(chain_id))
         return codes
 
-    def of_chains(self, chain_ids: Iterable[str]) -> tuple[Store, ...]:
-        codes = [self.chain_ids.index(c) for c in set(chain_ids) if c in self.chain_ids]
-        return self._stores(np.flatnonzero(np.isin(self.chain, codes)).tolist())
-
     def sales(self) -> dict[str, float]:
         """Revenue by chain id in order of first store, each chain's stores
         added in store-id order, as :func:`chain_market` adds them."""

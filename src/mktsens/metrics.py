@@ -159,7 +159,7 @@ def shares(m: Market) -> dict[str, float]:
 
 def hhi(m: Market) -> float:
     """Herfindahl-Hirschman index, 0..10000."""
-    return HHI_SCALE * sum(s * s for s in shares(m).values())
+    return HHI_SCALE * _ordered_sum(s * s for s in shares(m).values())
 
 
 def merge_firms(m: Market, g: MergerSpec, merged_id: str | None = None) -> Market:

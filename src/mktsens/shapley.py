@@ -26,6 +26,7 @@ from .lattice import (
     evaluate_subsets,
     subset_sizes,
 )
+from .metrics import _ordered_sum
 
 OutcomeScalarFn = Callable[[ExclusionSet], float]
 OutcomeVectorFn = Callable[[ExclusionSet], Mapping[str, float]]
@@ -98,7 +99,7 @@ class ShapleyResult:
     @property
     def efficiency_residual(self) -> float:
         """Sum of values minus the grand-coalition worth."""
-        return sum(self.values) - self.grand_value
+        return _ordered_sum(self.values) - self.grand_value
 
 
 def _marginal_gains(
@@ -122,7 +123,7 @@ def _result(values: Sequence[float], grand: float, mode: str,
             permutations: int | None = None,
             seed: int | None = None) -> ShapleyResult:
     vals = tuple(float(v) for v in values)
-    total = sum(vals)
+    total = _ordered_sum(vals)
     shares = None if total == 0.0 else tuple(v / total for v in vals)
     return ShapleyResult(vals, float(grand), shares, mode,
                          std_errors, permutations, seed)

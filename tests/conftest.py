@@ -295,7 +295,7 @@ def scalar_local_outcomes(universe, merger: MergerSpec, ms: MarginalSet,
     scalar_circle_ids.  Arrays are indexed by bitmask."""
     parties = {merger.acquirer, merger.target}
     records = []
-    for center in sorted(universe.of_chains(parties),
+    for center in sorted((s for s in universe if s.chain_id in parties),
                          key=lambda s: s.store_id):
         members = [universe.store(i) for i in
                    scalar_circle_ids(universe, center, radius_miles)]

@@ -155,6 +155,11 @@ class TestHHI:
     def test_monopoly(self):
         assert hhi(Market({"a": 3.0})) == pytest.approx(10_000.0)
 
+    def test_squared_shares_are_summed_left_to_right(self):
+        # From Python 3.12 the built-in sum compensates its rounding and
+        # reads 5029.585798816568 here; the reports must not depend on that.
+        assert hhi(Market({"a": 8.0, "b": 26.0, "c": 5.0})) == 5029.585798816567
+
 
 class TestMergeAndDelta:
     def test_merge_firms_combines_sales(self):

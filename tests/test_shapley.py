@@ -18,6 +18,7 @@ from mktsens import (
     MarginalSet,
     Market,
     OutcomeEvaluationError,
+    ShapleyResult,
     SimpleGame,
     characteristic_from_outcome,
     exclude,
@@ -27,6 +28,7 @@ from mktsens import (
     simple_game_from_rule,
     sspi,
 )
+from mktsens.shapley import _result
 from tests.conftest import (
     TEXTBOOK_HHI,
     TEXTBOOK_MARGINAL,
@@ -175,6 +177,20 @@ class TestShapleyExact:
         res = shapley_exact(CoalitionalGame.from_table([0.0]))
         assert res.values == ()
         assert res.grand_value == 0.0
+
+
+class TestLeftToRightSums:
+    """From Python 3.12 the built-in sum compensates its rounding:
+    sum((1e16, 1.0, -1e16)) reads 1.0 there and 0.0 before.  The reports
+    must read the same on every Python, so these sums run left to right."""
+
+    def test_efficiency_residual(self):
+        res = ShapleyResult((1e16, 1.0, -1e16), 0.0, None, "exact")
+        assert res.efficiency_residual == 0.0
+
+    def test_shares_divide_by_the_left_to_right_total(self):
+        res = _result((1e16, 1.0, -1e16, 2.0), 0.0, "exact")
+        assert res.shares == (5e15, 0.5, -5e15, 1.0)
 
 
 class TestShapleySampled:
