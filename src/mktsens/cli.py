@@ -52,12 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--stores", required=True, help="store CSV path")
         sub.add_argument("--config", required=True, help="run config JSON path")
         sub.add_argument("--out", required=True, help="output directory")
-        if name == "state":
-            sub.add_argument(
-                "--sampled",
-                action="store_true",
-                help="estimate Shapley values by seeded permutation sampling",
-            )
         if name == "hasse":
             sub.add_argument(
                 "--format",
@@ -83,9 +77,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         out = Path(args.out)
         if args.command == "state":
-            paths = write_state_report(
-                run_state(config, universe, sampled=args.sampled), out
-            )
+            paths = write_state_report(run_state(config, universe), out)
         elif args.command == "firm":
             paths = write_firm_report(run_firm_level(config, universe), out)
         elif args.command == "local":

@@ -8,6 +8,7 @@ rather than ignored, so that a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
@@ -20,8 +21,6 @@ from .metrics import MergerSpec, PresumptionRule
 DEFAULT_ALWAYS_IN = ("supermarket", "supercenter")
 DEFAULT_MARGINAL = ("club", "natural", "limited")
 DEFAULT_RADIUS_MILES = 5.0
-DEFAULT_SEED = 0
-DEFAULT_PERMUTATIONS = 100_000
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -48,9 +47,12 @@ def _number(value: Any, key: str) -> float:
         f"{key} must be a number",
     )
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ConfigError(f"{key} is too large for a float") from None
+    # json reads NaN, Infinity and 1e400 (as inf); no report prints them as JSON.
+    _require(math.isfinite(number), f"{key} must be a finite number")
+    return number
 
 
 def _integer(value: Any, key: str) -> int:
@@ -93,8 +95,6 @@ class RunConfig:
     drop_formats: tuple[str, ...] = ()
     sspi_decimals: int = 3
     share_decimals: int = 3
-    seed: int = DEFAULT_SEED
-    permutations: int = DEFAULT_PERMUTATIONS
 
     def __post_init__(self) -> None:
         _require(
@@ -118,8 +118,6 @@ class RunConfig:
         # 324 places print every digit of any float's str, down to 5e-324.
         _require(max(self.sspi_decimals, self.share_decimals) <= 324,
                  "rounding decimals must be at most 324")
-        _require(self.permutations >= 1, "permutations must be at least 1")
-        _require(self.seed >= 0, "seed must be nonnegative")
         _require(
             self.region_filter is None or self.region_filter != "",
             "region_filter must be a nonempty string when given",
@@ -179,8 +177,6 @@ class RunConfig:
                 "sspi": read(_integer, "rounding.sspi", "sspi_decimals"),
                 "shares": read(_integer, "rounding.shares", "share_decimals"),
             }),
-            "seed": read(_integer, "seed"),
-            "permutations": read(_integer, "permutations"),
         }, kind="a JSON object", required=("merging_chains",)))
 
 

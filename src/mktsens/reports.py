@@ -65,7 +65,6 @@ from .shapley import (
     ShapleyResult,
     SimpleGame,
     shapley_exact,
-    shapley_sampled,
     sspi,
 )
 
@@ -185,9 +184,7 @@ def state_diagram(config: RunConfig, universe: StoreUniverse) -> AnnotatedHasseD
     return _state_lattice(config, universe)[3]
 
 
-def run_state(
-    config: RunConfig, universe: StoreUniverse, sampled: bool = False
-) -> StateReport:
+def run_state(config: RunConfig, universe: StoreUniverse) -> StateReport:
     """Exclusion-lattice analysis of the whole universe's chain market.
 
     Builds the annotated Hasse diagram of (post-HHI, delta-HHI, merged share)
@@ -195,17 +192,11 @@ def run_state(
     and the presumption-rule power indices.  :func:`presumption_flags`
     evaluates every subset over the stores, each keyed by its format, and its
     one array of flags marks both the diagram's nodes and the SSPI game's
-    winning coalitions.  ``sampled``
-    switches the Shapley computation to the seeded Monte Carlo estimator
-    from the configuration's seed and permutation count.
+    winning coalitions.  The Shapley values are exact, summed over every
+    subset's post-merger HHI.
     """
     market, table, flags, diagram = _state_lattice(config, universe)
-    game = CoalitionalGame.from_table(table[:, 0] - table[0, 0])
-    if sampled:
-        sv = shapley_sampled(game, config.permutations, config.seed)
-    else:
-        sv = shapley_exact(game)
-
+    sv = shapley_exact(CoalitionalGame.from_table(table[:, 0] - table[0, 0]))
     sspi_game = SimpleGame(diagram.marginal_set.n, flags)
     return StateReport(
         config=config,
@@ -536,7 +527,7 @@ def write_local_report(report: LocalReport, out_dir: str | Path) -> list[Path]:
         [f"sspi_{label}" for label in ms.members] + ["count"]
     ]
     for vector, count in report.structure:
-        structure_rows.append([f"{v:.{decimals}f}" for v in vector] + [count])
+        structure_rows.append([fmt_fixed(v, decimals) for v in vector] + [count])
     structure_doc = {
         "marginal_set": list(ms.members),
         "sensitive_markets": report.sensitive_count,

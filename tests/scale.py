@@ -77,9 +77,24 @@ def circles(out: Path) -> tuple[bool, str]:
     return analyzed > 0, f"{analyzed} circles analysed"
 
 
+def sensitive_circles(out: Path) -> tuple[bool, str]:
+    counts = doc(out, "local_counts.json")
+    found = counts["sensitive_markets"]
+    rows = len(doc(out, "sspi_structure.json")["rows"])
+    return found > 0 and rows > 0, (f"{counts['analyzed_markets']} circles, "
+                                    f"{found} sensitive, {rows} structure rows")
+
+
 def state(n: int) -> dict:
     return dict(name=f"state-{n}", command="state", stores=5000, chains=24,
                 marginal_formats=n, marginal_firms=0, merging_ranks=(1, 2), zipf=0.85)
+
+
+def local(stores: int) -> dict:
+    """local-sweep's fields at ``stores`` stores."""
+    return dict(name=f"local-{stores // 1000}k", command="local", stores=stores,
+                chains=20, marginal_formats=3, marginal_firms=0,
+                merging_ranks=(2, 3), zipf=0.3)
 
 
 FIRM_200K = dict(name="firm-200k", command="firm", stores=200_000, chains=24,
@@ -99,10 +114,10 @@ CASES = (
     Case("state-18", state(18), "drain", 150, nodes(18)),
     # The outcome kernel alone.
     Case("state-20", state(20), "diagram", 150, nodes(20)),
+    # About 2,800 circles, 145 of them sensitive: SSPI and the structure table run.
+    Case("local-20k", local(20_000), "local", 100, sensitive_circles),
     # About 14,000 circles of some 500 stores, each selected in a latitude window.
-    Case("local-100k", dict(name="local-100k", command="local", stores=100_000,
-                            chains=20, marginal_formats=3, marginal_firms=0,
-                            merging_ranks=(2, 3), zipf=0.3), "local", 150, circles),
+    Case("local-100k", local(100_000), "local", 150, circles),
 )
 
 

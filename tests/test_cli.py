@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
-import json
 import math
 import random
 import subprocess
@@ -60,14 +59,16 @@ class TestStateCommand:
         assert rows[1] == ["club", "282", "0.438"]
         assert rows[4] == ["Total", "644", "1.000"]
 
-    def test_sampled_flag(self, tmp_path):
-        doc = base_config_doc(seed=11, permutations=5000)
-        code, out = run_cli(tmp_path, "state", state_stores(), doc, "--sampled")
-        assert code == 0
-        payload = json.loads((out / "shapley.json").read_text(encoding="utf-8"))
-        assert payload["mode"] == "sampled"
-        assert payload["seed"] == 11
-        assert payload["permutations_used"] == 5000
+    def test_sampled_flag(self, tmp_path, capsys):
+        # Shapley values are exact: the sampled estimate is library API only.
+        with pytest.raises(SystemExit) as err:
+            run_cli(tmp_path, "state", state_stores(), base_config_doc(),
+                    "--sampled")
+        assert err.value.code == 2
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: mktsens ")
+        assert error == "mktsens: error: unrecognized arguments: --sampled"
+        assert not (tmp_path / "out").exists()
 
     def test_failed_json_keeps_every_old_file(self, tmp_path, capsys,
                                               monkeypatch):
@@ -154,7 +155,7 @@ class TestHasseCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("hasse needs no Shapley values or SSPI")
 
-        for name in ("shapley_exact", "shapley_sampled", "sspi"):
+        for name in ("shapley_exact", "sspi"):
             monkeypatch.setattr(reports, name, refuse)
         code, out = run_cli(tmp_path, "hasse", state_stores(), base_config_doc())
         assert code == 0
@@ -292,14 +293,6 @@ class TestFailureModes:
         assert err.startswith("output error: ")
         assert "Traceback" not in err
 
-    def test_negative_seed(self, tmp_path, capsys):
-        code, out = run_cli(tmp_path, "state", state_stores(),
-                            base_config_doc(seed=-1), "--sampled")
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "configuration error: seed must be nonnegative\n")
-        assert not out.exists()
-
     @pytest.mark.parametrize("key", ["post_hhi_threshold",
                                      "delta_hhi_threshold"])
     def test_nan_hhi_threshold(self, tmp_path, capsys, key):
@@ -308,8 +301,37 @@ class TestFailureModes:
                             base_config_doc(rule={key: math.nan}))
         assert code == 2
         assert capsys.readouterr().err == (
-            "configuration error: invalid rule: HHI thresholds must be "
-            "nonnegative numbers\n")
+            f"configuration error: rule.{key} must be a finite number\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["state", "firm", "local", "hasse"])
+    @pytest.mark.parametrize("doc, key", [
+        ({"radius_miles": math.inf}, "radius_miles"),
+        ({"radius_miles": -math.inf}, "radius_miles"),
+        ({"rule": {"post_hhi_threshold": math.inf}}, "rule.post_hhi_threshold"),
+        ({"rule": {"merged_share_threshold": math.nan}},
+         "rule.merged_share_threshold"),
+    ], ids=["radius-inf", "radius-minus-inf", "post-hhi-inf", "share-nan"])
+    def test_non_finite_numbers(self, tmp_path, capsys, command, doc, key):
+        # json writes and reads these as Infinity and NaN, which a strict
+        # JSON parser refuses; an infinite radius or threshold ran to exit 0.
+        code, out = run_cli(tmp_path, command, state_stores(),
+                            base_config_doc(marginal_firms=["grandway"], **doc))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {key} must be a finite number\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["state", "firm", "local", "hasse"])
+    @pytest.mark.parametrize("key", ["seed", "permutations"])
+    def test_sampling_keys_are_unknown(self, tmp_path, capsys, command, key):
+        # The state report's Shapley values are exact: nothing reads them.
+        code, out = run_cli(tmp_path, command, state_stores(),
+                            base_config_doc(marginal_firms=["grandway"],
+                                            **{key: 5}))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: unknown configuration keys: ['{key}']\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("value, message", [
@@ -333,21 +355,14 @@ class TestFailureModes:
         assert err.count("\n") == 1 and message in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("extra, doc, code, message", [
-        (("--sampled",), base_config_doc(permutations=10**18), 4,
-         "capacity error: 1000000000000000000 permutations of 3 players "
-         "exceed the 2^24 cells of sampling's working arrays"),
-        (("--sampled",), base_config_doc(permutations=10**30), 4,
-         f"capacity error: {10**30} permutations of 3 players exceed the "
-         "2^24 cells of sampling's working arrays"),
-        ((), base_config_doc(rounding={"sspi": 10**13}), 2,
+    @pytest.mark.parametrize("doc, message", [
+        (base_config_doc(rounding={"sspi": 10**13}),
          "configuration error: rounding decimals must be at most 324"),
-    ], ids=["permutations-1e18", "permutations-1e30", "decimals-1e13"])
-    def test_requests_past_the_limits(self, tmp_path, capsys, extra, doc,
-                                      code, message):
-        # These used to end in ValueError, OverflowError and MemoryError.
-        got, out = run_cli(tmp_path, "state", state_stores(), doc, *extra)
-        assert got == code
+    ], ids=["decimals-1e13"])
+    def test_requests_past_the_limits(self, tmp_path, capsys, doc, message):
+        # This used to end in MemoryError.
+        got, out = run_cli(tmp_path, "state", state_stores(), doc)
+        assert got == 2
         assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
@@ -498,13 +513,10 @@ GOLDEN_CONFIG = base_config_doc(
     # lattice, so this threshold makes the state and firm games sensitive.
     rule={"post_hhi_threshold": 2290},
     radius_miles=3.0,
-    seed=5,
-    permutations=400,
 )
 
 GOLDEN_RUNS = {
     "state": ("state",),
-    "sampled": ("state", "--sampled"),
     "hasse": ("hasse",),
     "hasse-json": ("hasse", "--format", "json"),
     "firm": ("firm",),
@@ -525,20 +537,6 @@ GOLDEN_DIGESTS = {
     "state/sspi.csv":
         "46f68004b968dfe8e6966020f8d6a0079d9cb19eedf6147cb4eae7469124fc6e",
     "state/sspi.json":
-        "068187bff0c561c0ee1231776e8ddcfc60fdb96c67817c6fc583aa5d42db2ab6",
-    "sampled/hasse.dot":
-        "15a7622cf1aee96283533481ebcda4932376d9797439353338acf7da8242e925",
-    "sampled/hasse.json":
-        "7deb3115c123d45d078439aab36bf81100926ce2c9fa2bf4d4addc8181e32a2f",
-    "sampled/shapley.csv":
-        "e025a79be9afa5875bfe306b06e4fe29301c98f7087d5e6bf150ea84f6b5b2e8",
-    "sampled/shares.csv":
-        "ff29db43e34d4ddb6aceeff173311ffdc2a352d884a0b48fcf8e517c3f1909d7",
-    "sampled/shares.json":
-        "8e9203a2cec0c2bf9a1c2354b45bd2f8fd2a850b45d91c73ea95141860e65c04",
-    "sampled/sspi.csv":
-        "46f68004b968dfe8e6966020f8d6a0079d9cb19eedf6147cb4eae7469124fc6e",
-    "sampled/sspi.json":
         "068187bff0c561c0ee1231776e8ddcfc60fdb96c67817c6fc583aa5d42db2ab6",
     "hasse/hasse.dot":
         "15a7622cf1aee96283533481ebcda4932376d9797439353338acf7da8242e925",
@@ -638,8 +636,6 @@ SMALL_CONFIG = base_config_doc(
     marginal_formats=["club", "natural"],
     marginal_firms=["cato", "dune"],
     radius_miles=2.0,
-    seed=3,
-    permutations=50,
 )
 
 

@@ -7,10 +7,9 @@ subcommand in process.  Each run must end with an exit code that ``cli.py``
 lists, report a failure on one stderr line with no traceback, and leave
 its output directory holding either the old files or a complete new set.
 
-Inputs stay tiny: at most 12 stores and 4 marginal labels.  Permutation
-counts are drawn at most 10^4 or at least 10^17, and rounding decimals at
-most 40 or past the 324 that the reader accepts, so that no example is a
-legitimate request for gigabytes.
+Inputs stay tiny: at most 12 stores and 4 marginal labels.  Rounding
+decimals are drawn at most 40 or past the 324 that the reader accepts, so
+that no example is a legitimate request for gigabytes.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ STATE_FILES = ("hasse.dot", "hasse.json", "shapley.csv", "shapley.json",
                "sspi.csv", "sspi.json", "shares.csv", "shares.json")
 COMMANDS = {
     ("state",): STATE_FILES,
-    ("state", "--sampled"): STATE_FILES,
     ("firm",): ("sspi.csv", "sspi.json"),
     ("local",): ("local_counts.csv", "local_counts.json", "local_markets.csv",
                  "local_markets.json", "sspi_structure.csv",
@@ -96,8 +94,6 @@ def configs(draw) -> str:
         "rounding": st.fixed_dictionaries({}, optional={
             "sspi": INTS | st.integers(325, 10**20),
             "shares": INTS | st.integers(325, 10**20)}),
-        "seed": INTS,
-        "permutations": st.integers(1, 10**4) | INTS,
     }
     pairs = {key: json.dumps(items) for key, items in BASE.items()}
     for key in draw(st.lists(st.sampled_from(list(value)), max_size=4)):

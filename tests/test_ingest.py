@@ -333,8 +333,6 @@ class TestRunConfig:
         assert config.marginal_formats == ("club", "natural", "limited")
         assert config.radius_miles == 5.0
         assert config.rule == PresumptionRule()
-        assert config.seed == 0
-        assert config.permutations == 100_000
         assert config.merger.acquirer == "acme"
 
     def test_merging_chains_must_be_distinct(self):
@@ -355,8 +353,6 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(merging_chains=("a", "b"), radius_miles=-1.0)
         with pytest.raises(ConfigError):
-            RunConfig(merging_chains=("a", "b"), permutations=0)
-        with pytest.raises(ConfigError):
             RunConfig(merging_chains=("a", "b"), sspi_decimals=-1)
 
 
@@ -376,8 +372,6 @@ class TestFromMapping:
             "region_filter": " west ",
             "drop_formats": ["Liquor"],
             "rounding": {"sspi": 4, "shares": 2},
-            "seed": 7,
-            "permutations": 1000,
         })
         assert config.always_in_formats == ("supermarket",)
         assert config.marginal_formats == ("club", "natural")
@@ -387,7 +381,6 @@ class TestFromMapping:
         assert config.drop_formats == ("liquor",)
         assert config.sspi_decimals == 4
         assert config.share_decimals == 2
-        assert config.seed == 7
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown configuration keys"):
@@ -412,11 +405,7 @@ class TestFromMapping:
             )
         with pytest.raises(ConfigError):
             RunConfig.from_mapping(
-                {"merging_chains": ["a", "b"], "seed": 1.5}
-            )
-        with pytest.raises(ConfigError):
-            RunConfig.from_mapping(
-                {"merging_chains": ["a", "b"], "permutations": True}
+                {"merging_chains": ["a", "b"], "rounding": {"shares": True}}
             )
 
     def test_invalid_rule_values(self):
@@ -447,9 +436,9 @@ class TestFromMapping:
          "rounding.sspi must be an integer"),
         # Precedence: unknown keys, then a missing merging_chains, then the
         # keys in reading order, whatever their order in the document.
-        ({"seed": "x"}, "merging_chains is required"),
-        ({"seed": "x", "oops": 1}, "unknown configuration keys: ['oops']"),
-        ({"seed": "x", "radius_miles": "y", "merging_chains": ["a", "b"]},
+        ({"rounding": "x"}, "merging_chains is required"),
+        ({"rounding": "x", "oops": 1}, "unknown configuration keys: ['oops']"),
+        ({"rounding": "x", "radius_miles": "y", "merging_chains": ["a", "b"]},
          "radius_miles must be a number"),
         ({"merging_chains": ["a", "b"], "rounding": {"shares": "x", "sspi": "y"}},
          "rounding.sspi must be an integer"),
@@ -471,8 +460,6 @@ class TestFromMapping:
             "region_filter": " west ",
             "drop_formats": ["Liquor"],
             "rounding": {"sspi": 4, "shares": 2},
-            "seed": 7,
-            "permutations": 1000,
         })
         assert config == RunConfig(
             merging_chains=("bolt", "acme"),
@@ -488,8 +475,6 @@ class TestFromMapping:
             drop_formats=("liquor",),
             sspi_decimals=4,
             share_decimals=2,
-            seed=7,
-            permutations=1000,
         )
         defaults = RunConfig(merging_chains=("acme", "bolt"))
         for name in (f.name for f in dataclasses.fields(RunConfig)):

@@ -106,21 +106,6 @@ class TestRunState:
         with pytest.raises(DataError, match="bolt"):
             run_state(state_config, universe)
 
-    def test_sampled_mode(self, state_universe):
-        config = RunConfig(
-            merging_chains=STATE_MERGING, seed=3, permutations=2000
-        )
-        report = run_state(config, state_universe, sampled=True)
-        sv = report.shapley
-        assert sv.mode == "sampled"
-        assert sv.seed == 3
-        assert sv.permutations_used == 2000
-        assert sv.std_errors is not None and len(sv.std_errors) == 3
-        for est, exact, se in zip(sv.values, TEXTBOOK_SHAPLEY, sv.std_errors):
-            assert abs(est - exact) <= 4.0 * se + 1e-9
-        again = run_state(config, state_universe, sampled=True)
-        assert again.shapley.values == sv.values
-
     def test_pipeline_builds_no_objects_per_node_or_subset(
         self, state_config, state_universe, tmp_path, monkeypatch
     ):
@@ -326,6 +311,26 @@ class TestRunLocal:
             ["sspi_club", "sspi_natural", "sspi_limited", "count"],
             ["1.000", "0.000", "0.000", "2"],
         ]
+
+    def test_structure_cells_print_as_the_circles_do(self, tmp_path):
+        # Excluding any of the three equal rivals flags both circles, so each
+        # format's SSPI is 1/3, whose binary float reads 0.33333333333333331483
+        # at 20 places.
+        stores = [Store(sid, chain, chain.title(), fmt, 45.5 + k / 1000, -122.6, rev)
+                  for k, (sid, chain, fmt, rev) in enumerate([
+                      ("a1", "acme", "supermarket", 2.0),
+                      ("b1", "bolt", "supermarket", 2.0),
+                      ("g1", "grandway", "supermarket", 5.0),
+                      ("c1", "clubby", "club", 7.0),
+                      ("n1", "naturo", "natural", 7.0),
+                      ("l1", "limitz", "limited", 7.0)])]
+        config = RunConfig(merging_chains=STATE_MERGING, sspi_decimals=20)
+        write_local_report(run_local(config, StoreUniverse(stores)), tmp_path)
+        markets = read_csv(tmp_path / "local_markets.csv")
+        assert [row[3:] for row in markets[1:]] == [
+            ["0.33333333333333330000"] * 3] * 2
+        assert read_csv(tmp_path / "sspi_structure.csv")[1:] == [
+            markets[1][3:] + ["2"]]
 
     def test_rerun_is_byte_identical(self, local_config, local_universe,
                                      tmp_path):

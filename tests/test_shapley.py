@@ -239,6 +239,17 @@ class TestShapleySampled:
         assert res.values == ()
         assert res.grand_value == 0.0
 
+    @pytest.mark.parametrize("permutations", [10**18, 10**30],
+                             ids=["permutations-1e18", "permutations-1e30"])
+    def test_requests_past_the_limits(self, permutations):
+        # Refused before anything is drawn; these used to end in ValueError
+        # and OverflowError.
+        with pytest.raises(CapacityError) as error:
+            shapley_sampled(textbook_game(), permutations, seed=0)
+        assert str(error.value) == (
+            f"{permutations} permutations of 3 players exceed the 2^24 cells "
+            "of sampling's working arrays")
+
 
 def _game(n: int, flags) -> SimpleGame:
     """The simple game whose winning coalitions are the flagged masks."""
