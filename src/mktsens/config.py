@@ -113,6 +113,7 @@ class RunConfig:
             "merging chains cannot appear in marginal_firms",
         )
         _require(self.radius_miles >= 0, "radius_miles must be nonnegative")
+        _require(math.isfinite(self.radius_miles), "radius_miles must be finite")
         _require(self.sspi_decimals >= 0, "rounding decimals must be nonnegative")
         _require(self.share_decimals >= 0, "rounding decimals must be nonnegative")
         # 324 places print every digit of any float's str, down to 5e-324.

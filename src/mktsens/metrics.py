@@ -103,6 +103,8 @@ class PresumptionRule:
         # Written so that NaN, which no HHI ever exceeds, fails too.
         if not (self.post_hhi_threshold >= 0 and self.delta_hhi_threshold >= 0):
             raise ValueError("HHI thresholds must be nonnegative numbers")
+        if math.inf in (self.post_hhi_threshold, self.delta_hhi_threshold):
+            raise ValueError("HHI thresholds must be finite")
         if not 0 < self.merged_share_threshold <= 1:
             raise ValueError("merged share threshold must lie in (0, 1]")
 

@@ -443,22 +443,28 @@ def test_forty_decimals_keep_exact_totals(tmp_path, command):
 
 
 class TestConsoleScript:
-    def test_subprocess_state_run(self, tmp_path):
+    @pytest.mark.parametrize("command, stores, files", [
+        ("state", state_stores, 8), ("firm", state_stores, 2),
+        ("local", local_stores, 6), ("hasse", state_stores, 2),
+    ], ids=["state", "firm", "local", "hasse"])
+    def test_subprocess_run(self, tmp_path, command, stores, files):
+        # The CLI freezes its heap to skip teardown; piped output must
+        # still arrive whole.
         stores_path, config_path = write_inputs(
-            tmp_path, state_stores(), base_config_doc()
-        )
+            tmp_path, stores(), base_config_doc(marginal_firms=["grandway"]))
         out_dir = tmp_path / "out"
         result = subprocess.run(
-            [sys.executable, "-m", "mktsens.cli", "state",
+            [sys.executable, "-m", "mktsens.cli", command,
              "--stores", str(stores_path), "--config", str(config_path),
              "--out", str(out_dir)],
             capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.count("wrote ") == 8
+        assert len(list(out_dir.iterdir())) == files
+        assert sorted(result.stdout.splitlines()) == sorted(
+            f"wrote {path}" for path in out_dir.iterdir())
         assert result.stderr == (
-            f"loaded {len(state_stores())} stores from {stores_path}\n")
-        assert (out_dir / "hasse.dot").exists()
+            f"loaded {len(stores())} stores from {stores_path}\n")
 
     @pytest.mark.parametrize("command", ["state", "firm", "local", "hasse"])
     def test_subprocess_failure_prints_one_line(self, tmp_path, command):

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import logging
+import math
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -354,6 +355,12 @@ class TestRunConfig:
             RunConfig(merging_chains=("a", "b"), radius_miles=-1.0)
         with pytest.raises(ConfigError):
             RunConfig(merging_chains=("a", "b"), sspi_decimals=-1)
+
+    @pytest.mark.parametrize("radius", [math.inf, -math.inf, math.nan])
+    def test_radius_must_be_finite(self, radius):
+        # The JSON reader refuses these first; a library caller gets here.
+        with pytest.raises(ConfigError, match="radius_miles must be"):
+            RunConfig(merging_chains=("a", "b"), radius_miles=radius)
 
 
 class TestFromMapping:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +88,12 @@ class TestPresumptionRule:
             PresumptionRule(merged_share_threshold=0.0)
         with pytest.raises(ValueError):
             PresumptionRule(merged_share_threshold=1.5)
+
+    @pytest.mark.parametrize("key", ["post_hhi_threshold", "delta_hhi_threshold"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_thresholds_must_be_finite(self, key, value):
+        with pytest.raises(ValueError, match="HHI thresholds must be"):
+            PresumptionRule(**{key: value})
 
 
 class TestMarginData:
