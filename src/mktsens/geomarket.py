@@ -2,13 +2,12 @@
 
 Each store of the two merging chains anchors a circular candidate market;
 stores within the radius (great-circle distance, inclusive boundary) form
-the market and revenue aggregates by chain.  Selection works on a columnar
-view of the universe: a store farther in latitude than the radius cannot be
-in the circle, so each centre computes distances only inside its latitude
-window, found by binary search in the latitude-sorted stores.
+the market and revenue aggregates by chain.  Selection takes every centre at
+once: stores are indexed by latitude cell, one radius high, then longitude,
+and each centre's distances go only to the stores of its cell and the two
+beside it that lie in its cap's longitude range, in passes of bounded size.
 :func:`~mktsens.metrics.presumption_flags` then evaluates every exclusion set
-of the circles from the universe's columns, as it does for the state and firm
-lattices, in chunks of circles of at most :data:`LOCAL_CHUNK_ENTRIES` members.
+of each pass's circles from the universe's columns, as for the state and firm lattices.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, fields
-from functools import cached_property
 from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -31,9 +29,9 @@ from .shapley import SimpleGame, sspi
 EARTH_RADIUS_KM = 6371.0088
 MILES_TO_KM = 1.609344
 
-# Member entries (stores, summed over circles) per presumption_flags call in
-# analyze_local.  It bounds the kernel's padded per-entry arrays; results
-# do not depend on it.
+# (Centre, store) pairs per pass of circle selection, and so at most as many
+# member entries per presumption_flags call in analyze_local.  It bounds the
+# per-pair and the kernel's per-entry arrays; results do not depend on it.
 LOCAL_CHUNK_ENTRIES = 1 << 16
 
 
@@ -165,21 +163,31 @@ class StoreUniverse:
         return np.array([marginal.index(f) if f in marginal else -1
                          for f in self.formats], np.intp)[self.format]
 
-    @cached_property
-    def latitude_index(self) -> LatitudeIndex:
-        """The stores' latitudes in radians, sorted for window searches."""
-        lat = np.radians(self.latitude)
-        by_latitude = np.argsort(lat, kind="stable")
-        return LatitudeIndex(lat, np.cos(lat), by_latitude, lat[by_latitude])
+    def cell_index(self, height: float) -> CellIndex:
+        """The stores by latitude cell, ``floor(latitude / height)`` in
+        radians, then by longitude; kept until another height is asked for."""
+        if getattr(self, "_cells", None) is None or self._cells.height != height:
+            # Stable float argsorts: each numpy sort kernel used adds to peak RSS.
+            by_longitude = np.argsort(self.longitude, kind="stable")
+            longitudes = self.longitude[by_longitude]
+            cell = np.floor(np.radians(self.latitude) / height)
+            order = by_longitude[np.argsort(cell[by_longitude], kind="stable")]
+            key = (cell.astype(np.int64) * (len(self) + 1)
+                   + longitudes.searchsorted(self.longitude))
+            self._cells = CellIndex(height, key[order], order, longitudes,
+                                    np.cos(np.radians(self.latitude)))
+        return self._cells
 
 
-class LatitudeIndex(NamedTuple):
-    """A universe's latitudes, for the windows of circle selection."""
+class CellIndex(NamedTuple):
+    """A universe's stores sorted by an exact integer key: latitude cell ×
+    (stores + 1) + the number of stores west of the store."""
 
-    latitude: np.ndarray  # radians
-    cos_latitude: np.ndarray
-    by_latitude: np.ndarray  # rows in ascending latitude order
-    sorted_latitude: np.ndarray  # latitude[by_latitude]
+    height: float  # of a latitude cell, radians
+    keys: np.ndarray  # ascending
+    order: np.ndarray  # the universe's rows in key order
+    longitudes: np.ndarray  # the stores' longitudes, ascending
+    cos_latitude: np.ndarray  # by row
 
 
 def haversine(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -223,64 +231,83 @@ class CircleMarket:
         return tuple(s.store_id for s in self.members)
 
 
-def _position(universe: StoreUniverse, row: int) -> tuple[float, float]:
-    """The (latitude, longitude) degrees of the store at ``row``, as floats."""
-    return float(universe.latitude[row]), float(universe.longitude[row])
-
-
-def _circle_rows(universe: StoreUniverse, anchor: tuple[float, float],
-                 radius_km: float) -> np.ndarray:
-    """Rows of ``universe`` at most ``radius_km`` from ``anchor``, ascending.
-
-    A great-circle distance is at least the Earth's radius times the
-    latitude difference, so only the stores in the latitude window of
-    ``radius_km`` (widened by the boundary band) can be members.  The vector
-    haversine runs on that window only.
+def _circles(universe: StoreUniverse, latitude: np.ndarray, longitude: np.ndarray,
+             radius_km: float) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Rows of ``universe`` at most ``radius_km`` from each point of
+    ``latitude`` and ``longitude`` (degrees), in passes of at most
+    :data:`LOCAL_CHUNK_ENTRIES` (point, store) pairs, or of one point: a pass
+    yields its first point, its points' member counts and their member rows,
+    point after point, each point's ascending.  A point's candidates are the
+    stores of its :meth:`~StoreUniverse.cell_index` cell, at least ``reach``
+    (radius and band) high, and the two beside it, in its cap's longitude
+    range: all longitudes if the cap reaches a pole, else one range, or two
+    across ±180°.
     """
-    if radius_km < 0:
+    if not radius_km >= 0:
         raise ValueError("radius must be nonnegative")
+    # Every store is within the circumference: a finite radius keeps the band small.
+    radius_km = min(radius_km, 2 * math.pi * EARTH_RADIUS_KM)
     # numpy's sin/arcsin may differ from libm by a few ulps: let the scalar
     # haversine decide every store this close to the boundary.
     band = 1e-9 * max(radius_km, 1.0)
-    phi = math.radians(anchor[0])
     reach = (radius_km + band) / EARTH_RADIUS_KM
-    index = universe.latitude_index
-    window = index.by_latitude[
-        index.sorted_latitude.searchsorted(phi - reach, "left"):
-        index.sorted_latitude.searchsorted(phi + reach, "right")
-    ]
-    dlam = np.radians(universe.longitude[window] - anchor[1])
-    h = (
-        np.sin((index.latitude[window] - phi) / 2.0) ** 2
-        + math.cos(phi) * index.cos_latitude[window] * np.sin(dlam / 2.0) ** 2
-    )
-    distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(h, 1.0)))
-    keep = distance <= radius_km
-    for i in np.flatnonzero(np.abs(distance - radius_km) <= band).tolist():
-        keep[i] = haversine(anchor, _position(universe, window[i])) <= radius_km
-    return np.sort(window[keep])
+    index = universe.cell_index(max(reach, 1e-9))  # keys fit in int64
+    phi, n = np.radians(latitude), len(universe)
+    cos_phi = np.cos(phi)
+    # The cap's half-width in longitude, widened past the bounds' rounding.
+    # A cap wider than pi/2 reaches a pole; 2 keeps sin(wide) positive.
+    wide = min(reach * (1 + 1e-6) + 1e-15, 2.0)
+    half = np.where(np.abs(phi) + wide >= math.pi / 2, 360.0, np.degrees(
+        np.arcsin(np.minimum(math.sin(wide) / cos_phi, 1.0))) + 1e-9)
+    low, high = longitude - half, longitude + half
+    # The second range is the first moved by 360 degrees, or empty.
+    shift = np.where(half > 180.0, np.inf, np.where(low < -180.0, 360.0, -360.0))
+    cells = np.floor(phi / index.height)[:, None] + (-1.0, 0.0, 1.0)
+    base = (cells.astype(np.int64) * (n + 1))[:, :, None]
+    first, last = (index.keys.searchsorted(base + index.longitudes.searchsorted(
+        np.stack([end, end + shift], 1), side)[:, None, :]).reshape(len(phi), 6)
+        for end, side in ((low, "left"), (high, "right")))
+    size = last - first
+    total = size.sum(1)
+    ends = np.cumsum(total)
+    stop = 0
+    while (start := stop) < len(phi):
+        stop = max(start + 1, int(ends.searchsorted(
+            ends[start] - total[start] + LOCAL_CHUNK_ENTRIES, "right")))
+        sizes = size[start:stop].ravel()
+        rows = index.order[np.arange(sizes.sum()) + np.repeat(
+            first[start:stop].ravel() - np.cumsum(sizes) + sizes, sizes)]
+        point = np.repeat(np.arange(start, stop), total[start:stop])
+        dlam = np.radians(universe.longitude[rows] - longitude[point])
+        h = (np.sin((np.radians(universe.latitude[rows]) - phi[point]) / 2.0) ** 2
+             + cos_phi[point] * index.cos_latitude[rows] * np.sin(dlam / 2.0) ** 2)
+        distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(h, 1.0)))
+        keep = distance <= radius_km
+        for i in np.flatnonzero(np.abs(distance - radius_km) <= band).tolist():
+            keep[i] = haversine((latitude[point[i]], longitude[point[i]]), (
+                universe.latitude[rows[i]], universe.longitude[rows[i]])) <= radius_km
+        member = np.sort(point[keep] * (n + 1) + rows[keep])
+        counts = np.bincount(member // (n + 1) - start, minlength=stop - start)
+        del rows, point, dlam, h, distance, keep  # free the pairs for the caller
+        yield start, counts, np.remainder(member, n + 1, out=member)
 
 
-def circle_market(
-    universe: StoreUniverse,
-    center: str | Store,
-    radius_miles: float,
-) -> CircleMarket:
+def circle_market(universe: StoreUniverse, center: str | Store,
+                  radius_miles: float) -> CircleMarket:
     """Select every store at most ``radius_miles`` from the center store.
 
-    ``center`` may be a store id (looked up in the universe) or a Store.
-    The center is always a member; members are sorted by store id.
+    ``center`` may be a store id (looked up in the universe) or a Store,
+    which need not belong to the universe.  A center of the universe is
+    always a member; members are sorted by store id.
     """
     anchor = universe.store(center) if isinstance(center, str) else center
-    rows = _circle_rows(universe, anchor.position, miles_to_km(radius_miles))
+    [(_, _, rows)] = _circles(universe, np.array([anchor.latitude]),
+                              np.array([anchor.longitude]), miles_to_km(radius_miles))
     return CircleMarket(anchor, radius_miles, universe._stores(rows.tolist()))
 
 
-def chain_market(
-    stores: Iterable[Store],
-    excluded_formats: Iterable[str] = (),
-    label: str = "",
-) -> Market:
+def chain_market(stores: Iterable[Store], excluded_formats: Iterable[str] = (),
+                 label: str = "") -> Market:
     """Aggregate store revenue into chain-level sales, dropping excluded formats."""
     drop = set(excluded_formats)
     sales: dict[str, float] = {}
@@ -313,88 +340,60 @@ class LocalAnalysisResult:
         return self.center.store_id
 
 
-def analyze_local(
-    universe: StoreUniverse,
-    merger: MergerSpec,
-    marginal_formats: MarginalSet | Sequence[str],
-    rule: PresumptionRule = PresumptionRule(),
-    radius_miles: float = 5.0,
-) -> tuple[LocalAnalysisResult, ...]:
+def analyze_local(universe: StoreUniverse, merger: MergerSpec,
+                  marginal_formats: MarginalSet | Sequence[str],
+                  rule: PresumptionRule = PresumptionRule(),
+                  radius_miles: float = 5.0) -> tuple[LocalAnalysisResult, ...]:
     """Run the exclusion-set analysis in a circle around every store of the
     two merging chains.
 
-    Centers are the merging chains' stores, in store-id order.  Each circle
-    is selected in its center's latitude window of the universe's
-    :attr:`~StoreUniverse.latitude_index`.  A circle is analyzed only when both
-    merging chains have at least one member store; single-party circles
-    carry no competitive overlap and are skipped.  A merging chain whose
-    in-circle revenue disappears under some exclusion set still evaluates,
-    as a zero-sales firm, but a circle left with no sales at all by an
-    exclusion set is refused with :class:`DegenerateMarketError`.  The
-    analyzed circles go to :func:`~mktsens.metrics.presumption_flags` in
-    chunks whose member entries total at most :data:`LOCAL_CHUNK_ENTRIES` (a
-    larger circle goes alone), as the member rows of the universe's chain,
-    format bit and revenue columns, one circle after another; the results do
-    not depend on the chunking.  Circles with the same flags share one
-    :func:`sspi` call.
+    Centers are the merging chains' stores, in store-id order; their circles
+    are selected together from the universe's :meth:`~StoreUniverse.cell_index`.
+    A circle is analyzed only when both merging chains have at least one
+    member store; single-party circles carry no competitive overlap and are
+    skipped.  A merging chain whose in-circle revenue disappears under some
+    exclusion set still evaluates, as a zero-sales firm, but a circle left
+    with no sales at all by an exclusion set is refused with
+    :class:`DegenerateMarketError`.  Each selection pass's analyzed circles
+    go to :func:`~mktsens.metrics.presumption_flags` together, so their member
+    entries total at most :data:`LOCAL_CHUNK_ENTRIES` (a larger circle goes
+    alone), as the member rows of the universe's chain, format bit and revenue
+    columns, one circle after another; the results do not depend on the
+    bound.  Circles with the same flags share one :func:`sspi` call.
     """
-    ms = (
-        marginal_formats
-        if isinstance(marginal_formats, MarginalSet)
-        else MarginalSet(marginal_formats)
-    )
-    parties = universe.chain_codes((merger.acquirer, merger.target),
-                                   "merging chain")
-    radius_km = miles_to_km(radius_miles)
+    ms = (marginal_formats if isinstance(marginal_formats, MarginalSet)
+          else MarginalSet(marginal_formats))
+    parties = universe.chain_codes((merger.acquirer, merger.target), "merging chain")
+    centers = np.flatnonzero(np.isin(universe.chain, parties))
     bits = universe.format_bits(ms.members)
     power: dict[bytes, tuple[float, ...] | None] = {}
     results = []
-    for chunk in _two_party_chunks(universe, parties, radius_km):
-        members = np.concatenate([rows for _, rows in chunk])
-        table = np.empty((len(chunk), 1 << ms.n, 3))
-        flags = presumption_flags(
-            universe.chain[members], bits[members], universe.revenue[members],
-            [len(rows) for _, rows in chunk], ms, parties, rule,
-            [f"circle around store {universe.ids[c]!r}" for c, _ in chunk], table)
-        centers = universe._stores([center for center, _ in chunk])
-        for center, (_, rows), outcomes, flagged in zip(centers, chunk, table, flags):
+    points = universe.latitude[centers], universe.longitude[centers]
+    for start, sizes, rows in _circles(universe, *points, miles_to_km(radius_miles)):
+        # Each center is in its own circle, so no circle is empty.
+        both = np.logical_or.reduceat(universe.chain[rows][:, None] == parties,
+                                      np.cumsum(sizes) - sizes).all(1)
+        rows, sizes = rows[np.repeat(both, sizes)], sizes[both].tolist()
+        analyzed = centers[start + np.flatnonzero(both)].tolist()
+        table = np.empty((len(sizes), 1 << ms.n, 3))
+        names = [f"circle around store {universe.ids[c]!r}" for c in analyzed]
+        flags = presumption_flags(universe.chain[rows], bits[rows],
+                                  universe.revenue[rows], sizes, ms, parties, rule,
+                                  names, table)
+        for center, size, outcomes, flagged in zip(universe._stores(analyzed), sizes,
+                                                   table, flags):
             key = flagged.tobytes()
             if key not in power:
                 game = SimpleGame(ms.n, flagged)
                 power[key] = None if game.constant else sspi(game)
-            results.append(LocalAnalysisResult(
-                center, radius_miles, len(rows), outcomes,
-                flagged, power[key] is not None, power[key],
-            ))
+            results.append(LocalAnalysisResult(center, radius_miles, size, outcomes,
+                                               flagged, power[key] is not None,
+                                               power[key]))
     return tuple(results)
 
 
-def _two_party_chunks(
-    universe: StoreUniverse, parties: Sequence[int], radius_km: float
-) -> Iterator[list[tuple[int, np.ndarray]]]:
-    """The circles around the stores of the ``parties`` chain codes that hold
-    both parties, as (center row, member rows) pairs in center order, in
-    chunks of at most :data:`LOCAL_CHUNK_ENTRIES` member rows (a larger
-    circle goes alone)."""
-    chunk: list[tuple[int, np.ndarray]] = []
-    held = 0
-    for center in np.flatnonzero(np.isin(universe.chain, parties)).tolist():
-        rows = _circle_rows(universe, _position(universe, center), radius_km)
-        chains = universe.chain[rows]
-        if not all((chains == party).any() for party in parties):
-            continue
-        if chunk and held + len(rows) > LOCAL_CHUNK_ENTRIES:
-            yield chunk
-            chunk, held = [], 0
-        chunk.append((center, rows))
-        held += len(rows)
-    if chunk:
-        yield chunk
-
-
-def sspi_structure_table(
-    results: Sequence[LocalAnalysisResult], decimals: int = 3
-) -> tuple[tuple[tuple[float, ...], int], ...]:
+def sspi_structure_table(results: Sequence[LocalAnalysisResult], decimals: int = 3
+                         ) -> tuple[tuple[tuple[float, ...], int], ...]:
     """Distinct rounded SSPI vectors across sensitive circles, with counts.
 
     Rows sort by descending count, then ascending vector, so the dominant

@@ -7,6 +7,7 @@ child process, and its peak is that child's ``ru_maxrss``.  A spawned child's
 small and another child writes the inputs.
 """
 
+import csv
 import json
 import os
 import random
@@ -72,17 +73,18 @@ def same_reports(out: Path) -> tuple[bool, str]:
     return same, f"{len(ours)} reports, {'' if same else 'not '}as in file order"
 
 
-def circles(out: Path) -> tuple[bool, str]:
-    analyzed = doc(out, "local_counts.json")["analyzed_markets"]
-    return analyzed > 0, f"{analyzed} circles analysed"
-
-
-def sensitive_circles(out: Path) -> tuple[bool, str]:
-    counts = doc(out, "local_counts.json")
-    found = counts["sensitive_markets"]
-    rows = len(doc(out, "sspi_structure.json")["rows"])
-    return found > 0 and rows > 0, (f"{counts['analyzed_markets']} circles, "
-                                    f"{found} sensitive, {rows} structure rows")
+def circles(analyzed: int, members: int, sensitive: int, rows: int) -> Check:
+    """The circles analysed, their member stores in all, the sensitive
+    circles and the SSPI structure rows, as seed 0 gives them."""
+    def check(out: Path) -> tuple[bool, str]:
+        with open(out / "local_markets.csv", encoding="utf-8") as text:
+            found = [doc(out, "local_counts.json")["analyzed_markets"],
+                     sum(int(row["member_count"]) for row in csv.DictReader(text)),
+                     doc(out, "local_counts.json")["sensitive_markets"],
+                     len(doc(out, "sspi_structure.json")["rows"])]
+        return found == [analyzed, members, sensitive, rows], (
+            "{} circles of {} members, {} sensitive, {} structure rows".format(*found))
+    return check
 
 
 def state(n: int) -> dict:
@@ -114,10 +116,10 @@ CASES = (
     Case("state-18", state(18), "drain", 150, nodes(18)),
     # The outcome kernel alone.
     Case("state-20", state(20), "diagram", 150, nodes(20)),
-    # About 2,800 circles, 145 of them sensitive: SSPI and the structure table run.
-    Case("local-20k", local(20_000), "local", 100, sensitive_circles),
-    # About 14,000 circles of some 500 stores, each selected in a latitude window.
-    Case("local-100k", local(100_000), "local", 150, circles),
+    # 2,793 circles, 145 of them sensitive: SSPI and the structure table run.
+    Case("local-20k", local(20_000), "local", 100, circles(2793, 293_729, 145, 4)),
+    # 14,012 circles of some 520 stores, selected in passes over the cell index.
+    Case("local-100k", local(100_000), "local", 150, circles(14_012, 7_277_806, 0, 0)),
 )
 
 

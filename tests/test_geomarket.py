@@ -168,6 +168,13 @@ class TestCircleMarket:
         u = self._universe()
         assert circle_market(u, "s0", 0.0).member_ids == ("s0",)
 
+    def test_a_center_outside_the_universe_is_no_member(self):
+        u = self._universe()
+        outside = _store("x", lat=45.0, lon=-119.95)
+        circle = circle_market(u, outside, 3.0)
+        assert circle.center is outside
+        assert circle.member_ids == ("s0", "s1")
+
     def test_center_by_store_object(self):
         u = self._universe()
         anchor = u.store("s1")
@@ -340,6 +347,47 @@ def _window_edge_universe(draw):
     return StoreUniverse(tuple(stores)), radius_miles
 
 
+def _clamped(value: float, limit: float) -> float:
+    return min(limit, max(-limit, value))
+
+
+@st.composite
+def _meridian_edge_universe(draw):
+    """A center, often near a pole or the antimeridian, its colocated twin,
+    stores a few ulps west and east of the two meridians that its circle
+    touches, at the latitude where it touches them, and stores at the poles.
+
+    A circle that reaches a pole touches no meridian; a touching meridian
+    past ±180 degrees is wrapped across it.  The center is an acme store and
+    its twin a bolt store, so its circle holds both merging chains; every
+    store sells in the always-in format, with a revenue of its own.
+    """
+    lat0 = draw(st.sampled_from([-90.0, -89.99, -45.0, 0.0, 60.0, 89.9, 90.0])
+                | st.floats(min_value=-90, max_value=90))
+    lon0 = draw(st.sampled_from([-180.0, -179.99, 179.99, 180.0])
+                | st.floats(min_value=-180, max_value=180))
+    radius_miles = draw(st.sampled_from([0.0, 0.25, 5.0, 30.0, 300.0, 3000.0]))
+    arc = miles_to_km(radius_miles) / EARTH_RADIUS_KM
+    phi0 = math.radians(lat0)
+    places = [(lat0, lon0), (lat0, lon0)]
+    if math.sin(arc) < math.cos(phi0):
+        dlam = math.degrees(math.asin(math.sin(arc) / math.cos(phi0)))
+        touch = math.degrees(math.asin(min(1.0, math.sin(phi0) / math.cos(arc))))
+        for _ in range(draw(st.integers(min_value=1, max_value=10))):
+            lon = _wrapped(lon0 + draw(st.sampled_from([-dlam, dlam])))
+            places.append((_nudged(touch, draw(st.integers(-2, 2))),
+                           _nudged(lon, draw(st.integers(-4, 4)))))
+    for pole in draw(st.lists(st.sampled_from([-90.0, 90.0]), max_size=2)):
+        places.append((pole, draw(st.sampled_from([-180.0, 180.0])
+                                  | st.floats(min_value=-180, max_value=180))))
+    chains = ["acme", "bolt"] + [draw(st.sampled_from(["acme", "bolt", "cato"]))
+                                 for _ in places[2:]]
+    return StoreUniverse(tuple(
+        _store(f"s{k:03d}", chain, lat=_clamped(lat, 90.0),
+               lon=_clamped(lon, 180.0), rev=k + 1.0)
+        for k, ((lat, lon), chain) in enumerate(zip(places, chains)))), radius_miles
+
+
 class TestCircleMarketOracle:
     @given(_near_radius_universe())
     @settings(max_examples=200, deadline=None)
@@ -360,6 +408,44 @@ class TestCircleMarketOracle:
             circle = circle_market(u, center, radius_miles)
             assert circle.member_ids == scalar_circle_ids(u, center,
                                                           radius_miles)
+
+    @given(_meridian_edge_universe())
+    @settings(max_examples=300, deadline=None)
+    def test_tangent_meridians_match_scalar_selection(self, case):
+        u, radius_miles = case
+        for center in u:
+            circle = circle_market(u, center, radius_miles)
+            assert circle.member_ids == scalar_circle_ids(u, center,
+                                                          radius_miles)
+
+    @given(_meridian_edge_universe(), st.sampled_from([1, 3, 8]))
+    @settings(max_examples=100, deadline=None)
+    def test_small_passes_select_circle_markets(self, case, bound):
+        # Each store's revenue names it, so the kernel's revenue column shows
+        # which stores analyze_local selected for each circle.
+        u, radius_miles = case
+        selected = []
+
+        def kernel(chain, bit, revenue, sizes, *rest):
+            ends = np.cumsum(sizes, dtype=int)
+            selected.extend(revenue[end - size:end].tolist()
+                            for size, end in zip(sizes, ends))
+            return presumption_flags(chain, bit, revenue, sizes, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geomarket, "presumption_flags", kernel)
+            patch.setattr(geomarket, "LOCAL_CHUNK_ENTRIES", bound)
+            results = analyze_local(u, MergerSpec("acme", "bolt"), ("club",),
+                                    radius_miles=radius_miles)
+        expected = {}
+        for center in u:
+            members = circle_market(u, center, radius_miles).members
+            if center.chain_id in ("acme", "bolt") and {"acme", "bolt"} <= {
+                    s.chain_id for s in members}:
+                expected[center.store_id] = [s.revenue for s in members]
+        assert [r.center_id for r in results] == list(expected)
+        assert [r.member_count for r in results] == list(map(len, expected.values()))
+        assert selected == list(expected.values())
 
     def test_analyze_local_matches_brute_force(self, merger):
         # 300 stores in a ~30 km square, so each 5-mile circle holds dozens.
@@ -391,6 +477,57 @@ class TestCircleMarketOracle:
             assert dict(enumerate(r.flags.tolist())) == flags
             if sensitive:
                 assert r.sspi == power
+
+
+class TestExtremeRadii:
+    """A radius past half the Earth's circumference puts every store in every
+    circle, and a zero radius only the stores at the center's point."""
+
+    @staticmethod
+    def _universe() -> StoreUniverse:
+        # An acme, a bolt and a cato store at one point; the rest at the
+        # poles, on both sides of the antimeridian and far apart.
+        places = [("a1", "acme", 45.0, -120.0), ("b1", "bolt", 45.0, -120.0),
+                  ("c1", "cato", 45.0, -120.0), ("a2", "acme", 90.0, 0.0),
+                  ("b2", "bolt", 90.0, 17.0), ("a3", "acme", 0.0, 180.0),
+                  ("b3", "bolt", 0.0, -180.0), ("c2", "cato", -90.0, 45.0),
+                  ("c3", "cato", -33.9, 151.2), ("a4", "acme", 51.5, -0.1)]
+        return StoreUniverse(tuple(_store(sid, chain, lat=lat, lon=lon, rev=k + 1.0)
+                                   for k, (sid, chain, lat, lon) in enumerate(places)))
+
+    @pytest.mark.parametrize("radius_miles", [12_500.0, 1e300, 1.5e308])
+    def test_every_store_is_in_every_circle(self, radius_miles, merger):
+        u = self._universe()
+        results = analyze_local(u, merger, ("club",), radius_miles=radius_miles)
+        assert [r.center_id for r in results] == ["a1", "a2", "a3", "a4",
+                                                  "b1", "b2", "b3"]
+        assert {r.member_count for r in results} == {len(u)}
+        for center in u:
+            assert circle_market(u, center, radius_miles).member_ids == u.ids
+
+    def test_a_radius_past_the_circumference_needs_no_scalar_recheck(self, merger):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return haversine(a, b)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geomarket, "haversine", counted)
+            results = analyze_local(self._universe(), merger, ("club",),
+                                    radius_miles=1.5e308)
+        assert len(results) == 7 and not calls
+
+    def test_zero_radius_holds_the_stores_at_the_center(self, merger):
+        u = self._universe()
+        results = analyze_local(u, merger, ("club",), radius_miles=0.0)
+        assert [(r.center_id, r.member_count) for r in results] == [("a1", 3),
+                                                                    ("b1", 3)]
+        for center in u:
+            circle = circle_market(u, center, 0.0)
+            assert circle.member_ids == tuple(
+                s.store_id for s in u if s.position == center.position)
+            assert circle.member_ids == scalar_circle_ids(u, center, 0.0)
 
 
 class TestChainMarket:
