@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import math
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal, localcontext
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 
 # Largest integer not exceeding a float, exact at any size; NaN and
@@ -48,3 +51,17 @@ def fmt_fixed(value: float, decimals: int) -> str:
 def fmt_truncated(value: float, decimals: int) -> str:
     """Format a truncated value with exactly ``decimals`` places."""
     return f"{_quantize(value, decimals, ROUND_DOWN):.{decimals}f}"
+
+
+def once_per_value(function: Callable[[float], T]) -> Callable[[float], T]:
+    """``function``, run once for each distinct value and remembered by the
+    value's ``repr``, which keeps -0.0 and 0.0, and NaN, apart."""
+    memo: dict[str, T] = {}
+
+    def remembered(value: float) -> T:
+        text = repr(value)
+        if text not in memo:
+            memo[text] = function(value)
+        return memo[text]
+
+    return remembered

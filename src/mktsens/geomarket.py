@@ -20,7 +20,7 @@ from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .display import round_half_up
+from .display import once_per_value, round_half_up
 from .errors import DataError
 from .lattice import MarginalSet
 from .metrics import Market, MergerSpec, PresumptionRule, presumption_flags
@@ -400,10 +400,11 @@ def sspi_structure_table(results: Sequence[LocalAnalysisResult], decimals: int =
     power structure comes first and ties break deterministically.
     """
     tallies: dict[tuple[float, ...], int] = {}
+    rounded = once_per_value(lambda v: round_half_up(v, decimals))
     for result in results:
         if not result.sensitive or result.sspi is None:
             continue
-        key = tuple(round_half_up(v, decimals) for v in result.sspi)
+        key = tuple(map(rounded, result.sspi))
         tallies[key] = tallies.get(key, 0) + 1
     rows = sorted(tallies.items(), key=lambda kv: (-kv[1], kv[0]))
     return tuple(rows)

@@ -26,7 +26,8 @@ from .lattice import MarginalSet, first_marked, subset_label
 HHI_SCALE = 10_000.0
 
 # Cells (markets x masks) in each block of merger_outcome_blocks.  It bounds
-# the (markets x chains x masks) working arrays, and so peak memory.
+# the blocks and a lone market's (chains x masks) working arrays, and so
+# peak memory.
 OUTCOME_BLOCK = 1024
 # Cells of the per-chain tables that merger_outcome_blocks folds a lone
 # market's entries into, which bounds their memory.
@@ -37,7 +38,8 @@ def _ordered_sum(values: Iterable) -> float | np.ndarray:
     """Left-to-right float sum (the built-in ``sum`` compensates its rounding
     from Python 3.12).  On an array it adds the rows along the first axis,
     cell by cell in the same order, where ``np.sum`` may add pairwise; that
-    is how merger_outcome_blocks reproduces the scalar sums."""
+    is how merger_outcome_blocks reproduces the scalar sums for a lone
+    market (several take ``np.bincount``, which adds in order too)."""
     total = 0.0
     for value in values:
         total += value
@@ -337,9 +339,12 @@ def merger_outcome_blocks(
     revenue to the lanes where its bit is kept, and each block reads its
     sales from there.  The tables hold at most ``TABLE_CELLS`` cells: past
     that, groups of masks that share their high bits are folded one at a
-    time over the bits below.  Several markets go side by side instead, one
-    entry position at a time, each over rows for its own chains: an excluded
-    entry adds its revenue times 0.0, which is exact, as +0.0 changes no sum.
+    time over the bits below.  Several markets are taken a mask at a time
+    instead, each sum a ``np.bincount`` over all their entries, or leads, in
+    entry order, which adds its weights in input order.  Two sorts of integer
+    keys, once per call, number each market's chains and find each one's
+    first entry of each bit.  An excluded entry weighs its revenue times 0.0:
+    +0.0, which changes no sum.
 
     A lead is an entry that can be its chain's first kept entry: the first
     entry of each (chain, bit) pair, with none after the chain's first bit
@@ -360,86 +365,75 @@ def merger_outcome_blocks(
     if len(bit) and not -1 <= bit.min() <= bit.max() < n:
         bad = bit[(bit < -1) | (bit >= n)][0]
         raise ValueError(f"entry bit {bad} out of range for width {n}")
-    count, size = len(sizes), 1 << n
+    count = len(sizes)
     if not count:
         return
-    codes, bits, ends = chain.tolist(), bit.tolist(), np.cumsum(sizes).tolist()
-    rows_of, leads, lead_counts, party_rows, width = [], [], [], [], 0
-    for lo, hi in zip([0] + ends, ends):
-        # Each market numbers its own chains, by first entry.  Lead (row,
-        # need, prior) comes first where a mask's bits in ``need`` are
-        # ``prior``, its chain's earlier leads' bits (bit n is bit -1).  A
-        # chain's last lead leaves out its own bit; without it the chain is empty.
-        market = codes[lo:hi]
-        columns, found, earlier = {}, [], {}
-        for code, b in dict.fromkeys(zip(market, bits[lo:hi])):
-            row = columns.setdefault(code, len(columns))
-            prior = earlier.get(row, 0)
-            if not prior >> n:
-                earlier[row] = prior | 1 << (n if b < 0 else b)
-                found.append((row, earlier[row], prior))
-        rows_of.extend(map(columns.__getitem__, market))
-        leads += [(row, prior if need == earlier[row] else need, prior)
-                  for row, need, prior in found]
-        lead_counts.append(len(found))
-        # A merging chain with no entries reads the all-zero row past the
-        # market's chains.
-        party_rows.append([columns.get(p, len(columns)) for p in parties])
-        width = max(width, len(columns))
-    rows = width + 1
-    every = np.arange(count)
-    acquirer, target = np.array(party_rows).T
-    low = n  # masks come in groups of 2^low that share their bits >= low
-    if count == 1:
-        steps = [(row, need or None, prior) for row, need, prior in leads]
-        pairs = dict.fromkeys(zip(rows_of, bits))
-        owns = [[] for _ in range(rows)]
-        for row, b in pairs:
-            if b >= 0:
-                owns[row].append(b)
-        while low and sum(1 << sum(b < low for b in own)
-                          for own in owns) > TABLE_CELLS:
-            low -= 1
-        # Row r's table has a lane for each pattern of its own bits below low,
-        # with its j-th lowest such bit as bit j.  Digit k of a mask in base
-        # 1024 adds lanes[k][r, digit] to r's lane.
-        owns = [sorted(b for b in own if b < low) for own in owns]
-        starts = np.cumsum([0] + [1 << len(own) for own in owns])
-        table = np.empty(starts[-1])
-        lanes = [np.zeros((rows, 1 << min(10, low - k)), np.int32)
-                 for k in range(0, low or 1, 10)]
-        views = {}
-        for row, b in pairs:
-            views[row, b] = table[starts[row]:starts[row + 1]]
-            if b in owns[row]:
-                j, part = owns[row].index(b), lanes[b // 10]
-                part[row] += (np.arange(part.shape[1]) >> b % 10 & 1) << j
-                views[row, b] = views[row, b].reshape(-1, 2, 1 << j)[:, 0]
-        revenues = revenue.tolist()
-    else:
-        def by_position(items: Sequence, counts: Sequence[int], fill) -> np.ndarray:
-            """(longest × markets) array whose row k holds the k-th of each
-            market's ``counts`` consecutive ``items``, or ``fill`` past its end."""
-            k, last = np.arange(max(counts))[:, None], np.cumsum(counts)
-            at = np.where(k < counts, last - counts + k, last[-1])
-            return np.append(items, [fill], axis=0)[at]
+    sums = (_lone_market_sums(chain.tolist(), bit.tolist(), revenue, n, parties)
+            if count == 1 else _market_sums(chain, bit, revenue, sizes, n, parties))
+    for start, total, squares, sa, sb in sums:
+        if np.isinf(total).any():
+            raise DataError("a candidate market has total sales too large for a float")
+        merged = sa + sb
+        # Python's float power (C pow), as the scalar path squares.
+        merged_squared = np.fromiter(map(pow, merged.ravel().tolist(), repeat(2)),
+                                     np.float64, merged.size).reshape(merged.shape)
+        post = (HHI_SCALE * squares - HHI_SCALE * (sa * sa + sb * sb)
+                + HHI_SCALE * merged_squared)
+        yield slice(start, start + merged.shape[1]), np.stack(
+            (post, HHI_SCALE * 2.0 * sa * sb, merged), axis=-1)
 
-        # Step k adds entry k, or reads lead k, of every market at its (row,
-        # market) cell.  A shorter market adds 0.0 to its last row, which no
-        # chain uses, and reads its missing leads from there.
-        adds = (by_position(rows_of, sizes, rows - 1),
-                by_position(revenue, sizes, 0.0)[:, :, None],
-                by_position(bit, sizes, -1))
-        steps = [((row, every), need[:, None] if need.any() else None, prior[:, None])
-                 for row, need, prior in by_position(
-                     np.array(leads, np.int64).reshape(-1, 3), lead_counts,
-                     (rows - 1, 0, 0)).transpose(0, 2, 1)]
-    step = max(1, OUTCOME_BLOCK // count)
-    # A lone market's blocks stay inside spans of masks that share their group
-    # and their bits >= 10: only digit 0 varies across a block.
-    span = 1 << min(low, 10) if count == 1 else size
-    for window in range(0, size, span):
-        if count == 1 and not window % (1 << low):
+
+def _lone_market_sums(codes: list[int], bits: list[int], revenue: np.ndarray,
+                      n: int, parties: Sequence[int]) -> Iterator[tuple]:
+    """For a lone market, each block's first mask, and its totals, sums of
+    squared shares, and the acquirer's and the target's (1 × block) shares;
+    the sums broadcast to the shares."""
+    # Chains are numbered by first entry.  Lead (row, need, prior) comes first
+    # where a mask's bits in ``need`` are ``prior``, its chain's earlier leads'
+    # bits (bit n is bit -1).  A chain's last lead leaves out its own bit;
+    # without it the chain is empty.
+    columns, leads, earlier = {}, [], {}
+    for code, b in dict.fromkeys(zip(codes, bits)):
+        row = columns.setdefault(code, len(columns))
+        prior = earlier.get(row, 0)
+        if not prior >> n:
+            earlier[row] = prior | 1 << (n if b < 0 else b)
+            leads.append((row, earlier[row], prior))
+    steps = [(row, (prior if need == earlier[row] else need) or None, prior)
+             for row, need, prior in leads]
+    rows_of = list(map(columns.__getitem__, codes))
+    # A merging chain with no entries reads the all-zero row past the chains.
+    acquirer, target = ([columns.get(p, len(columns))] for p in parties)
+    rows = len(columns) + 1
+    low = n  # masks come in groups of 2^low that share their bits >= low
+    pairs = dict.fromkeys(zip(rows_of, bits))
+    owns = [[] for _ in range(rows)]
+    for row, b in pairs:
+        if b >= 0:
+            owns[row].append(b)
+    while low and sum(1 << sum(b < low for b in own) for own in owns) > TABLE_CELLS:
+        low -= 1
+    # Row r's table has a lane for each pattern of its own bits below low,
+    # with its j-th lowest such bit as bit j.  Digit k of a mask in base
+    # 1024 adds lanes[k][r, digit] to r's lane.
+    owns = [sorted(b for b in own if b < low) for own in owns]
+    starts = np.cumsum([0] + [1 << len(own) for own in owns])
+    table = np.empty(starts[-1])
+    lanes = [np.zeros((rows, 1 << min(10, low - k)), np.int32)
+             for k in range(0, low or 1, 10)]
+    views = {}
+    for row, b in pairs:
+        views[row, b] = table[starts[row]:starts[row + 1]]
+        if b in owns[row]:
+            j, part = owns[row].index(b), lanes[b // 10]
+            part[row] += (np.arange(part.shape[1]) >> b % 10 & 1) << j
+            views[row, b] = views[row, b].reshape(-1, 2, 1 << j)[:, 0]
+    revenues = revenue.tolist()
+    # Blocks stay inside spans of masks that share their group and their
+    # bits >= 10: only digit 0 varies across a block.
+    span = 1 << min(low, 10)
+    for window in range(0, 1 << n, span):
+        if not window % (1 << low):
             # The group's entries, but for those whose bit it excludes.
             table.fill(0.0)
             with np.errstate(over="ignore"):
@@ -447,46 +441,92 @@ def merger_outcome_blocks(
                                           revenues, bits):
                     if b < low or not window >> b & 1:
                         view += value
-        for start in range(window, window + span, step):
-            masks = np.arange(start, min(start + step, window + span))
-            firsts = [(at, None if need is None else (masks & need) == prior)
-                      for at, need, prior in steps]
+        for start in range(window, window + span, OUTCOME_BLOCK):
+            masks = np.arange(start, min(start + OUTCOME_BLOCK, window + span))
+            firsts = [(row, None if need is None else (masks & need) == prior)
+                      for row, need, prior in steps]
 
             def lead_sum(values: np.ndarray) -> np.ndarray:
-                return _ordered_sum(values[at] if first is None
-                                    else np.where(first, values[at], 0.0)
-                                    for at, first in firsts)
+                return _ordered_sum(values[row] if first is None
+                                    else np.where(first, values[row], 0.0)
+                                    for row, first in firsts)
 
-            # 0 / 0 reads NaN; a total that overflows is refused below.
+            lane = lanes[0][:, start % span:][:, :masks.size] + sum(
+                (part[:, start >> 10 * k & part.shape[1] - 1, None]
+                 for k, part in enumerate(lanes) if k), starts[:-1, None])
+            sales = table[lane]
+            # 0 / 0 reads NaN; a total that overflows is refused by the caller.
             with np.errstate(over="ignore", invalid="ignore"):
-                if count == 1:
-                    lane = lanes[0][:, start % span:][:, :masks.size] + sum(
-                        (part[:, start >> 10 * k & part.shape[1] - 1, None]
-                         for k, part in enumerate(lanes) if k), starts[:-1, None])
-                    sales = table[lane][:, None]
-                else:
-                    # Row b says whether bit b's entries are kept; the last
-                    # row serves bit -1 and is all ones.
-                    kept = np.ones((n + 1, masks.size))
-                    kept[:n] = (masks >> np.arange(n)[:, None]) & 1 == 0
-                    sales = np.zeros((rows, count, masks.size))
-                    for row, value, b in zip(*adds):
-                        sales[row, every] += value * kept[b]
                 total = lead_sum(sales)
                 s = sales / total
-                base = HHI_SCALE * lead_sum(s * s)
-            if np.isinf(total).any():
-                raise DataError(
-                    "a candidate market has total sales too large for a float")
-            sa = s[acquirer, every]
-            sb = s[target, every]
-            merged = sa + sb
-            # Python's float power (C pow), as the scalar path squares.
-            merged_squared = np.fromiter(map(pow, merged.ravel().tolist(), repeat(2)),
-                                         np.float64, merged.size).reshape(merged.shape)
-            post = base - HHI_SCALE * (sa * sa + sb * sb) + HHI_SCALE * merged_squared
-            yield slice(start, start + masks.size), np.stack(
-                (post, HHI_SCALE * 2.0 * sa * sb, merged), axis=-1)
+                yield start, total, lead_sum(s * s), s[acquirer], s[target]
+
+
+def _market_sums(chain: np.ndarray, bit: np.ndarray, revenue: np.ndarray,
+                 sizes: np.ndarray, n: int, parties: Sequence[int]) -> Iterator[tuple]:
+    """_lone_market_sums' blocks for several markets, (markets × block)."""
+    count, entries = len(sizes), len(chain)
+    market, index = np.repeat(np.arange(count), sizes), np.arange(entries)
+    least = int(chain.min(initial=0))
+    if (int(chain.max(initial=0)) - least + 1) * entries >> 63:
+        # Codes too far apart for the sort keys below: their ranks instead.
+        ordered = np.sort(chain)
+        code = ordered[np.append(True, ordered[1:] != ordered[:-1])].searchsorted(chain)
+    else:
+        code = np.asarray(chain, np.int64) - least
+    # A group is a market's entries of one chain: a run in order of code,
+    # then entry.  Groups are numbered in that order.
+    key, order = np.divmod(np.sort(code * entries + index), entries)
+    home = market[order]
+    runs = (np.diff(key, prepend=-1) != 0) | (np.diff(home, prepend=-1) != 0)
+    group = np.empty(entries, np.intp)
+    group[order] = np.cumsum(runs) - 1
+    groups, home = int(runs.sum()), home[runs]
+    # The leads: each (group, bit) pair's first entry.  An entry of bit b,
+    # at place b + 1, owns bit b; of bit -1, at place 0, bit n.
+    places = bit + 1
+    owns = 1 << np.arange(-1, n) % (n + 1)
+    own = owns[places]
+    pair = np.sort((group * (n + 1) + places) * entries + index)
+    lead = np.zeros(entries, bool)
+    lead[pair[np.diff(pair // entries, prepend=-1) != 0] % entries] = True
+    # A group's leads own distinct bits, so the sum of its earlier leads'
+    # bits is their union.  Entries that are no lead, and leads after their
+    # group's bit -1 lead, which never come first, hold bit n and drop out.
+    order = order[lead[order]]
+    earlier = np.cumsum(own[order]) - own[order]
+    earlier -= np.maximum.accumulate(np.where(
+        np.diff(group[order], prepend=-1) != 0, earlier, 0))
+    prior = np.full(entries, 1 << n)
+    prior[order] = earlier
+    leads = np.flatnonzero(prior < 1 << n)
+    prior = prior[leads]
+    # A lead comes first where a mask's bits in ``need`` are ``prior``: its
+    # own bit kept, its group's earlier leads' bits excluded.
+    need, lead_group, lead_market = prior | own[leads], group[leads], market[leads]
+    # A merging chain with no entries in a market reads sales[groups], 0.0.
+    acquirer, target = np.full((2, count), groups)
+    for at, party in zip((acquirer, target), parties):
+        held = chain == party
+        at[market[held]] = group[held]
+    step = max(1, OUTCOME_BLOCK // count)
+    for start in range(0, 1 << n, step):
+        sums = []
+        # 0 / 0 reads NaN; a total that overflows is refused by the caller.
+        with np.errstate(invalid="ignore"):
+            for mask in range(start, min(start + step, 1 << n)):
+                # An excluded entry adds its revenue times 0.0, +0.0, which
+                # changes no sum, and so does a lead that does not come first.
+                sales = np.bincount(group, revenue * ((mask & owns) == 0)[places],
+                                    groups + 1)
+                first = (mask & need) == prior
+                total = np.bincount(lead_market, np.where(first, sales[lead_group], 0.0),
+                                    count)
+                s = sales[:groups] / total[home]
+                sums.append((total, np.bincount(lead_market, np.where(
+                    first, (s * s)[lead_group], 0.0), count),
+                    sales[acquirer] / total, sales[target] / total))
+        yield start, *np.transpose(sums, (1, 2, 0))
 
 
 def presumption_flags(

@@ -25,13 +25,14 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .config import RunConfig
-from .display import fmt_fixed, fmt_truncated, round_half_up_int
+from .display import fmt_fixed, fmt_truncated, once_per_value, round_half_up_int
 from .errors import ConfigError
 from .geomarket import (
     LocalAnalysisResult,
@@ -479,9 +480,10 @@ def _local_markets_json(report: LocalReport) -> Iterator[str]:
         """A circle's item separator and fields, up to its first outcome."""
         sspi = ("null" if r.sspi is None
                 else json_list(json_columns(np.asarray(r.sspi))[0], 3))
-        return (f',\n    {{\n      "center_store_id": {json.dumps(r.center_id)},'
-                f'\n      "member_count": {json.dumps(r.member_count)},'
-                f'\n      "sensitive": {json.dumps(r.sensitive)},'
+        center = encode_basestring_ascii(r.center_id)
+        return (f',\n    {{\n      "center_store_id": {center},'
+                f'\n      "member_count": {r.member_count},'
+                f'\n      "sensitive": {"true" if r.sensitive else "false"},'
                 f'\n      "sspi": {sspi},'
                 '\n      "outcomes": [\n        ')
 
@@ -512,9 +514,10 @@ def write_local_report(report: LocalReport, out_dir: str | Path) -> list[Path]:
         ["center_store_id", "member_count", "sensitive"]
         + [f"sspi_{label}" for label in ms.members]
     ]
+    fixed = once_per_value(lambda v: fmt_fixed(v, decimals))
     for result in report.results:
         cells = (
-            [fmt_fixed(v, decimals) for v in result.sspi]
+            list(map(fixed, result.sspi))
             if result.sensitive and result.sspi is not None
             else [""] * ms.n
         )

@@ -92,11 +92,12 @@ def state(n: int) -> dict:
                 marginal_formats=n, marginal_firms=0, merging_ranks=(1, 2), zipf=0.85)
 
 
-def local(stores: int) -> dict:
-    """local-sweep's fields at ``stores`` stores."""
-    return dict(name=f"local-{stores // 1000}k", command="local", stores=stores,
-                chains=20, marginal_formats=3, marginal_firms=0,
-                merging_ranks=(2, 3), zipf=0.3)
+def local(stores: int, formats: int = 3) -> dict:
+    """local-sweep's fields at ``stores`` stores and ``formats`` marginal formats."""
+    name = f"local-{stores // 1000}k" + (f"-{formats}" if formats != 3 else "")
+    return dict(name=name, command="local", stores=stores, chains=20,
+                marginal_formats=formats, marginal_firms=0, merging_ranks=(2, 3),
+                zipf=0.3)
 
 
 FIRM_200K = dict(name="firm-200k", command="firm", stores=200_000, chains=24,
@@ -120,6 +121,8 @@ CASES = (
     Case("local-20k", local(20_000), "local", 100, circles(2793, 293_729, 145, 4)),
     # 14,012 circles of some 520 stores, selected in passes over the cell index.
     Case("local-100k", local(100_000), "local", 150, circles(14_012, 7_277_806, 0, 0)),
+    # 8 marginal formats, so 256 masks per circle, a mask at a time.
+    Case("local-3k-8", local(3000, 8), "local", 50, circles(280, 4911, 185, 152)),
 )
 
 

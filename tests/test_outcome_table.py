@@ -457,6 +457,48 @@ class TestFixedOrder:
                             int(wins[-1]) - int(wins[0]), abs_tol=1e-12)
 
 
+# Chain codes with no room between them and the int64 limits, small ones of
+# either sign, and any others.
+chain_codes = st.one_of(st.integers(-2**63, -2**63 + 9), st.integers(-9, 9),
+                        st.integers(2**63 - 10, 2**63 - 1),
+                        st.integers(-2**63, 2**63 - 1))
+
+
+@st.composite
+def several_markets(draw):
+    """2-8 markets at n = 0-6, each of 0-12 entries or of chains that
+    revisit their bits, so that a market may be empty or lack either
+    merging chain, with a distinct int64 code for each chain."""
+    n = draw(st.integers(0, 6))
+    entry = st.tuples(st.sampled_from(STATE_MERGING + RIVALS),
+                      st.integers(-1, n - 1), revenues)
+    markets = draw(st.lists(st.one_of(st.lists(entry, max_size=12),
+                                      revisiting_markets(n)),
+                            min_size=2, max_size=8))
+    codes = draw(st.lists(chain_codes, min_size=len(CHAINS), max_size=len(CHAINS),
+                          unique=True))
+    return markets, n, np.array(codes, np.int64)
+
+
+def hexes(rows) -> list[list[str]]:
+    """Each float exactly, as ``float.hex`` spells it (any NaN as nan)."""
+    return [[float(v).hex() for v in row] for row in rows]
+
+
+class TestSeveralMarkets:
+    @given(several_markets(), st.integers(1, 16))
+    @settings(max_examples=300, deadline=None)
+    def test_every_cell_matches_the_scalar_path(self, drawn, block):
+        """Blocks of 1-16 cells split a market's masks across blocks."""
+        markets, n, codes = drawn
+        (chain, *rest), parties = entry_columns(markets, MERGER)
+        with mock.patch.object(metrics, "OUTCOME_BLOCK", block):
+            table = outcome_table(codes[chain], *rest, n, codes[parties].tolist())
+        for got, entries in zip(table, markets):
+            assert hexes(got) == hexes(scalar_market_outcomes(entries, bits)
+                                       for bits in range(1 << n))
+
+
 # Revenues from subnormal to near the largest float: two of the largest
 # overflow in a sum.
 magnitudes = st.one_of(
